@@ -1,30 +1,22 @@
 #!/usr/bin/env python3
-"""Run every demo scenario through the CLI into out/demo/<name>/.
+"""Run every demo config through the CLI into out/demo/<name>/.
+
+A demo config is a JSON file in scenarios/demo/ with a top-level "command";
+the other JSON files there are scenarios the configs point at.
 
 Usage: python3 scripts/run_demo.py [output-root]
 """
 
+import json
 import pathlib
 import sys
 
 from cryptoyield.cli import main as cli_main
 
-DEMO_CONFIGS = (
-    "stake",
-    "amm",
-    "loan",
-    "perp_funding",
-    "perp_basis",
-    "implied_rate",
-    "xccy",
-    "oracle",
-    "kelly",
-)
-
 
 def run_pack(out_root: pathlib.Path, demo_dir: pathlib.Path) -> int:
     worst = 0
-    for name in DEMO_CONFIGS:
+    for name in sorted(p.stem for p in demo_dir.glob("*.json") if "command" in json.loads(p.read_text())):
         config = demo_dir / f"{name}.json"
         out_dir = out_root / name
         code = cli_main(["run", "--config", str(config), "--out", str(out_dir)])

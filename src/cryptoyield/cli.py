@@ -4,6 +4,13 @@ Subcommands: stake, amm, loan price, perp funding, perp basis, implied-rate,
 xccy simulate, oracle price, kelly, plus `run` (config-file driven) and
 `validate` (dry-run diagnostics without execution).
 
+`COMMANDS` is the one place a command is described: argv path, config keys
+(type, default, required, flag), input files with their loaders, handler.
+The parser, the flag-to-config translation, `validate_config`, the input
+paths `resolve_config_paths` resolves and the check `run` makes before any
+work all derive from it, so `run` applies exactly the checks `validate`
+reports. Model ranges are left to the models.
+
 Every invocation writes a report directory: one CSV per output series plus
 report.json carrying the summary and provenance (tool version, config hash,
 seed, input digests). File bytes are deterministic for identical inputs.
@@ -22,12 +29,13 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from datetime import date
 
 import numpy as np
 
 from . import core, lending, mc, optrates, perps, staking
-from .errors import CryptoYieldError, EligibilityError, EmptyCohortError, InputError, MissingDataError
+from .errors import CryptoYieldError, EmptyCohortError, InputError
 from .reporting import Report
 from .scenarios import (
     run_pool_scenario,
@@ -49,108 +57,70 @@ def _load_json(path):
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
-def _scenario_config(value):
+def _scenario_json(value):
     """Scenario configs may be inline objects or paths to JSON files."""
-    if isinstance(value, dict):
-        return value, []
-    return _load_json(value), [value]
+    return value if isinstance(value, dict) else _load_json(value)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: config dict -> Report (+ provenance inputs, seed)
+# command handlers: (config as given, checked value of each key) -> (Report, seed)
 # ---------------------------------------------------------------------------
 
 
-def _run_stake(config):
-    path = config["balances"]
-    records = staking.load_validators(path)
-    percentiles = config.get("percentiles") or list(FIGURE_PERCENTILES)
-    if config.get("day"):
-        days = [date.fromisoformat(config["day"])]
-        explicit = True
-    else:
-        days = staking.available_days(records.values())
-        explicit = False
+def _run_stake(config, balances, day, percentiles):
+    days = [day] if day else staking.available_days(balances.values())
 
     rows, skipped_days = [], 0
-    for day in days:
+    for d in days:
         try:
-            bands = staking.percentile_bands(records.values(), day, percentiles)
+            bands = staking.percentile_bands(balances.values(), d, percentiles)
         except EmptyCohortError:
-            if explicit:
+            if day:
                 raise
             skipped_days += 1
             continue
         for p in percentiles:
             rows.append(
-                {"day": day.isoformat(), "percentile": p, "return_pct": 100.0 * bands[p]}
+                {"day": d.isoformat(), "percentile": p, "return_pct": 100.0 * bands[p]}
             )
     report = Report(
         command="stake",
         summary={
-            "validators": len(records),
+            "validators": len(balances),
             "days": len(days) - skipped_days,
             "days_without_cohort": skipped_days,
             "percentiles": list(percentiles),
         },
     )
     report.add_series("bands", ("day", "percentile", "return_pct"), rows)
-    return report, [path], None
+    return report, None
 
 
-def _run_amm(config):
-    scenario, paths = _scenario_config(config["scenario"])
+def _run_amm(config, scenario):
     result = run_pool_scenario(scenario)
     report = Report(command="amm", summary=result["summary"])
-    report.add_series(
-        "pool",
-        (
-            "event",
-            "action",
-            "reserve_x",
-            "reserve_y",
-            "spot_price",
-            "total_shares",
-            "product",
-            "cumulative_fees_x",
-            "cumulative_fees_y",
-            "price_x",
-        ),
-        result["pool_rows"],
-    )
+    # The pool rows open with "create", so the first row names the columns.
+    report.add_series("pool", tuple(result["pool_rows"][0]), result["pool_rows"])
     report.add_series("positions", ("event", "position", "shares", "pnl"), result["position_rows"])
-    return report, paths, None
+    return report, None
 
 
-def _run_loan(config):
-    terms_cfg = dict(config["terms"])
-    terms = lending.LoanTerms(
-        collateral_amount=terms_cfg["collateral"],
-        repayment_amount=terms_cfg["repay"],
-        sigma_alpha=terms_cfg.get("sigma_alpha", 0.0),
-        sigma_beta=terms_cfg.get("sigma_beta", 0.0),
-        rho=terms_cfg.get("rho", 0.0),
-        r_alpha=terms_cfg.get("r_alpha", 0.0),
-        r_beta=terms_cfg.get("r_beta", 0.0),
-        T=terms_cfg.get("tenor", 1.0),
-    )
+def _run_loan(config, terms, liquidation):
+    terms = lending.LoanTerms(*terms.values())
     details = lending.margrabe_details(terms)
     valuation = lending.loan_values(terms)
     summary = {
-        "terms": terms_cfg,
-        "sigma_combined": details["sigma_combined"],
-        "d1": details["d1"],
-        "d2": details["d2"],
-        "discount_factor_alpha": details["discount_factor_alpha"],
-        "discount_factor_beta": details["discount_factor_beta"],
-        "exchange_option_value": valuation.exchange_option_value,
+        "terms": dict(config["terms"]),
+        **details,
+        # d1 and d2 are +-inf at zero combined volatility, which strict JSON cannot hold.
+        "d1": details["d1"] if math.isfinite(details["d1"]) else None,
+        "d2": details["d2"] if math.isfinite(details["d2"]) else None,
         "borrower_value": valuation.borrower_value,
         "lender_value": valuation.lender_value,
         "collateralization_ratio": terms.collateralization_ratio,
     }
-    liq_cfg = config.get("liquidation")
-    if liq_cfg:
-        liq = lending.LiquidationSpec(barrier=liq_cfg["barrier"], penalty=liq_cfg["penalty"])
+    if liquidation:
+        liq = lending.LiquidationSpec(**liquidation)
         with_liq = lending.loan_value_with_liquidation(terms, liq)
         summary["liquidation"] = {
             "barrier": liq.barrier,
@@ -159,7 +129,7 @@ def _run_loan(config):
             "borrower_value": with_liq.borrower_value,
             "lender_value": with_liq.lender_value,
         }
-    return Report(command="loan", summary=summary), [], None
+    return Report(command="loan", summary=summary), None
 
 
 def _funding_summary(rates_pct):
@@ -175,19 +145,12 @@ def _funding_summary(rates_pct):
     }
 
 
-def _run_perp_funding(config):
-    path = config["quotes"]
-    quotes = perps.load_mark_index_csv(path)
-    variant = {"deribit": "deribit_deadband", "bitmex": "bitmex_clamp"}.get(
-        config.get("variant", "deribit")
-    )
-    if variant is None:
-        raise InputError(f"unknown funding variant {config.get('variant')!r}")
+_FUNDING_VARIANTS = {"deribit": "deribit_deadband", "bitmex": "bitmex_clamp"}
+
+
+def _run_perp_funding(config, quotes, variant, band, interval_hours, interest_rate):
     spec = perps.FundingSpec(
-        variant=variant,
-        interval_hours=config.get("interval_hours", perps.DEFAULT_INTERVAL_HOURS),
-        band=config.get("band", perps.DEFAULT_BAND),
-        interest_rate=config.get("interest_rate", 0.0),
+        _FUNDING_VARIANTS[variant], interval_hours=interval_hours, band=band, interest_rate=interest_rate
     )
     events = perps.events_from_quotes(quotes, spec)
     rows = []
@@ -207,31 +170,14 @@ def _run_perp_funding(config):
             }
         )
     summary = _funding_summary([r["funding_rate_pct"] for r in rows])
-    summary["variant"] = config.get("variant", "deribit")
+    summary["variant"] = variant
     report = Report(command="perp-funding", summary=summary)
-    report.add_series(
-        "funding",
-        (
-            "time",
-            "mark",
-            "index",
-            "premium",
-            "funding_rate",
-            "funding_rate_pct",
-            "time_fraction",
-            "payer",
-            "cash_flow_per_notional",
-        ),
-        rows,
-    )
-    return report, [path], None
+    report.add_series("funding", tuple(rows[0]), rows)  # the loader refuses a CSV without rows
+    return report, None
 
 
-def _run_perp_basis(config):
-    path = config["quotes"]
-    quotes = perps.load_basis_csv(path)
+def _run_perp_basis(config, quotes, window):
     rows = perps.basis_rows(quotes)
-    window = int(config.get("window", 7))
     rolling = optrates.rolling_average([r["implied_rate"] for r in rows], window)
     out_rows = []
     for (t, perp, future, expiry), row, smooth in zip(quotes, rows, rolling):
@@ -258,17 +204,14 @@ def _run_perp_basis(config):
         ("time", "perp", "future", "basis", "tenor_years", "implied_rate_pct", "rolling_rate_pct"),
         out_rows,
     )
-    return report, [path], None
+    return report, None
 
 
-def _run_implied_rate(config):
-    path = config["chain"]
-    quotes = optrates.load_chain_csv(path)
-    points, excluded = optrates.chain_points(quotes)
+def _run_implied_rate(config, chain, window):
+    points, excluded = optrates.chain_points(chain)
     if not points:
         raise EmptyCohortError("no valid implied-rate points in the chain")
     daily = optrates.daily_series(points)
-    window = int(config.get("window", 7))
     rolling = optrates.rolling_average([rate for _, rate, _ in daily], window)
     daily_rows = [
         {
@@ -284,7 +227,7 @@ def _run_implied_rate(config):
         for (d, _, _), smooth in zip(daily, rolling)
     ]
     summary = {
-        "quotes": len(quotes),
+        "quotes": len(chain),
         "valid_points": len(points),
         "excluded_points": excluded,
         "days": len(daily),
@@ -294,29 +237,15 @@ def _run_implied_rate(config):
     report = Report(command="implied-rate", summary=summary)
     report.add_series("daily", ("day", "mean_rate", "mean_rate_pct", "points"), daily_rows)
     report.add_series("rolling", ("day", "rolling_rate_pct"), rolling_rows)
-    return report, [path], None
+    return report, None
 
 
-def _run_xccy(config):
-    scenario, paths = _scenario_config(config["scenario"])
+def _run_xccy(config, scenario):
     result = run_swap_scenario(scenario)
     report = Report(command="xccy", summary=result["final_state"])
-    report.add_series(
-        "audit",
-        (
-            "seq",
-            "time",
-            "event",
-            "token",
-            "source",
-            "destination",
-            "amount",
-            "amount_float",
-            "note",
-        ),
-        result["audit_rows"],
-    )
-    return report, paths, None
+    # The audit trail opens with the margin posts, so its first row names the columns.
+    report.add_series("audit", tuple(result["audit_rows"][0]), result["audit_rows"])
+    return report, None
 
 
 _PAYOFFS = {
@@ -327,207 +256,266 @@ _PAYOFFS = {
 }
 
 
-def _run_oracle(config):
-    spec_cfg = dict(config["spec"])
-    spec = mc.GbmSpec(
-        s0_a=spec_cfg.get("s0_a", 1.0),
-        s0_b=spec_cfg.get("s0_b", 1.0),
-        sigma_a=spec_cfg.get("sigma_a", 0.0),
-        sigma_b=spec_cfg.get("sigma_b", 0.0),
-        rho=spec_cfg.get("rho", 0.0),
-        drift_a=spec_cfg.get("drift_a", 0.0),
-        drift_b=spec_cfg.get("drift_b", 0.0),
-        T=spec_cfg.get("tenor", 1.0),
-        steps=int(spec_cfg.get("steps", 1)),
-        paths=int(spec_cfg.get("paths", 100_000)),
-        seed=int(spec_cfg.get("seed", 0)),
-        antithetic=bool(spec_cfg.get("antithetic", True)),
-    )
-    payoff_name = config.get("payoff", "exchange")
-    discount_rate = config.get("discount_rate", 0.0)
-    if payoff_name == "one_touch":
+def _run_oracle(config, spec, payoff, discount_rate, barrier, payout, bridge):
+    spec = mc.GbmSpec(*spec.values())
+    if payoff == "one_touch":
         estimate = mc.first_passage_value(
-            spec,
-            barrier=config["barrier"],
-            payout=config.get("payout", 1.0),
-            discount_rate=discount_rate,
-            bridge=bool(config.get("bridge", True)),
+            spec, barrier=barrier, payout=payout, discount_rate=discount_rate, bridge=bridge
         )
-    elif payoff_name in _PAYOFFS:
-        estimate = mc.price_payoff(spec, _PAYOFFS[payoff_name], discount_rate)
     else:
-        raise InputError(
-            f"unknown payoff {payoff_name!r}; pick from {sorted(_PAYOFFS) + ['one_touch']}"
-        )
+        estimate = mc.price_payoff(spec, _PAYOFFS[payoff], discount_rate)
     summary = {
-        "payoff": payoff_name,
+        "payoff": payoff,
         "estimate": estimate.mean,
         "std_error": estimate.std_error,
         "paths": estimate.paths,
         "discount_rate": discount_rate,
-        "spec": spec_cfg,
+        "spec": dict(config["spec"]),
     }
-    return Report(command="oracle", summary=summary), [], spec.seed
+    return Report(command="oracle", summary=summary), spec.seed
 
 
-def _run_kelly(config):
-    means = config["means"]
-    riskless = config.get("riskless_rate", 0.0)
-    covariance = config["covariance"]
-    weights = core.kelly_weights(means, riskless, covariance)
+def _run_kelly(config, means, riskless_rate, covariance):
+    weights = core.kelly_weights(means, riskless_rate, covariance)
     rows = [
         {"asset": i, "mean": m, "weight": float(w)}
         for i, (m, w) in enumerate(zip(means, weights))
     ]
     summary = {
         "assets": len(means),
-        "riskless_rate": riskless,
+        "riskless_rate": riskless_rate,
         "weights": [float(w) for w in weights],
         "gross_leverage": float(np.sum(np.abs(weights))),
     }
     report = Report(command="kelly", summary=summary)
     report.add_series("weights", ("asset", "mean", "weight"), rows)
-    return report, [], None
+    return report, None
 
 
-_HANDLERS = {
-    "stake": _run_stake,
-    "amm": _run_amm,
-    "loan": _run_loan,
-    "perp-funding": _run_perp_funding,
-    "perp-basis": _run_perp_basis,
-    "implied-rate": _run_implied_rate,
-    "xccy": _run_xccy,
-    "oracle": _run_oracle,
-    "kelly": _run_kelly,
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+
+def _number(value):
+    """A finite int or float, kept as given; text parses as a float."""
+    value = float(value) if isinstance(value, str) else value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _integer(value):
+    return int(value if isinstance(value, str) else _number(value))
+
+
+def _numbers(value, sep=","):
+    """A non-empty list of numbers (of such lists with sep=";"); flags give it as text."""
+    items = [v for v in value.split(sep) if v.strip()] if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)) or not items:
+        raise ValueError(f"expected a non-empty list, got {value!r}")
+    return [_numbers(v) if sep == ";" else _number(v) for v in items]
+
+
+def _text(value):
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty string, got {value!r}")
+    return value
+
+
+def _text_or_object(value):
+    return value if isinstance(value, dict) else _text(value)
+
+
+def _day(value):
+    return value if isinstance(value, date) else date.fromisoformat(_text(value))
+
+
+def _one_of(*options):
+    def coerce(value):
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return coerce
+
+
+# One config key. `kind` coerces a given value (and accepts its own output);
+# a key with `keys` is an object of nested keys instead. An absent or null
+# key takes `default`. `required` is True, or an (earlier sibling, value)
+# pair that makes the key required. `flag` None derives the flag from the
+# name (`sigma_alpha` -> `--sigma-alpha`), False means none; a bool key's
+# flag flips its default. `load` reads an input file for `run` and
+# `validate`; `check` lists problems in what `load` returned, for `validate`
+# only (at `run` the handler's own call makes that check).
+Key = namedtuple("Key", "name kind default required flag help keys load check",
+                 defaults=(None, None, False, None, None, (), None, None))
+
+# One command: argv path, handler(config, **values) -> (Report, seed), help,
+# keys, and the flag (if any) that reads the whole config from a JSON file.
+Command = namedtuple("Command", "argv handler help keys config_flag", defaults=(None,))
+
+# Loaders are looked up when called, so a wrapper installed on the module
+# attribute (a tracer, a test double) sees every call.
+COMMANDS = {
+    "stake": Command(("stake",), _run_stake, "validator return percentile bands from a balances CSV", (
+        Key("balances", _text, required=True, load=lambda path: staking.load_validators(path)),
+        Key("day", _day, help="ISO date; default: every day available in the data"),
+        Key("percentiles", _numbers, FIGURE_PERCENTILES),
+    )),
+    "amm": Command(("amm",), _run_amm, "replay a pool scenario file", (
+        Key("scenario", _text_or_object, required=True, load=_scenario_json, check=validate_pool_scenario),
+    )),
+    "loan": Command(("loan", "price"), _run_loan, "price a collateralised loan", (
+        Key("terms", required=True, keys=(  # in LoanTerms field order
+            Key("collateral", _number, required=True),
+            Key("repay", _number, required=True),
+            *(Key(name, _number, 0.0) for name in ("sigma_alpha", "sigma_beta", "rho", "r_alpha", "r_beta")),
+            Key("tenor", _number, 1.0),
+        )),
+        Key("liquidation", keys=(
+            Key("barrier", _number, required=True),
+            Key("penalty", _number, required=True),
+        )),
+    ), config_flag="--scenario"),
+    "perp-funding": Command(("perp", "funding"), _run_perp_funding, "funding engines and futures basis", (
+        Key("quotes", _text, required=True, load=lambda path: perps.load_mark_index_csv(path)),
+        Key("variant", _one_of(*_FUNDING_VARIANTS), "deribit"),
+        Key("band", _number, perps.DEFAULT_BAND),
+        Key("interval_hours", _number, perps.DEFAULT_INTERVAL_HOURS),
+        Key("interest_rate", _number, 0.0),
+    )),
+    "perp-basis": Command(("perp", "basis"), _run_perp_basis, "futures basis and implied rates", (
+        Key("quotes", _text, required=True, load=lambda path: perps.load_basis_csv(path)),
+        Key("window", _integer, 7),
+    )),
+    "implied-rate": Command(("implied-rate",), _run_implied_rate, "put-call-parity implied rates from a chain", (
+        Key("chain", _text, required=True, load=lambda path: optrates.load_chain_csv(path)),
+        Key("window", _integer, 7),
+    )),
+    "xccy": Command(("xccy", "simulate"), _run_xccy, "cross-currency swap simulation", (
+        Key("scenario", _text_or_object, required=True, load=_scenario_json, check=validate_swap_scenario),
+    )),
+    "oracle": Command(("oracle", "price"), _run_oracle, "Monte Carlo pricing oracle", (
+        Key("spec", required=True, keys=(  # in GbmSpec field order
+            *(Key(name, _number, 1.0) for name in ("s0_a", "s0_b")),
+            *(Key(name, _number, 0.0) for name in ("sigma_a", "sigma_b", "rho", "drift_a", "drift_b")),
+            Key("tenor", _number, 1.0),
+            Key("steps", _integer, 1),
+            Key("paths", _integer, 100_000),
+            Key("seed", _integer, 0),
+            Key("antithetic", bool, True, flag=False),
+        )),
+        Key("payoff", _one_of(*_PAYOFFS, "one_touch"), "exchange"),
+        Key("discount_rate", _number, 0.0),
+        Key("barrier", _number, required=("payoff", "one_touch")),
+        Key("payout", _number, 1.0),
+        Key("bridge", bool, True, flag="--naive", help="disable the Brownian-bridge correction"),
+    ), config_flag="--spec"),
+    "kelly": Command(("kelly",), _run_kelly, "Kelly allocation from means and covariance", (
+        Key("means", _numbers, required=True, help="comma-separated annualized means"),
+        Key("riskless_rate", _number, 0.0, flag="--riskless"),
+        Key("covariance", lambda value: _numbers(value, ";"), required=True, flag="--cov",
+            help="rows separated by ';', entries by ','"),
+    )),
 }
+
+
+def _leaves(keys, prefix=""):
+    """(dotted path, key) for every key that holds a value, nested ones included."""
+    for key in keys:
+        if key.keys:
+            yield from _leaves(key.keys, prefix + key.name + ".")
+        else:
+            yield prefix + key.name, key
+
+
+def _check_keys(keys, config, prefix, problems):
+    """Coerced values with defaults filled in; each missing or bad key adds a problem."""
+    values = {}
+    for key in keys:
+        path, value = prefix + key.name, config.get(key.name)
+        values[key.name] = key.default
+        if value is None:
+            if key.required is True or (key.required and values[key.required[0]] == key.required[1]):
+                problems.append(f"{path}: required")
+        elif not key.keys:
+            try:
+                values[key.name] = key.kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                problems.append(f"{path}: {exc}")
+        elif isinstance(value, dict):
+            values[key.name] = _check_keys(key.keys, value, path + ".", problems)
+        else:
+            problems.append(f"{path}: expected an object, got {value!r}")
+    return values
+
+
+def _command(config):
+    """The table entry a config names, or None."""
+    name = config.get("command") if isinstance(config, dict) else None
+    return COMMANDS.get(name) if isinstance(name, str) else None
+
+
+def _check_config(config):
+    """(command, values, problems) from the table alone; reads no file."""
+    command = _command(config)
+    if command is None:
+        return None, {}, [f"config must be a JSON object with a command in {sorted(COMMANDS)}"]
+    problems = []
+    return command, _check_keys(command.keys, config, "", problems), problems
+
+
+def validate_config(config) -> list:
+    """The table's problems plus each input file's loader and check; executes nothing."""
+    command, values, problems = _check_config(config)
+    for key in command.keys if command else ():
+        if key.load and values[key.name] is not None:
+            try:
+                loaded = key.load(values[key.name])
+            except InputError as exc:
+                problems.append(f"{key.name}: {exc}")
+                continue
+            problems.extend(f"{key.name}: {p}" for p in (key.check(loaded) if key.check else ()))
+    return problems
 
 
 def resolve_config_paths(config: dict, base_dir) -> dict:
     """Resolve input-file paths relative to the config file's directory."""
+    command = _command(config)
+    if command is None:
+        return config
     resolved = dict(config)
-    for key in ("balances", "quotes", "chain", "scenario"):
-        value = resolved.get(key)
-        if isinstance(value, str) and not os.path.isabs(value):
-            resolved[key] = os.path.join(base_dir, value)
+    for key in command.keys:
+        value = resolved.get(key.name)
+        if key.load and isinstance(value, str) and not os.path.isabs(value):
+            resolved[key.name] = os.path.join(base_dir, value)
     return resolved
 
 
 def run_command(config: dict, out_dir, provenance_config=None) -> Report:
     """Execute one command config and write its report directory.
 
-    provenance_config, when given, is hashed instead of the executed config
-    (so path resolution does not leak machine-specific prefixes into the
-    report).
+    The table check runs first: a config problem raises InputError before
+    any input is read or any file written. provenance_config, when given, is
+    hashed instead of the executed config (so path resolution does not leak
+    machine-specific prefixes into the report).
     """
-    command = config.get("command")
-    if command not in _HANDLERS:
-        raise InputError(f"unknown command {command!r}; pick from {sorted(_HANDLERS)}")
-    report, input_paths, seed = _HANDLERS[command](config)
-    report.finalize_provenance(provenance_config or config, input_paths, seed)
+    command, values, problems = _check_config(config)
+    if problems:
+        raise InputError("; ".join(problems))
+    inputs = [key for key in command.keys if key.load]
+    paths = [values[key.name] for key in inputs if isinstance(values[key.name], str)]
+    values.update({key.name: key.load(values[key.name]) for key in inputs})
+    report, seed = command.handler(config, **values)
+    report.finalize_provenance(provenance_config or config, paths, seed)
     report.write(out_dir)
     return report
 
 
 # ---------------------------------------------------------------------------
-# validation (dry run, collected diagnostics)
-# ---------------------------------------------------------------------------
-
-
-def _check_csv(path, columns, problems, label):
-    try:
-        core.read_csv_rows(path, columns)
-    except InputError as exc:
-        problems.append(f"{label}: {exc}")
-
-
-def validate_config(config) -> list:
-    """Schema and referential diagnostics for a command config; no execution."""
-    problems = []
-    if not isinstance(config, dict) or not config:
-        return ["config must be a non-empty JSON object"]
-    command = config.get("command")
-    if command not in _HANDLERS:
-        problems.append(f"command must be one of {sorted(_HANDLERS)}")
-        return problems
-
-    if command == "stake":
-        if "balances" not in config:
-            problems.append("stake: 'balances' CSV path is required")
-        else:
-            _check_csv(
-                config["balances"],
-                ["validator_id", "timestamp", "balance", "state"],
-                problems,
-                "stake",
-            )
-    elif command in ("amm", "xccy"):
-        if "scenario" not in config:
-            problems.append(f"{command}: 'scenario' is required")
-        else:
-            try:
-                scenario, _ = _scenario_config(config["scenario"])
-            except InputError as exc:
-                problems.append(f"{command}: {exc}")
-            else:
-                validator = validate_pool_scenario if command == "amm" else validate_swap_scenario
-                problems.extend(f"{command}: {p}" for p in validator(scenario))
-    elif command == "loan":
-        terms = config.get("terms")
-        if not isinstance(terms, dict):
-            problems.append("loan: 'terms' object is required")
-        else:
-            for key in ("collateral", "repay"):
-                if key not in terms:
-                    problems.append(f"loan: terms.{key} is required")
-    elif command == "perp-funding":
-        if "quotes" not in config:
-            problems.append("perp-funding: 'quotes' CSV path is required")
-        else:
-            _check_csv(config["quotes"], ["timestamp", "mark", "index"], problems, "perp-funding")
-        if config.get("variant", "deribit") not in ("deribit", "bitmex"):
-            problems.append("perp-funding: variant must be deribit or bitmex")
-    elif command == "perp-basis":
-        if "quotes" not in config:
-            problems.append("perp-basis: 'quotes' CSV path is required")
-        else:
-            _check_csv(
-                config["quotes"], ["timestamp", "perp", "future", "expiry"], problems, "perp-basis"
-            )
-    elif command == "implied-rate":
-        if "chain" not in config:
-            problems.append("implied-rate: 'chain' CSV path is required")
-        else:
-            _check_csv(
-                config["chain"],
-                ["quote_time", "expiry", "strike", "call", "put", "underlying"],
-                problems,
-                "implied-rate",
-            )
-    elif command == "oracle":
-        if not isinstance(config.get("spec"), dict):
-            problems.append("oracle: 'spec' object is required")
-        if config.get("payoff", "exchange") == "one_touch" and "barrier" not in config:
-            problems.append("oracle: one_touch payoff needs 'barrier'")
-    elif command == "kelly":
-        if not isinstance(config.get("means"), list):
-            problems.append("kelly: 'means' list is required")
-        if not isinstance(config.get("covariance"), list):
-            problems.append("kelly: 'covariance' matrix is required")
-        elif isinstance(config.get("means"), list) and len(config["covariance"]) != len(
-            config["means"]
-        ):
-            problems.append("kelly: covariance dimension does not match means")
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _percentile_list(text):
-    return [float(p) for p in text.split(",") if p.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,85 +528,23 @@ def build_parser() -> argparse.ArgumentParser:
         "percent on the 365-day convention.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stake", help="validator return percentile bands from a balances CSV")
-    p.add_argument("--balances", required=True)
-    p.add_argument("--day", help="ISO date; default: every day available in the data")
-    p.add_argument("--percentiles", type=_percentile_list, default=list(FIGURE_PERCENTILES))
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("amm", help="replay a pool scenario file")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("loan", help="price a collateralised loan")
-    loan_sub = p.add_subparsers(dest="subcommand", required=True)
-    lp = loan_sub.add_parser("price")
-    lp.add_argument("--scenario", help="JSON file with terms/liquidation instead of flags")
-    lp.add_argument("--collateral", type=float)
-    lp.add_argument("--repay", type=float)
-    lp.add_argument("--sigma-alpha", type=float, default=0.0)
-    lp.add_argument("--sigma-beta", type=float, default=0.0)
-    lp.add_argument("--rho", type=float, default=0.0)
-    lp.add_argument("--r-alpha", type=float, default=0.0)
-    lp.add_argument("--r-beta", type=float, default=0.0)
-    lp.add_argument("--tenor", type=float, default=1.0)
-    lp.add_argument("--barrier", type=float)
-    lp.add_argument("--penalty", type=float)
-    lp.add_argument("--out", required=True)
-
-    p = sub.add_parser("perp", help="funding engines and futures basis")
-    perp_sub = p.add_subparsers(dest="subcommand", required=True)
-    pf = perp_sub.add_parser("funding")
-    pf.add_argument("--quotes", required=True)
-    pf.add_argument("--variant", choices=("deribit", "bitmex"), default="deribit")
-    pf.add_argument("--band", type=float, default=perps.DEFAULT_BAND)
-    pf.add_argument("--interval-hours", type=float, default=perps.DEFAULT_INTERVAL_HOURS)
-    pf.add_argument("--interest-rate", type=float, default=0.0)
-    pf.add_argument("--out", required=True)
-    pb = perp_sub.add_parser("basis")
-    pb.add_argument("--quotes", required=True)
-    pb.add_argument("--window", type=int, default=7)
-    pb.add_argument("--out", required=True)
-
-    p = sub.add_parser("implied-rate", help="put-call-parity implied rates from a chain CSV")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--window", type=int, default=7)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("xccy", help="cross-currency swap simulation")
-    xccy_sub = p.add_subparsers(dest="subcommand", required=True)
-    xs = xccy_sub.add_parser("simulate")
-    xs.add_argument("--scenario", required=True)
-    xs.add_argument("--out", required=True)
-
-    p = sub.add_parser("oracle", help="Monte Carlo pricing oracle")
-    oracle_sub = p.add_subparsers(dest="subcommand", required=True)
-    op = oracle_sub.add_parser("price")
-    op.add_argument("--spec", help="JSON file with the GBM spec instead of flags")
-    op.add_argument("--s0-a", type=float, default=1.0)
-    op.add_argument("--s0-b", type=float, default=1.0)
-    op.add_argument("--sigma-a", type=float, default=0.0)
-    op.add_argument("--sigma-b", type=float, default=0.0)
-    op.add_argument("--rho", type=float, default=0.0)
-    op.add_argument("--drift-a", type=float, default=0.0)
-    op.add_argument("--drift-b", type=float, default=0.0)
-    op.add_argument("--tenor", type=float, default=1.0)
-    op.add_argument("--steps", type=int, default=1)
-    op.add_argument("--paths", type=int, default=100_000)
-    op.add_argument("--seed", type=int, default=0)
-    op.add_argument("--payoff", default="exchange")
-    op.add_argument("--discount-rate", type=float, default=0.0)
-    op.add_argument("--barrier", type=float)
-    op.add_argument("--payout", type=float, default=1.0)
-    op.add_argument("--naive", action="store_true", help="disable the Brownian-bridge correction")
-    op.add_argument("--out", required=True)
-
-    p = sub.add_parser("kelly", help="Kelly allocation from means and covariance")
-    p.add_argument("--means", required=True, help="comma-separated annualized means")
-    p.add_argument("--riskless", type=float, default=0.0)
-    p.add_argument("--cov", required=True, help="rows separated by ';', entries by ','")
-    p.add_argument("--out", required=True)
+    groups = {}
+    for name, command in COMMANDS.items():
+        *group, leaf = command.argv
+        if group and group[0] not in groups:
+            groups[group[0]] = sub.add_parser(group[0], help=command.help).add_subparsers(
+                dest="subcommand", required=True
+            )
+        p = (groups[group[0]] if group else sub).add_parser(leaf, help=command.help)
+        p.set_defaults(cmd=name)
+        if command.config_flag:
+            p.add_argument(command.config_flag, dest="config_file", help="JSON config file instead of flags")
+        for path, key in _leaves(command.keys):
+            if key.flag is not False:
+                flag = key.flag or "--" + path.rsplit(".", 1)[-1].replace("_", "-")
+                action = ("store_false" if key.default else "store_true") if key.kind is bool else "store"
+                p.add_argument(flag, dest=path, action=action, default=key.default, help=key.help)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="execute a JSON command config")
     p.add_argument("--config", required=True)
@@ -630,122 +556,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(values, config):
+    """Checked values for just the keys that `config` gives."""
+    return {k: _given(values[k], v) if isinstance(v, dict) else values.get(k, v) for k, v in config.items()}
+
+
 def _config_from_args(args) -> tuple:
     """Translate parsed flags into the canonical config dict + out_dir."""
-    cmd = args.command
-    if cmd == "stake":
-        return {
-            "command": "stake",
-            "balances": args.balances,
-            "day": args.day,
-            "percentiles": args.percentiles,
-        }, args.out
-    if cmd == "amm":
-        return {"command": "amm", "scenario": args.scenario}, args.out
-    if cmd == "loan":
-        if args.scenario:
-            config = _load_json(args.scenario)
-            config["command"] = "loan"
-            return config, args.out
-        if args.collateral is None or args.repay is None:
-            raise InputError("loan price needs --collateral and --repay (or --scenario)")
-        config = {
-            "command": "loan",
-            "terms": {
-                "collateral": args.collateral,
-                "repay": args.repay,
-                "sigma_alpha": args.sigma_alpha,
-                "sigma_beta": args.sigma_beta,
-                "rho": args.rho,
-                "r_alpha": args.r_alpha,
-                "r_beta": args.r_beta,
-                "tenor": args.tenor,
-            },
-        }
-        if args.barrier is not None and args.penalty is not None:
-            config["liquidation"] = {"barrier": args.barrier, "penalty": args.penalty}
-        return config, args.out
-    if cmd == "perp":
-        if args.subcommand == "funding":
-            return {
-                "command": "perp-funding",
-                "quotes": args.quotes,
-                "variant": args.variant,
-                "band": args.band,
-                "interval_hours": args.interval_hours,
-                "interest_rate": args.interest_rate,
-            }, args.out
-        return {
-            "command": "perp-basis",
-            "quotes": args.quotes,
-            "window": args.window,
-        }, args.out
-    if cmd == "implied-rate":
-        return {
-            "command": "implied-rate",
-            "chain": args.chain,
-            "window": args.window,
-        }, args.out
-    if cmd == "xccy":
-        return {"command": "xccy", "scenario": args.scenario}, args.out
-    if cmd == "oracle":
-        if args.spec:
-            config = _load_json(args.spec)
-            config["command"] = "oracle"
-            return config, args.out
-        config = {
-            "command": "oracle",
-            "spec": {
-                "s0_a": args.s0_a,
-                "s0_b": args.s0_b,
-                "sigma_a": args.sigma_a,
-                "sigma_b": args.sigma_b,
-                "rho": args.rho,
-                "drift_a": args.drift_a,
-                "drift_b": args.drift_b,
-                "tenor": args.tenor,
-                "steps": args.steps,
-                "paths": args.paths,
-                "seed": args.seed,
-            },
-            "payoff": args.payoff,
-            "discount_rate": args.discount_rate,
-            "payout": args.payout,
-            "bridge": not args.naive,
-        }
-        if args.barrier is not None:
-            config["barrier"] = args.barrier
-        return config, args.out
-    if cmd == "kelly":
-        means = [float(x) for x in args.means.split(",")]
-        covariance = [[float(x) for x in row.split(",")] for row in args.cov.split(";")]
-        return {
-            "command": "kelly",
-            "means": means,
-            "riskless_rate": args.riskless,
-            "covariance": covariance,
-        }, args.out
-    raise InputError(f"unhandled command {cmd!r}")
+    if getattr(args, "config_file", None):
+        config = _load_json(args.config_file)
+        if not isinstance(config, dict):
+            raise InputError(f"{args.config_file}: config must be a JSON object")
+        return {**config, "command": args.cmd}, args.out
+    config = {"command": args.cmd}
+    for path, _ in _leaves(COMMANDS[args.cmd].keys):
+        *parents, leaf = path.split(".")
+        if getattr(args, path, None) is not None:
+            target = config
+            for parent in parents:
+                target = target.setdefault(parent, {})
+            target[leaf] = getattr(args, path)
+    _, values, problems = _check_config(config)
+    if problems:
+        raise InputError("; ".join(problems))
+    return _given(values, config), args.out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            config = resolve_config_paths(
-                _load_json(args.config), os.path.dirname(os.path.abspath(args.config))
-            )
-            problems = validate_config(config)
-            print(json.dumps({"valid": not problems, "problems": problems}, indent=2))
-            return 0 if not problems else 2
-        if args.command == "run":
+        if args.command in ("run", "validate"):
             raw = _load_json(args.config)
-            out_dir = args.out or raw.get("out_dir")
-            if not out_dir:
-                raise InputError("run: --out or config out_dir is required")
-            raw = {k: v for k, v in raw.items() if k != "out_dir"}
+            out_dir = raw.pop("out_dir", None) if isinstance(raw, dict) else None
             config = resolve_config_paths(raw, os.path.dirname(os.path.abspath(args.config)))
+            if args.command == "validate":
+                problems = validate_config(config)
+                print(json.dumps({"valid": not problems, "problems": problems}, indent=2))
+                return 0 if not problems else 2
+            out_dir = args.out or out_dir
+            if not out_dir or not isinstance(out_dir, str):
+                raise InputError("run: --out or a config out_dir path is required")
             report = run_command(config, out_dir, provenance_config=raw)
         else:
             config, out_dir = _config_from_args(args)
@@ -762,7 +613,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (EligibilityError, MissingDataError, EmptyCohortError, CryptoYieldError) as exc:
+    except CryptoYieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -101,15 +101,12 @@ class LiquidationSpec:
 
     barrier: float
     penalty: float
-    monitoring: str = "continuous"
 
     def __post_init__(self):
         if self.barrier <= 1.0:
             raise DomainError(f"liquidation barrier must be > 1, got {self.barrier}")
         if not 0.0 <= self.penalty <= 1.0:
             raise DomainError(f"penalty must be in [0, 1], got {self.penalty}")
-        if self.monitoring != "continuous":
-            raise DomainError("only continuous monitoring is supported")
 
 
 @dataclass(frozen=True)

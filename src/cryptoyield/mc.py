@@ -15,7 +15,7 @@ Philox bit stream across releases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,8 +234,3 @@ def first_passage_value(
             values.append(_hit_contributions(spec, barrier, discount_rate, bridge, z))
     est = _estimate_from_values(values, 1.0, spec.paths)
     return McEstimate(mean=payout * est.mean, std_error=abs(payout) * est.std_error, paths=spec.paths)
-
-
-def with_paths(spec: GbmSpec, paths: int) -> GbmSpec:
-    """Copy of the spec with a different path count (same seed and layout rules)."""
-    return replace(spec, paths=paths)

@@ -2,7 +2,8 @@
 
 Perpetuals stay tethered to spot through periodic funding transfers between
 longs and shorts (8h intervals are the market norm). Three anchor rules are
-implemented:
+implemented; the last two are `FundingSpec` variants that turn premia into
+funding rates:
 
   shiller          extra settlement term d_t - r_t * F_{t-1}, balancing the
                    index payout against the funding cost of holding it;
@@ -25,7 +26,7 @@ from .errors import DomainError, InputError
 DEFAULT_BAND = 0.0005
 DEFAULT_INTERVAL_HOURS = 8.0
 
-VARIANTS = ("shiller", "bitmex_clamp", "deribit_deadband")
+VARIANTS = ("bitmex_clamp", "deribit_deadband")
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,7 @@ def funding_rate(spec: FundingSpec, premium: float) -> float:
     """Per-interval funding rate for a premium observation under the spec."""
     if spec.variant == "deribit_deadband":
         return deribit_funding(premium, spec.band)
-    if spec.variant == "bitmex_clamp":
-        return bitmex_funding(premium, spec.interest_rate, spec.band)
-    raise DomainError("the shiller variant settles on dividend/rate inputs, not premia")
+    return bitmex_funding(premium, spec.interest_rate, spec.band)
 
 
 def funding_accrual(position_notional: float, events) -> float:

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import InputError
+from .errors import CryptoYieldError, InputError
 
 
 def render_value(value):
@@ -76,7 +76,21 @@ class Report:
         }
 
     def write(self, out_dir) -> list:
-        """Write report.json plus one CSV per series; returns written paths."""
+        """Write report.json plus one CSV per series; returns written paths.
+
+        report.json is strict JSON: a non-finite number in the summary or
+        provenance raises CryptoYieldError before anything is created.
+        """
+        payload = {
+            "command": self.command,
+            "summary": self.summary,
+            "series_files": [f"{s.name}.csv" for s in self.series],
+            "provenance": self.provenance,
+        }
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, default=str, allow_nan=False)
+        except ValueError as exc:
+            raise CryptoYieldError(f"report for {self.command!r} holds a non-finite number: {exc}") from exc
         os.makedirs(out_dir, exist_ok=True)
         written = []
         try:
@@ -90,15 +104,8 @@ class Report:
                         writer.writerow([render_value(row[c]) for c in series.columns])
             report_path = os.path.join(out_dir, "report.json")
             written.append(report_path)
-            payload = {
-                "command": self.command,
-                "summary": self.summary,
-                "series_files": [f"{s.name}.csv" for s in self.series],
-                "provenance": self.provenance,
-            }
             with open(report_path, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2, default=str)
-                fh.write("\n")
+                fh.write(text + "\n")
         except BaseException:
             for path in written:
                 try:

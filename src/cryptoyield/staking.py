@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 
 from . import core
+from .core import SECONDS_PER_DAY
 from .errors import (
     DomainError,
     EligibilityError,
@@ -26,7 +27,6 @@ from .errors import (
 
 MIN_VALIDATOR_BALANCE = 32.0
 DAYS_PER_YEAR = 365.0
-SECONDS_PER_DAY = 86_400.0
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ Monte Carlo criteria use fixed seeds, so the whole suite is deterministic.
 """
 
 import filecmp
+import hashlib
+import json
 import math
+import os
 import random
 import time
 from datetime import date
@@ -281,17 +284,7 @@ def test_criterion_11_kelly_and_sharpe():
     report_line(11, "Kelly scalar weight exact, Sharpe 0.5 exact, linearity to 1e-12")
 
 
-DEMO_CONFIGS = (
-    "stake",
-    "amm",
-    "loan",
-    "perp_funding",
-    "perp_basis",
-    "implied_rate",
-    "xccy",
-    "oracle",
-    "kelly",
-)
+DEMO_CONFIGS = sorted(p.stem for p in DEMO.glob("*.json") if "command" in json.loads(p.read_text()))
 
 
 def run_demo_pack(out_root):
@@ -318,3 +311,48 @@ def test_criterion_12_cli_replay_determinism(tmp_path, capsys):
             assert filecmp.cmp(a, b, shallow=False), f"{name}/{fname} differs between runs"
             compared += 1
     report_line(12, f"demo pack replay byte-identical across {compared} output files")
+
+
+# sha256 of every demo output file: the byte contract of the demo pack across
+# changes to the code. In report.json, provenance.inputs is keyed relative to
+# the demo directory first, since the report records absolute input paths.
+DEMO_DIGESTS = {
+    "amm/pool.csv": "e469bb9348ff4271d86671a2d33a7890222af7e397036c597b40d804de744ee5",
+    "amm/positions.csv": "72c22c31bea47a1005505f6a01d5e7bf4ce6bbc201d1cba5a14ac1a4c71dbcda",
+    "amm/report.json": "a946ba16ff379d34018343dc249127f6a0eaccfdd87f5cd26d426039e5d71f03",
+    "implied_rate/daily.csv": "a00ea5efe26997dcd1e07073db380565bf3959b28790361f0ca45ac7aeabf35c",
+    "implied_rate/report.json": "0911d2532d248a7e3d1a60da53c17fae31b5daa5be84fd5f852ca6b886a8a6e7",
+    "implied_rate/rolling.csv": "5a6d9a536ff92f23a4539a45579015a22b6c9b203984f6c6c00c8d7068264def",
+    "kelly/report.json": "9ce7d1b03ae783473ca4fa44d21efa416ec3a1f52d84aa65a0ea38655421a0d1",
+    "kelly/weights.csv": "eaf702e592e72648389d2d6a1e33295e6655c7323e1032061537b42297e139ae",
+    "loan/report.json": "28ab81b3de499a10ca58e12ae84bed908167098019fa066ae79afd6de16c162e",
+    "oracle/report.json": "56c5ac27b77f91ac3aeb37b1cb9320b35538cdea92030a19843a17a0f58e89f4",
+    "perp_basis/basis.csv": "066843856e3c2839ee96345526b434bf45835fce87074acce7919bfeea027e30",
+    "perp_basis/report.json": "46d9cdc8a2cd23a221be21097fe5df772d1de1d6f0a03309477d6a31f8021a07",
+    "perp_funding/funding.csv": "c24a1faf6f829dab893e716cea0dd1ceb60d7dc35e3d1864e929a260a4710337",
+    "perp_funding/report.json": "2f84d992f8288c3a4edd2ecca6c15e9bd487b7b73d16c75cf4dd67e38ed6ce7a",
+    "stake/bands.csv": "f77b04a310140bfd2427af0fdd76ea40a2216ae7e59a588503c2a046a8ea836e",
+    "stake/report.json": "560db55e24f784d9e5486d06e86d12d697ad47d16127cbc0f5ba1612583db6b7",
+    "xccy/audit.csv": "a5a5096da869e9aa65dfe602e59fe48312150c64ebb4f749ea306ac71516ebd1",
+    "xccy/report.json": "9c7699bc867deca5d7614cbdb91c1fab9cb2cd772c181e7e9f8d7651b7639b12",
+}
+
+
+def demo_digests(out_root):
+    digests = {}
+    for path in sorted(p for p in out_root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(data)
+            inputs = report["provenance"]["inputs"]
+            report["provenance"]["inputs"] = {os.path.relpath(k, DEMO): v for k, v in inputs.items()}
+            data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        digests[path.relative_to(out_root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_demo_pack_golden_bytes(tmp_path, capsys):
+    """The demo pack writes the same bytes as the recorded run, file for file."""
+    run_demo_pack(tmp_path)
+    capsys.readouterr()  # swallow CLI stdout
+    assert demo_digests(tmp_path) == DEMO_DIGESTS

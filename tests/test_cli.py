@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+import pytest
 from numpy.testing import assert_allclose
 
 from cryptoyield.cli import main as cli_main
@@ -294,3 +295,93 @@ class TestRunAndValidate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"command": "teleport"}))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+
+KELLY_COV = [[0.04, 0.0], [0.0, 0.04]]
+
+# Config problems that `run` must refuse with exit 2 before any work, and that
+# `validate` must report. Each entry: config, the flags that give the same
+# config (or None), the key or file:line the problem must name.
+DRIFT_CASES = {
+    "loan-without-repay": ({"command": "loan", "terms": {"collateral": 1.5}}, None, "terms.repay"),
+    "loan-terms-not-object": ({"command": "loan", "terms": "x"}, None, "terms"),
+    "kelly-without-covariance": ({"command": "kelly", "means": [0.1, 0.2]}, None, "covariance"),
+    "kelly-text-mean": (
+        {"command": "kelly", "means": ["x", 0.1], "covariance": KELLY_COV}, None, "means"
+    ),
+    "one-touch-without-barrier": (
+        {"command": "oracle", "spec": {"steps": 4, "paths": 1000}, "payoff": "one_touch"},
+        None,
+        "barrier",
+    ),
+    "oracle-text-paths": ({"command": "oracle", "spec": {"paths": "abc"}}, None, "spec.paths"),
+    "stake-bad-day": (
+        {"command": "stake", "balances": str(DEMO / "validators.csv"), "day": "nope"}, None, "day"
+    ),
+    "list-config": ([{"command": "kelly"}], None, "config"),
+    "command-not-text": ({"command": ["kelly"]}, None, "command"),
+    "kelly-text-mean-flag": (
+        {"command": "kelly", "means": "0.1,x", "covariance": "0.04,0;0,0.04"},
+        ["kelly", "--means", "0.1,x", "--cov", "0.04,0;0,0.04"],
+        "means",
+    ),
+    "funding-csv-text-mark": ({"command": "perp-funding", "quotes": "quotes.csv"}, None, "quotes.csv:2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+def test_run_and_validate_agree_on_config_problems(case, tmp_path, capsys):
+    config, flags, name = DRIFT_CASES[case]
+    (tmp_path / "quotes.csv").write_text("timestamp,mark,index\n0,x,40000\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r"
+
+    run_argv = (flags or ["run", "--config", str(cfg)]) + ["--out", str(out)]
+    assert cli_main(run_argv) == 2
+    run_err = capsys.readouterr().err
+    assert "Traceback" not in run_err and name in run_err
+    assert not out.exists()
+
+    assert cli_main(["validate", "--config", str(cfg)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert any(name in p for p in payload["problems"])
+
+
+@pytest.mark.parametrize("flag", [["--barrier", "1.2"], ["--penalty", "0.08"]])
+def test_loan_half_given_liquidation_exit_2(flag, tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = ["loan", "price", "--collateral", "1.5", "--repay", "1", *flag, "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "liquidation." in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["loan", "price", "--collateral", "1.5", "--repay", "1", "--sigma-alpha", "nan"], "terms.sigma_alpha"),
+        (["oracle", "price", "--sigma-a", "inf", "--paths", "1000"], "spec.sigma_a"),
+        (["run", "--config", "{cfg}"], "terms.repay"),
+    ],
+)
+def test_non_finite_numbers_exit_2(argv, name, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"command": "loan", "terms": {"collateral": 1.5, "repay": NaN}}')
+    out = tmp_path / "r"
+    assert cli_main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_json_is_strict_json(tmp_path):
+    # Zero volatility makes d1 and d2 infinite; the report must still parse strictly.
+    out = tmp_path / "r"
+    assert cli_main(["loan", "price", "--collateral", "2", "--repay", "1", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+
+    summary = json.loads((out / "report.json").read_text(), parse_constant=reject)["summary"]
+    assert summary["d1"] is None and summary["d2"] is None

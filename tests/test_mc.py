@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from cryptoyield.errors import DomainError
-from cryptoyield.mc import GbmSpec, first_passage_value, price_payoff, simulate_terminal, with_paths
+from cryptoyield.mc import GbmSpec, first_passage_value, price_payoff, simulate_terminal
 
 # Continuous one-touch hit value for S=1.5, H=1.2, sigma=0.8, zero drift and
 # rate, T=1, unit payout; reflection-principle formula evaluated with mpmath.
@@ -83,7 +84,7 @@ class TestPricePayoff:
         # Quadrupling paths should halve the standard error within 20%.
         base = GbmSpec(s0_a=1.0, s0_b=1.0, sigma_a=0.8, sigma_b=0.5, rho=0.1, paths=40_000, seed=9)
         e1 = price_payoff(base, exchange_payoff)
-        e2 = price_payoff(with_paths(base, 160_000), exchange_payoff)
+        e2 = price_payoff(replace(base, paths=160_000), exchange_payoff)
         ratio = e1.std_error / e2.std_error
         assert 1.6 <= ratio <= 2.4
 

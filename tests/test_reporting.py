@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cryptoyield.errors import CryptoYieldError
 from cryptoyield.reporting import Report, config_hash, render_value
 
 
@@ -48,3 +49,12 @@ class TestReportWrite:
         with pytest.raises(KeyError):
             report.write(out)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_summary_refused_before_writing(self, tmp_path, bad):
+        report = self.make_report()
+        report.summary["answer"] = bad
+        out = tmp_path / "out"
+        with pytest.raises(CryptoYieldError):
+            report.write(out)
+        assert not out.exists()
