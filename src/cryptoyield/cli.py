@@ -30,11 +30,11 @@ import math
 import os
 import sys
 from collections import namedtuple
-from datetime import date
 
 import numpy as np
 
 from . import core, lending, mc, optrates, perps, staking
+from .core import Key, _check_keys, _day, _integer, _number, _numbers, _one_of, _text, _text_or_object
 from .errors import CryptoYieldError, EmptyCohortError, InputError
 from .reporting import Report
 from .scenarios import (
@@ -297,60 +297,6 @@ def _run_kelly(config, means, riskless_rate, covariance):
 # ---------------------------------------------------------------------------
 
 
-def _number(value):
-    """A finite int or float, kept as given; text parses as a float."""
-    value = float(value) if isinstance(value, str) else value
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
-
-
-def _integer(value):
-    return int(value if isinstance(value, str) else _number(value))
-
-
-def _numbers(value, sep=","):
-    """A non-empty list of numbers (of such lists with sep=";"); flags give it as text."""
-    items = [v for v in value.split(sep) if v.strip()] if isinstance(value, str) else value
-    if not isinstance(items, (list, tuple)) or not items:
-        raise ValueError(f"expected a non-empty list, got {value!r}")
-    return [_numbers(v) if sep == ";" else _number(v) for v in items]
-
-
-def _text(value):
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"expected a non-empty string, got {value!r}")
-    return value
-
-
-def _text_or_object(value):
-    return value if isinstance(value, dict) else _text(value)
-
-
-def _day(value):
-    return value if isinstance(value, date) else date.fromisoformat(_text(value))
-
-
-def _one_of(*options):
-    def coerce(value):
-        if value not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
-        return value
-
-    return coerce
-
-
-# One config key. `kind` coerces a given value (and accepts its own output);
-# a key with `keys` is an object of nested keys instead. An absent or null
-# key takes `default`. `required` is True, or an (earlier sibling, value)
-# pair that makes the key required. `flag` None derives the flag from the
-# name (`sigma_alpha` -> `--sigma-alpha`), False means none; a bool key's
-# flag flips its default. `load` reads an input file for `run` and
-# `validate`; `check` lists problems in what `load` returned, for `validate`
-# only (at `run` the handler's own call makes that check).
-Key = namedtuple("Key", "name kind default required flag help keys load check",
-                 defaults=(None, None, False, None, None, (), None, None))
-
 # One command: argv path, handler(config, **values) -> (Report, seed), help,
 # keys, and the flag (if any) that reads the whole config from a JSON file.
 Command = namedtuple("Command", "argv handler help keys config_flag", defaults=(None,))
@@ -428,27 +374,6 @@ def _leaves(keys, prefix=""):
             yield from _leaves(key.keys, prefix + key.name + ".")
         else:
             yield prefix + key.name, key
-
-
-def _check_keys(keys, config, prefix, problems):
-    """Coerced values with defaults filled in; each missing or bad key adds a problem."""
-    values = {}
-    for key in keys:
-        path, value = prefix + key.name, config.get(key.name)
-        values[key.name] = key.default
-        if value is None:
-            if key.required is True or (key.required and values[key.required[0]] == key.required[1]):
-                problems.append(f"{path}: required")
-        elif not key.keys:
-            try:
-                values[key.name] = key.kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                problems.append(f"{path}: {exc}")
-        elif isinstance(value, dict):
-            values[key.name] = _check_keys(key.keys, value, path + ".", problems)
-        else:
-            problems.append(f"{path}: expected an object, got {value!r}")
-    return values
 
 
 def _command(config):

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 
@@ -301,3 +303,121 @@ def parse_timestamp(text: str) -> float:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
+
+
+# ---------------------------------------------------------------------------
+# keys: the one description of a command config or a scenario file
+# ---------------------------------------------------------------------------
+
+
+def _number(value):
+    """A finite int or float, kept as given; text parses as a float."""
+    value = float(value) if isinstance(value, str) else value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _rational(value):
+    """A finite int or float, kept as given; text parses exactly as a Fraction ("1/3")."""
+    if not isinstance(value, str):
+        return _number(value)
+    number = Fraction(value)  # refuses "nan" and "inf"
+    float(number)  # OverflowError past float range
+    return number
+
+
+def _integer(value):
+    return int(value if isinstance(value, str) else _number(value))
+
+
+def _numbers(value, sep=","):
+    """A non-empty list of numbers (of such lists with sep=";"); flags give it as text."""
+    items = [v for v in value.split(sep) if v.strip()] if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)) or not items:
+        raise ValueError(f"expected a non-empty list, got {value!r}")
+    return [_numbers(v) if sep == ";" else _number(v) for v in items]
+
+
+def _text(value):
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty string, got {value!r}")
+    return value
+
+
+def _text_or_object(value):
+    return value if isinstance(value, dict) else _text(value)
+
+
+def _day(value):
+    return value if isinstance(value, date) else date.fromisoformat(_text(value))
+
+
+def _one_of(*options):
+    def coerce(value):
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return coerce
+
+
+# One config key. `kind` coerces a given value (a command key's kind also
+# accepts its own output); a key with `keys` is an object of nested keys
+# instead, and a key with `items` a list of objects with those keys. With
+# `tag`, `items` maps each value of the objects' `tag` field to that
+# variant's keys. An absent or null key takes `default`. `required` is True,
+# or an (earlier sibling, value) pair that makes the key required. `flag`
+# None derives the flag from the name (`sigma_alpha` -> `--sigma-alpha`),
+# False means none; a bool key's flag flips its default. `load` reads an
+# input file for `run` and `validate`; `check` lists problems in what `load`
+# returned, for `validate` only (at `run` the handler's own call makes that
+# check).
+Key = namedtuple("Key", "name kind default required flag help keys load check items tag",
+                 defaults=(None, None, False, None, None, (), None, None, (), None))
+
+
+def _check_keys(keys, config, prefix, problems):
+    """Coerced values with defaults filled in; each missing or bad key adds a problem."""
+    values = {}
+    for key in keys:
+        value = config.get(key.name)
+        values[key.name] = key.default
+        if value is None:
+            if key.required is True or (key.required and values[key.required[0]] == key.required[1]):
+                problems.append(f"{prefix}{key.name}: required")
+        elif key.kind:
+            try:
+                values[key.name] = key.kind(value)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                problems.append(f"{prefix}{key.name}: {exc}")
+        elif key.items:
+            values[key.name] = _check_list(key, value, prefix + key.name, problems)
+        else:
+            values[key.name] = _check_object(key.keys, value, prefix + key.name, problems)
+    return values
+
+
+def _check_object(keys, value, path, problems):
+    if not isinstance(value, dict):
+        problems.append(f"{path}: expected an object, got {value!r}")
+        return None
+    return _check_keys(keys, value, path + ".", problems)
+
+
+def _check_list(key, value, path, problems):
+    """Checked objects of a list key; a bad item stays in place as None."""
+    if not isinstance(value, list):
+        problems.append(f"{path}: expected a list, got {value!r}")
+        return None
+    if key.tag:  # each variant's keys, led by the tag itself
+        tag = Key(key.tag, _one_of(*key.items), required=True)
+        variants = {name: (tag, *keys) for name, keys in key.items.items()}
+    checked = []
+    for i, item in enumerate(value):
+        keys = key.items
+        if key.tag:
+            name = item.get(key.tag) if isinstance(item, dict) else None
+            keys = variants[name] if isinstance(name, str) and name in variants else (tag,)
+        checked.append(_check_object(keys, item, f"{path}[{i}]", problems))
+    return checked

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -53,6 +54,15 @@ class Series:
     columns: tuple
     rows: list
 
+    def non_finite_column(self):
+        """The first column holding a non-finite float cell, or None."""
+        for row in self.rows:
+            for column in self.columns:
+                value = row.get(column)  # a missing cell is the writer's error to raise
+                if isinstance(value, float) and not math.isfinite(value):
+                    return column
+        return None
+
 
 @dataclass
 class Report:
@@ -78,8 +88,8 @@ class Report:
     def write(self, out_dir) -> list:
         """Write report.json plus one CSV per series; returns written paths.
 
-        report.json is strict JSON: a non-finite number in the summary or
-        provenance raises CryptoYieldError before anything is created.
+        report.json is strict JSON and every CSV float cell is finite: a
+        non-finite number raises CryptoYieldError before anything is created.
         """
         payload = {
             "command": self.command,
@@ -91,6 +101,10 @@ class Report:
             text = json.dumps(payload, sort_keys=True, indent=2, default=str, allow_nan=False)
         except ValueError as exc:
             raise CryptoYieldError(f"report for {self.command!r} holds a non-finite number: {exc}") from exc
+        for series in self.series:
+            column = series.non_finite_column()
+            if column:
+                raise CryptoYieldError(f"{series.name}.csv for {self.command!r}: column {column!r} holds a non-finite number")
         os.makedirs(out_dir, exist_ok=True)
         written = []
         try:

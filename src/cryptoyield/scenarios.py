@@ -5,6 +5,11 @@ event list; swap scenarios replay an agreement against oracle ticks and
 party actions. Both runners are deterministic: the same config always
 produces the same rows (acceptance requires byte-identical reruns).
 
+The `Key` tables `POOL_SCENARIO` and `SWAP_SCENARIO` are the one description
+of both files: the validators report what their check finds, by key path
+(`events[3].amount`), and the runners replay only the values it returns.
+Model ranges (fee, margins, threshold) are left to `amm` and `xccy`.
+
 Pool scenario schema::
 
     {"pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003,
@@ -41,15 +46,112 @@ termination), then terminations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .amm import create_pool
-from .errors import CryptoYieldError, InputError
-from .xccy import ALPHA, BETA, Leg, OracleTick, SwapAgreement, to_fraction
+from .amm import LpPosition, absolute_impermanent_pnl, create_pool, genesis_position
+from .core import Key, _check_keys, _one_of, _rational
+from .errors import CryptoYieldError, DomainError, InputError
+from .xccy import ALPHA, BETA, PARTIES, Leg, OracleTick, SwapAgreement, to_fraction
 
-POOL_EVENT_ACTIONS = ("add", "remove", "swap_x_for_y", "swap_y_for_x", "external_price")
-SWAP_EVENT_TYPES = ("tick", "replenish", "terminate")
+# Refused at validation: a leg whose schedule to maturity would hold more
+# accrual periods than this (replay costs ~40 us a period).
+MAX_ACCRUAL_PERIODS = 100_000
+
 _PRIORITY = {"replenish": 0, "accrue": 1, "tick": 2, "terminate": 3, "mature": 4}
+
+
+def _shares(value):
+    return value if value == "all" else _rational(value)
+
+
+def _fixings(value):
+    """Floating-leg index -> fixing rate."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    return {int(index): _rational(rate) for index, rate in value.items()}
+
+
+def _required(*names, kind=_rational):
+    return tuple(Key(name, kind, required=True) for name in names)
+
+
+POOL_SCENARIO = (
+    Key("pool", required=True, keys=(
+        *_required("reserve_x", "reserve_y", "fee"),
+        Key("gas_cost", _rational, 0),
+        Key("exact", bool, False),
+    )),
+    Key("events", required=True, tag="action", items={
+        "add": (*_required("dx", "dy"), *_required("position", kind=str)),
+        "remove": (*_required("position", kind=str), *_required("shares", kind=_shares)),
+        "swap_x_for_y": _required("amount"),
+        "swap_y_for_x": _required("amount"),
+        "external_price": _required("price"),
+    }),
+)
+
+# Optional agreement and leg keys default to None, which leaves them to
+# SwapAgreement's and Leg's own defaults; rate_type reads Leg's, since it
+# decides whether a leg needs a rate.
+SWAP_SCENARIO = (
+    Key("agreement", required=True, keys=(
+        *_required("notional_a", "notional_b", "margin_a", "margin_b", "threshold"),
+        *(Key(name, _rational) for name in ("x0", "termination_fee", "maturity_time", "min_margin_fraction")),
+        Key("threshold_base", _one_of("initial_margin", "notional")),
+        Key("legs", items=(
+            *_required("payer", kind=_one_of(*PARTIES)),
+            *_required("token", kind=_one_of(ALPHA, BETA)),
+            *_required("notional"),
+            Key("rate_type", _one_of("fixed", "floating"), Leg.rate_type),
+            Key("rate", _rational, required=("rate_type", "fixed")),
+            *(Key(name, _rational) for name in ("spread", "frequency_days")),
+        )),
+    )),
+    Key("fixings", _fixings),
+    Key("events", required=True, tag="type", items={
+        "tick": _required("time", "rate"),
+        "replenish": (*_required("time"), *_required("party", kind=_one_of(*PARTIES)), *_required("amount")),
+        "terminate": (*_required("time"), *_required("party", kind=_one_of(*PARTIES))),
+    }),
+)
+
+
+def _check(keys, config) -> tuple:
+    """(checked values, problems naming each key path) of a scenario."""
+    if not isinstance(config, dict):
+        return {}, ["scenario must be a JSON object"]
+    problems = []
+    return _check_keys(keys, config, "", problems), problems
+
+
+def _check_swap(config) -> tuple:
+    """The swap table's check plus the bound on each leg's accrual schedule."""
+    values, problems = _check(SWAP_SCENARIO, config)
+    agreement = values.get("agreement") or {}
+    maturity = agreement.get("maturity_time")
+    for i, leg in enumerate(agreement.get("legs") or ()):
+        frequency = leg and leg["frequency_days"]
+        if maturity is None or frequency is None or frequency <= 0:
+            continue  # no schedule, or one that Leg refuses
+        periods = math.ceil(to_fraction(maturity) / to_fraction(frequency))
+        if periods > MAX_ACCRUAL_PERIODS:
+            problems.append(
+                f"agreement.legs[{i}].frequency_days: {periods} accrual periods to maturity, "
+                f"more than the limit of {MAX_ACCRUAL_PERIODS}"
+            )
+    return values, problems
+
+
+def _checked(name, values, problems):
+    if problems:
+        raise InputError(f"invalid {name} scenario: " + "; ".join(problems))
+    return values
+
+
+def _present(values) -> dict:
+    """The keys a scenario gives: those the table left at None are not passed on."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -58,64 +160,15 @@ _PRIORITY = {"replenish": 0, "accrue": 1, "tick": 2, "terminate": 3, "mature": 4
 
 
 def validate_pool_scenario(config) -> list:
-    """Schema diagnostics for a pool scenario; empty list means valid."""
-    problems = []
-    if not isinstance(config, dict):
-        return ["scenario must be a JSON object"]
-    pool = config.get("pool")
-    if not isinstance(pool, dict):
-        problems.append("missing 'pool' object")
-    else:
-        for key in ("reserve_x", "reserve_y", "fee"):
-            if key not in pool:
-                problems.append(f"pool.{key} is required")
-            elif not isinstance(pool[key], (int, float)) or isinstance(pool[key], bool):
-                problems.append(f"pool.{key} must be a number")
-    events = config.get("events")
-    if not isinstance(events, list):
-        problems.append("missing 'events' list")
-        return problems
-    for i, event in enumerate(events):
-        action = event.get("action") if isinstance(event, dict) else None
-        if action not in POOL_EVENT_ACTIONS:
-            problems.append(f"events[{i}].action must be one of {POOL_EVENT_ACTIONS}")
-            continue
-        required = {
-            "add": ("dx", "dy", "position"),
-            "remove": ("position", "shares"),
-            "swap_x_for_y": ("amount",),
-            "swap_y_for_x": ("amount",),
-            "external_price": ("price",),
-        }[action]
-        for key in required:
-            if key not in event:
-                problems.append(f"events[{i}] ({action}) needs '{key}'")
-    return problems
+    """Schema problems of a pool scenario, each naming its key path; empty means valid."""
+    return _check(POOL_SCENARIO, config)[1]
 
 
 def run_pool_scenario(config) -> dict:
     """Replay a pool scenario; returns pool rows, position PnL rows and summary."""
-    problems = validate_pool_scenario(config)
-    if problems:
-        raise InputError("invalid pool scenario: " + "; ".join(problems))
-
-    spec = config["pool"]
-    exact = bool(spec.get("exact", False))
-    conv = to_fraction if exact else float
-    pool = create_pool(
-        conv(spec["reserve_x"]), conv(spec["reserve_y"]), conv(spec["fee"]),
-        gas_cost=conv(spec.get("gas_cost", 0)),
-    )
-    price_x = pool.reserve_y / pool.reserve_x  # numeraire = token y
-    positions = {
-        "genesis": {
-            "shares": pool.total_shares,
-            "entry_x": pool.reserve_x,
-            "entry_y": pool.reserve_y,
-            "entry_price_x": price_x,
-        }
-    }
-
+    values = _checked("pool", *_check(POOL_SCENARIO, config))
+    spec = values["pool"]
+    conv = to_fraction if spec["exact"] else float
     pool_rows, position_rows = [], []
 
     def record(index, action):
@@ -133,50 +186,53 @@ def run_pool_scenario(config) -> dict:
                 "price_x": float(price_x),
             }
         )
+        live, prices = pool.live, (price_x, 1)
         for name in sorted(positions):
-            p = positions[name]
-            if pool.live and pool.total_shares > 0:
-                claim_x = pool.reserve_x * p["shares"] / pool.total_shares
-                claim_y = pool.reserve_y * p["shares"] / pool.total_shares
-            else:
-                claim_x = claim_y = 0
-            pnl = (claim_x * price_x + claim_y) - (p["entry_x"] * price_x + p["entry_y"])
+            position = positions[name]
+            if live:
+                # Float rounding can leave a position an ulp above the supply once others exit.
+                claim = position if position.shares <= pool.total_shares else LpPosition(
+                    pool.total_shares, position.entry_reserves
+                )
+                pnl = absolute_impermanent_pnl(claim, pool, prices)
+            else:  # a withdrawn pool leaves no claim
+                entry_x, entry_y = position.entry_reserves
+                pnl = 0 * price_x - (entry_x * price_x + entry_y)
             position_rows.append(
-                {
-                    "event": index,
-                    "position": name,
-                    "shares": float(p["shares"]),
-                    "pnl": float(pnl),
-                }
+                {"event": index, "position": name, "shares": float(position.shares), "pnl": float(pnl)}
             )
 
-    record(0, "create")
-    for index, event in enumerate(config["events"], start=1):
+    for index, event in enumerate([{"action": "create"}, *values["events"]]):
         action = event["action"]
         try:
-            if action == "add":
-                position = pool.add_liquidity(conv(event["dx"]), conv(event["dy"]))
-                name = str(event["position"])
-                slot = positions.setdefault(
-                    name, {"shares": 0, "entry_x": 0, "entry_y": 0, "entry_price_x": price_x}
+            if action == "create":
+                pool = create_pool(
+                    conv(spec["reserve_x"]), conv(spec["reserve_y"]), conv(spec["fee"]),
+                    gas_cost=conv(spec["gas_cost"]),
                 )
-                slot["shares"] += position.shares
-                slot["entry_x"] += position.entry_reserves[0]
-                slot["entry_y"] += position.entry_reserves[1]
+                price_x = pool.reserve_y / pool.reserve_x  # numeraire = token y
+                positions = {"genesis": genesis_position(pool, pool.reserve_x, pool.reserve_y)}
+            elif action == "add":
+                added = pool.add_liquidity(conv(event["dx"]), conv(event["dy"]))
+                held = positions.get(event["position"], LpPosition(0, (0, 0)))
+                positions[event["position"]] = LpPosition(
+                    held.shares + added.shares,
+                    tuple(h + a for h, a in zip(held.entry_reserves, added.entry_reserves)),
+                )
             elif action == "remove":
-                name = str(event["position"])
+                name = event["position"]
                 if name not in positions:
                     raise InputError(f"unknown position {name!r}")
-                slot = positions[name]
-                shares = slot["shares"] if event["shares"] == "all" else conv(event["shares"])
-                if shares > slot["shares"]:
-                    raise InputError(f"position {name!r} holds only {slot['shares']} shares")
-                taken_fraction = shares / slot["shares"] if slot["shares"] else 0
+                held = positions[name]
+                shares = held.shares if event["shares"] == "all" else conv(event["shares"])
+                if shares > held.shares:
+                    raise InputError(f"position {name!r} holds only {held.shares} shares")
+                taken_fraction = shares / held.shares if held.shares else 0
                 pool.remove_liquidity(shares)
-                slot["entry_x"] -= slot["entry_x"] * taken_fraction
-                slot["entry_y"] -= slot["entry_y"] * taken_fraction
-                slot["shares"] -= shares
-                if slot["shares"] == 0:
+                positions[name] = LpPosition(
+                    held.shares - shares, tuple(e - e * taken_fraction for e in held.entry_reserves)
+                )
+                if positions[name].shares == 0:
                     del positions[name]
             elif action == "swap_x_for_y":
                 pool.swap_x_for_y(conv(event["amount"]))
@@ -185,12 +241,14 @@ def run_pool_scenario(config) -> dict:
             else:  # external_price
                 price_x = conv(event["price"])
                 pool.arbitrage_to_price(price_x)
+            record(index, action)
         except CryptoYieldError as exc:
             raise type(exc)(f"event {index} ({action}): {exc}") from exc
-        record(index, action)
+        except ArithmeticError as exc:  # float reserves driven to zero, exact ones past float range
+            raise DomainError(f"event {index} ({action}): {exc}") from exc
 
     summary = {
-        "events": len(config["events"]),
+        "events": len(values["events"]),
         "final_reserve_x": float(pool.reserve_x),
         "final_reserve_y": float(pool.reserve_y),
         "final_total_shares": float(pool.total_shares),
@@ -208,75 +266,13 @@ def run_pool_scenario(config) -> dict:
 
 
 def validate_swap_scenario(config) -> list:
-    """Schema diagnostics for a swap scenario; empty list means valid."""
-    problems = []
-    if not isinstance(config, dict):
-        return ["scenario must be a JSON object"]
-    agreement = config.get("agreement")
-    if not isinstance(agreement, dict):
-        problems.append("missing 'agreement' object")
-    else:
-        for key in ("notional_a", "notional_b", "margin_a", "margin_b", "threshold"):
-            if key not in agreement:
-                problems.append(f"agreement.{key} is required")
-        for i, leg in enumerate(agreement.get("legs", [])):
-            if not isinstance(leg, dict):
-                problems.append(f"agreement.legs[{i}] must be an object")
-                continue
-            for key in ("payer", "token", "notional"):
-                if key not in leg:
-                    problems.append(f"agreement.legs[{i}].{key} is required")
-            if leg.get("rate_type", "fixed") == "fixed" and "rate" not in leg:
-                problems.append(f"agreement.legs[{i}].rate is required for fixed legs")
-    events = config.get("events")
-    if not isinstance(events, list):
-        problems.append("missing 'events' list")
-        return problems
-    for i, event in enumerate(events):
-        etype = event.get("type") if isinstance(event, dict) else None
-        if etype not in SWAP_EVENT_TYPES:
-            problems.append(f"events[{i}].type must be one of {SWAP_EVENT_TYPES}")
-            continue
-        if "time" not in event:
-            problems.append(f"events[{i}] needs 'time'")
-        required = {"tick": ("rate",), "replenish": ("party", "amount"), "terminate": ("party",)}[etype]
-        for key in required:
-            if key not in event:
-                problems.append(f"events[{i}] ({etype}) needs '{key}'")
-    return problems
+    """Schema problems of a swap scenario, each naming its key path; empty means valid."""
+    return _check_swap(config)[1]
 
 
-def _agreement_from_config(spec) -> SwapAgreement:
-    legs = [
-        Leg(
-            payer=leg["payer"],
-            token=leg["token"],
-            notional=leg["notional"],
-            rate_type=leg.get("rate_type", "fixed"),
-            rate=leg.get("rate"),
-            spread=leg.get("spread", 0),
-            frequency_days=leg.get("frequency_days"),
-        )
-        for leg in spec.get("legs", [])
-    ]
-    return SwapAgreement(
-        notional_a=spec["notional_a"],
-        notional_b=spec["notional_b"],
-        margin_a=spec["margin_a"],
-        margin_b=spec["margin_b"],
-        threshold=spec["threshold"],
-        x0=spec.get("x0"),
-        termination_fee=spec.get("termination_fee", 0),
-        maturity_time=spec.get("maturity_time"),
-        legs=legs,
-        threshold_base=spec.get("threshold_base", "initial_margin"),
-        min_margin_fraction=spec.get("min_margin_fraction"),
-    )
-
-
-def _schedule(agreement: SwapAgreement, config) -> list:
-    """Merge scenario events with generated accruals and maturity, in order."""
-    events = [dict(e) for e in config["events"]]
+def _schedule(agreement: SwapAgreement, events) -> list:
+    """Merge the checked scenario events with generated accruals and maturity, in order."""
+    events = list(events)
     if agreement.maturity_time is not None:
         for i, leg in enumerate(agreement.legs):
             if leg.frequency_days is None:
@@ -293,20 +289,27 @@ def _schedule(agreement: SwapAgreement, config) -> list:
     )
 
 
+def _float(amount) -> float:
+    """An exact amount as a report number; one past float range is a numeric failure."""
+    try:
+        return float(amount)
+    except OverflowError as exc:
+        raise DomainError("an exact amount is past float range") from exc
+
+
 def run_swap_scenario(config) -> dict:
     """Replay a swap scenario; returns the audit trail and the final state."""
-    problems = validate_swap_scenario(config)
-    if problems:
-        raise InputError("invalid swap scenario: " + "; ".join(problems))
-
-    agreement = _agreement_from_config(config["agreement"])
-    fixings = {int(k): v for k, v in config.get("fixings", {}).items()}
+    values = _checked("swap", *_check_swap(config))
+    spec = _present(values["agreement"])
+    legs = [Leg(**_present(leg)) for leg in spec.pop("legs", ())]
+    agreement = SwapAgreement(**spec, legs=legs)
+    fixings = values["fixings"]
     agreement.initiate(time=0)
 
     settlement = None
     skipped = 0
     accrued = {}  # leg index -> periods already paid (merged multi-leg accrual)
-    for _, event in _schedule(agreement, config):
+    for _, event in _schedule(agreement, values["events"]):
         if agreement.state != "active":
             skipped += 1
             continue
@@ -329,13 +332,13 @@ def run_swap_scenario(config) -> dict:
     audit_rows = [
         {
             "seq": e.seq,
-            "time": float(e.time),
+            "time": _float(e.time),
             "event": e.event,
             "token": e.token,
             "source": e.source,
             "destination": e.destination,
             "amount": str(e.amount),
-            "amount_float": float(e.amount),
+            "amount_float": _float(e.amount),
             "note": e.note,
         }
         for e in agreement.ledger.entries
@@ -346,7 +349,7 @@ def run_swap_scenario(config) -> dict:
         "balances": {
             f"{holder}_{token}": {
                 "exact": str(agreement.ledger.balance(holder, token)),
-                "value": float(agreement.ledger.balance(holder, token)),
+                "value": _float(agreement.ledger.balance(holder, token)),
             }
             for holder in ("A", "B", "contract")
             for token in (ALPHA, BETA)
@@ -360,10 +363,10 @@ def run_swap_scenario(config) -> dict:
     }
     if settlement is not None:
         final_state["settlement"] = {
-            "time": float(settlement.time),
+            "time": _float(settlement.time),
             "kind": settlement.kind,
             "party": settlement.party,
-            "rate": float(settlement.rate),
+            "rate": _float(settlement.rate),
             "transfer_token": settlement.transfer_token,
             "transfer_amount": str(settlement.transfer_amount),
             "uncollateralized_loss": str(settlement.uncollateralized_loss),

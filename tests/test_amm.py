@@ -15,6 +15,7 @@ from cryptoyield.amm import (
     lp_longrun_yield,
 )
 from cryptoyield.errors import DomainError, LifecycleError, RatioError
+from cryptoyield.scenarios import run_pool_scenario
 from tests.amm_fuzz import run_fuzz
 
 # Worked swap on (1000, 1000) at 0.3% fee, dx = 100: exact value is
@@ -307,6 +308,23 @@ class TestAbsolutePnl:
         pool.remove_liquidity(pool.total_shares)
         with pytest.raises(LifecycleError):
             absolute_impermanent_pnl(position, pool, (1.0, 1.0))
+
+    def test_replay_after_genesis_exit(self):
+        # Once genesis exits, float rounding leaves alice's 381.89 shares an ulp
+        # above the pool's supply; her claim is then the whole pool, not more.
+        scenario = {
+            "pool": {"reserve_x": 1000.0, "reserve_y": 1000.0, "fee": 0.003},
+            "events": [
+                {"action": "add", "dx": 381.89, "dy": 381.89, "position": "alice"},
+                {"action": "remove", "position": "genesis", "shares": "all"},
+                {"action": "swap_x_for_y", "amount": 1.0},
+            ],
+        }
+        result = run_pool_scenario(scenario)
+        rows, final = result["position_rows"], result["pool_rows"][-1]
+        assert [(r["event"], r["position"]) for r in rows[-2:]] == [(2, "alice"), (3, "alice")]
+        assert rows[-2]["pnl"] == 0.0
+        assert_allclose(rows[-1]["pnl"], final["reserve_x"] + final["reserve_y"] - 2 * 381.89, rtol=1e-9)
 
 
 class TestLongRunYield:

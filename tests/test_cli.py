@@ -1,10 +1,15 @@
 import json
 import pathlib
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from cryptoyield.cli import main as cli_main
+
+from tests import cli_fuzz
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEMO = REPO / "scenarios" / "demo"
@@ -299,6 +304,36 @@ class TestRunAndValidate:
 
 KELLY_COV = [[0.04, 0.0], [0.0, 0.04]]
 
+POOL = {
+    "pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003},
+    "events": [
+        {"action": "add", "dx": 100, "dy": 100, "position": "alice"},
+        {"action": "swap_x_for_y", "amount": 10},
+        {"action": "remove", "position": "alice", "shares": "all"},
+    ],
+}
+SWAP = {
+    "agreement": {
+        "notional_a": 100, "notional_b": 100, "margin_a": 5, "margin_b": 5, "threshold": 0.2,
+        "maturity_time": 365,
+        "legs": [{"payer": "A", "token": "beta", "notional": 100, "rate": 0.04, "frequency_days": 73}],
+    },
+    "events": [
+        {"time": 10, "type": "tick", "rate": 1.01},
+        {"time": 20, "type": "replenish", "party": "B", "amount": 2},
+    ],
+}
+
+
+def scenario_config(command, base, value, *path):
+    """A command config holding `base` inline, with the key at `path` set to `value`."""
+    scenario = json.loads(json.dumps(base))
+    target = scenario
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return {"command": command, "scenario": scenario}
+
 # Config problems that `run` must refuse with exit 2 before any work, and that
 # `validate` must report. Each entry: config, the flags that give the same
 # config (or None), the key or file:line the problem must name.
@@ -326,6 +361,37 @@ DRIFT_CASES = {
         "means",
     ),
     "funding-csv-text-mark": ({"command": "perp-funding", "quotes": "quotes.csv"}, None, "quotes.csv:2"),
+    "pool-text-amount": (scenario_config("amm", POOL, "abc", "events", 1, "amount"), None, "events[1].amount"),
+    "pool-null-amount": (scenario_config("amm", POOL, None, "events", 1, "amount"), None, "events[1].amount"),
+    "pool-text-dx": (scenario_config("amm", POOL, "x", "events", 0, "dx"), None, "events[0].dx"),
+    "pool-text-gas-cost": (scenario_config("amm", POOL, "x", "pool", "gas_cost"), None, "pool.gas_cost"),
+    "pool-text-shares": (scenario_config("amm", POOL, "most", "events", 2, "shares"), None, "events[2].shares"),
+    "pool-nan-reserve": (scenario_config("amm", POOL, float("nan"), "pool", "reserve_x"), None, "pool.reserve_x"),
+    "swap-text-notional": (
+        scenario_config("xccy", SWAP, "abc", "agreement", "notional_a"), None, "agreement.notional_a"
+    ),
+    "swap-null-margin": (scenario_config("xccy", SWAP, None, "agreement", "margin_a"), None, "agreement.margin_a"),
+    "swap-text-tick-time": (scenario_config("xccy", SWAP, "x", "events", 0, "time"), None, "events[0].time"),
+    "swap-text-tick-rate": (scenario_config("xccy", SWAP, "x", "events", 0, "rate"), None, "events[0].rate"),
+    "swap-nan-tick-rate": (scenario_config("xccy", SWAP, float("nan"), "events", 0, "rate"), None, "events[0].rate"),
+    "swap-1e400-tick-rate": (scenario_config("xccy", SWAP, 1e400, "events", 0, "rate"), None, "events[0].rate"),
+    "swap-text-frequency": (
+        scenario_config("xccy", SWAP, "x", "agreement", "legs", 0, "frequency_days"),
+        None,
+        "agreement.legs[0].frequency_days",
+    ),
+    "swap-text-maturity": (
+        scenario_config("xccy", SWAP, "x", "agreement", "maturity_time"), None, "agreement.maturity_time"
+    ),
+    "swap-text-replenish-amount": (
+        scenario_config("xccy", SWAP, "x", "events", 1, "amount"), None, "events[1].amount"
+    ),
+    "swap-text-fixing-index": (scenario_config("xccy", SWAP, {"a": 0.03}, "fixings"), None, "fixings"),
+    "swap-fixings-list": (scenario_config("xccy", SWAP, [0.03], "fixings"), None, "fixings"),
+    "swap-legs-text": (
+        scenario_config("xccy", SWAP, "x", "agreement", "legs"), None, "agreement.legs: expected a list"
+    ),
+    "swap-unknown-party": (scenario_config("xccy", SWAP, "C", "events", 1, "party"), None, "events[1].party"),
 }
 
 
@@ -385,3 +451,37 @@ def test_report_json_is_strict_json(tmp_path):
 
     summary = json.loads((out / "report.json").read_text(), parse_constant=reject)["summary"]
     assert summary["d1"] is None and summary["d2"] is None
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_accrual_schedule_bound_exit_2(verb, tmp_path, capsys):
+    # 365 days at 0.0001 would be 3.65 million accrual periods, minutes of replay.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scenario_config("xccy", SWAP, 0.0001, "agreement", "legs", 0, "frequency_days")))
+    out = tmp_path / "r"
+    start = time.perf_counter()
+    assert cli_main([verb, "--config", str(cfg)] + (["--out", str(out)] if verb == "run" else [])) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "agreement.legs[0].frequency_days" in captured.out + captured.err
+    assert not out.exists()
+
+
+def test_non_finite_csv_cell_exit_3(tmp_path, capsys):
+    # A 1e308 swap drives the pool's reserves past float range: pnl would be written as inf.
+    scenario = {"pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003},
+                "events": [{"action": "swap_x_for_y", "amount": 1e308}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "amm", "scenario": scenario}))
+    out = tmp_path / "r"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "positions.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(cli_fuzz.scenarios())
+def test_scenario_fuzz_keeps_the_cli_contract(case):
+    command, scenario = case
+    with tempfile.TemporaryDirectory() as workdir:
+        cli_fuzz.check_scenario(command, scenario, workdir)
