@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -318,10 +319,18 @@ def _number(value):
     return value
 
 
+# Fraction("1e999999999") builds 10**999999999 before anything can refuse it;
+# past +-400 a decimal exponent is far outside float range anyway.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _rational(value):
     """A finite int or float, kept as given; text parses exactly as a Fraction ("1/3")."""
     if not isinstance(value, str):
         return _number(value)
+    exponent = _EXPONENT.search(value)
+    if exponent and abs(int(exponent[1])) > 400:
+        raise ValueError(f"expected a decimal exponent within +-400, got {value!r}")
     number = Fraction(value)  # refuses "nan" and "inf"
     float(number)  # OverflowError past float range
     return number

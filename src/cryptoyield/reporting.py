@@ -54,15 +54,6 @@ class Series:
     columns: tuple
     rows: list
 
-    def non_finite_column(self):
-        """The first column holding a non-finite float cell, or None."""
-        for row in self.rows:
-            for column in self.columns:
-                value = row.get(column)  # a missing cell is the writer's error to raise
-                if isinstance(value, float) and not math.isfinite(value):
-                    return column
-        return None
-
 
 @dataclass
 class Report:
@@ -101,10 +92,10 @@ class Report:
             text = json.dumps(payload, sort_keys=True, indent=2, default=str, allow_nan=False)
         except ValueError as exc:
             raise CryptoYieldError(f"report for {self.command!r} holds a non-finite number: {exc}") from exc
-        for series in self.series:
-            column = series.non_finite_column()
-            if column:
-                raise CryptoYieldError(f"{series.name}.csv for {self.command!r}: column {column!r} holds a non-finite number")
+        for series in self.series:  # a missing cell is the writer's error to raise
+            for column in series.columns:
+                if not all(math.isfinite(v) for row in series.rows if isinstance(v := row.get(column), float)):
+                    raise CryptoYieldError(f"{series.name}.csv: column {column!r} holds a non-finite number")
         os.makedirs(out_dir, exist_ok=True)
         written = []
         try:

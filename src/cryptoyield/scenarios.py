@@ -54,8 +54,8 @@ from .core import Key, _check_keys, _one_of, _rational
 from .errors import CryptoYieldError, DomainError, InputError
 from .xccy import ALPHA, BETA, PARTIES, Leg, OracleTick, SwapAgreement, to_fraction
 
-# Refused at validation: a leg whose schedule to maturity would hold more
-# accrual periods than this (replay costs ~40 us a period).
+# Refused at validation: legs whose schedules to maturity would together hold
+# more accrual periods than this (replay costs ~40 us a period).
 MAX_ACCRUAL_PERIODS = 100_000
 
 _PRIORITY = {"replenish": 0, "accrue": 1, "tick": 2, "terminate": 3, "mature": 4}
@@ -117,41 +117,32 @@ SWAP_SCENARIO = (
 )
 
 
-def _check(keys, config) -> tuple:
-    """(checked values, problems naming each key path) of a scenario."""
-    if not isinstance(config, dict):
-        return {}, ["scenario must be a JSON object"]
+def _check(keys, config, name=None) -> tuple:
+    """(checked values, problems naming each key path) of a scenario.
+
+    A swap scenario's legs together may schedule at most MAX_ACCRUAL_PERIODS
+    accruals. With `name`, problems raise one InputError instead.
+    """
     problems = []
-    return _check_keys(keys, config, "", problems), problems
-
-
-def _check_swap(config) -> tuple:
-    """The swap table's check plus the bound on each leg's accrual schedule."""
-    values, problems = _check(SWAP_SCENARIO, config)
-    agreement = values.get("agreement") or {}
-    maturity = agreement.get("maturity_time")
+    values = _check_keys(keys, config, "", problems) if isinstance(config, dict) else {}
+    if not isinstance(config, dict):
+        problems.append("scenario must be a JSON object")
+    agreement = values.get("agreement") or {}  # only swap scenarios have one
+    maturity, periods = agreement.get("maturity_time"), 0
     for i, leg in enumerate(agreement.get("legs") or ()):
         frequency = leg and leg["frequency_days"]
         if maturity is None or frequency is None or frequency <= 0:
             continue  # no schedule, or one that Leg refuses
-        periods = math.ceil(to_fraction(maturity) / to_fraction(frequency))
+        periods += math.ceil(to_fraction(maturity) / to_fraction(frequency))
         if periods > MAX_ACCRUAL_PERIODS:
             problems.append(
-                f"agreement.legs[{i}].frequency_days: {periods} accrual periods to maturity, "
-                f"more than the limit of {MAX_ACCRUAL_PERIODS}"
+                f"agreement.legs[{i}].frequency_days: legs[0..{i}] schedule {periods} accrual "
+                f"periods to maturity, more than the limit of {MAX_ACCRUAL_PERIODS}"
             )
-    return values, problems
-
-
-def _checked(name, values, problems):
-    if problems:
+            break
+    if name and problems:
         raise InputError(f"invalid {name} scenario: " + "; ".join(problems))
-    return values
-
-
-def _present(values) -> dict:
-    """The keys a scenario gives: those the table left at None are not passed on."""
-    return {name: value for name, value in values.items() if value is not None}
+    return values, problems
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +157,7 @@ def validate_pool_scenario(config) -> list:
 
 def run_pool_scenario(config) -> dict:
     """Replay a pool scenario; returns pool rows, position PnL rows and summary."""
-    values = _checked("pool", *_check(POOL_SCENARIO, config))
+    values = _check(POOL_SCENARIO, config, "pool")[0]
     spec = values["pool"]
     conv = to_fraction if spec["exact"] else float
     pool_rows, position_rows = [], []
@@ -186,15 +177,10 @@ def run_pool_scenario(config) -> dict:
                 "price_x": float(price_x),
             }
         )
-        live, prices = pool.live, (price_x, 1)
         for name in sorted(positions):
             position = positions[name]
-            if live:
-                # Float rounding can leave a position an ulp above the supply once others exit.
-                claim = position if position.shares <= pool.total_shares else LpPosition(
-                    pool.total_shares, position.entry_reserves
-                )
-                pnl = absolute_impermanent_pnl(claim, pool, prices)
+            if pool.live:
+                pnl = absolute_impermanent_pnl(position, pool, (price_x, 1))
             else:  # a withdrawn pool leaves no claim
                 entry_x, entry_y = position.entry_reserves
                 pnl = 0 * price_x - (entry_x * price_x + entry_y)
@@ -202,17 +188,19 @@ def run_pool_scenario(config) -> dict:
                 {"event": index, "position": name, "shares": float(position.shares), "pnl": float(pnl)}
             )
 
-    for index, event in enumerate([{"action": "create"}, *values["events"]]):
+    try:
+        pool = create_pool(
+            conv(spec["reserve_x"]), conv(spec["reserve_y"]), conv(spec["fee"]), gas_cost=conv(spec["gas_cost"])
+        )
+        price_x = pool.reserve_y / pool.reserve_x  # numeraire = token y
+        positions = {"genesis": genesis_position(pool, pool.reserve_x, pool.reserve_y)}
+        record(0, "create")
+    except ArithmeticError as exc:  # exact reserves past float range
+        raise DomainError(f"pool: {exc}") from exc
+    for index, event in enumerate(values["events"], start=1):
         action = event["action"]
         try:
-            if action == "create":
-                pool = create_pool(
-                    conv(spec["reserve_x"]), conv(spec["reserve_y"]), conv(spec["fee"]),
-                    gas_cost=conv(spec["gas_cost"]),
-                )
-                price_x = pool.reserve_y / pool.reserve_x  # numeraire = token y
-                positions = {"genesis": genesis_position(pool, pool.reserve_x, pool.reserve_y)}
-            elif action == "add":
+            if action == "add":
                 added = pool.add_liquidity(conv(event["dx"]), conv(event["dy"]))
                 held = positions.get(event["position"], LpPosition(0, (0, 0)))
                 positions[event["position"]] = LpPosition(
@@ -234,6 +222,10 @@ def run_pool_scenario(config) -> dict:
                 )
                 if positions[name].shares == 0:
                     del positions[name]
+                # Float rounding can leave a holder an ulp above the supply once others exit.
+                for holder, kept in positions.items():
+                    if kept.shares > pool.total_shares:
+                        positions[holder] = LpPosition(pool.total_shares, kept.entry_reserves)
             elif action == "swap_x_for_y":
                 pool.swap_x_for_y(conv(event["amount"]))
             elif action == "swap_y_for_x":
@@ -267,7 +259,7 @@ def run_pool_scenario(config) -> dict:
 
 def validate_swap_scenario(config) -> list:
     """Schema problems of a swap scenario, each naming its key path; empty means valid."""
-    return _check_swap(config)[1]
+    return _check(SWAP_SCENARIO, config)[1]
 
 
 def _schedule(agreement: SwapAgreement, events) -> list:
@@ -289,19 +281,11 @@ def _schedule(agreement: SwapAgreement, events) -> list:
     )
 
 
-def _float(amount) -> float:
-    """An exact amount as a report number; one past float range is a numeric failure."""
-    try:
-        return float(amount)
-    except OverflowError as exc:
-        raise DomainError("an exact amount is past float range") from exc
-
-
 def run_swap_scenario(config) -> dict:
     """Replay a swap scenario; returns the audit trail and the final state."""
-    values = _checked("swap", *_check_swap(config))
-    spec = _present(values["agreement"])
-    legs = [Leg(**_present(leg)) for leg in spec.pop("legs", ())]
+    values = _check(SWAP_SCENARIO, config, "swap")[0]
+    spec = {name: value for name, value in values["agreement"].items() if value is not None}
+    legs = [Leg(**{key: value for key, value in leg.items() if value is not None}) for leg in spec.pop("legs", ())]
     agreement = SwapAgreement(**spec, legs=legs)
     fixings = values["fixings"]
     agreement.initiate(time=0)
@@ -329,49 +313,52 @@ def run_swap_scenario(config) -> dict:
         else:  # mature
             settlement = agreement.mature(event["time"])
 
-    audit_rows = [
-        {
-            "seq": e.seq,
-            "time": _float(e.time),
-            "event": e.event,
-            "token": e.token,
-            "source": e.source,
-            "destination": e.destination,
-            "amount": str(e.amount),
-            "amount_float": _float(e.amount),
-            "note": e.note,
-        }
-        for e in agreement.ledger.entries
-    ]
-    final_state = {
-        "state": agreement.state,
-        "breaching_party": agreement.breaching_party,
-        "balances": {
-            f"{holder}_{token}": {
-                "exact": str(agreement.ledger.balance(holder, token)),
-                "value": _float(agreement.ledger.balance(holder, token)),
+    try:
+        audit_rows = [
+            {
+                "seq": e.seq,
+                "time": float(e.time),
+                "event": e.event,
+                "token": e.token,
+                "source": e.source,
+                "destination": e.destination,
+                "amount": str(e.amount),
+                "amount_float": float(e.amount),
+                "note": e.note,
             }
-            for holder in ("A", "B", "contract")
-            for token in (ALPHA, BETA)
-        },
-        "token_totals": {
-            ALPHA: str(agreement.ledger.total(ALPHA)),
-            BETA: str(agreement.ledger.total(BETA)),
-        },
-        "skipped_events": skipped,
-        "accrual_periods": accrued,
-    }
-    if settlement is not None:
-        final_state["settlement"] = {
-            "time": _float(settlement.time),
-            "kind": settlement.kind,
-            "party": settlement.party,
-            "rate": _float(settlement.rate),
-            "transfer_token": settlement.transfer_token,
-            "transfer_amount": str(settlement.transfer_amount),
-            "uncollateralized_loss": str(settlement.uncollateralized_loss),
-            "fee_amount": str(settlement.fee_amount),
+            for e in agreement.ledger.entries
+        ]
+        final_state = {
+            "state": agreement.state,
+            "breaching_party": agreement.breaching_party,
+            "balances": {
+                f"{holder}_{token}": {
+                    "exact": str(agreement.ledger.balance(holder, token)),
+                    "value": float(agreement.ledger.balance(holder, token)),
+                }
+                for holder in ("A", "B", "contract")
+                for token in (ALPHA, BETA)
+            },
+            "token_totals": {
+                ALPHA: str(agreement.ledger.total(ALPHA)),
+                BETA: str(agreement.ledger.total(BETA)),
+            },
+            "skipped_events": skipped,
+            "accrual_periods": accrued,
         }
+        if settlement is not None:
+            final_state["settlement"] = {
+                "time": float(settlement.time),
+                "kind": settlement.kind,
+                "party": settlement.party,
+                "rate": float(settlement.rate),
+                "transfer_token": settlement.transfer_token,
+                "transfer_amount": str(settlement.transfer_amount),
+                "uncollateralized_loss": str(settlement.uncollateralized_loss),
+                "fee_amount": str(settlement.fee_amount),
+            }
+    except OverflowError as exc:  # an exact amount past float range
+        raise DomainError(f"swap report: {exc}") from exc
     return {"audit_rows": audit_rows, "final_state": final_state}
 
 

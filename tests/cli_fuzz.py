@@ -2,8 +2,8 @@
 
 `scenarios()` draws the demo pool or swap scenario and mutates it one to
 three times: it drops a key, retypes one (text, null, bool, list, object),
-sets a number to nan, inf, 1e308 or a negative value, or duplicates,
-reorders or truncates the events. `check_scenario` runs the result in-process
+sets a number to nan, inf, 1e308, a negative value or text with a huge
+decimal exponent, or duplicates, reorders or truncates the events. `check_scenario` runs the result in-process
 through `cli.main`, inline in a command config, and asserts the contract:
 
   exit codes     `run` exits 0, 2 or 3 and no exception escapes `main`;
@@ -32,7 +32,7 @@ BASES = {
     "xccy": json.loads((DEMO / "swap_scenario.json").read_text()),
 }
 RETYPED = ("text", None, True, [], {})
-NUMBERS = (math.nan, math.inf, 1e308, "negative")
+NUMBERS = (math.nan, math.inf, 1e308, "negative", "1e999999999", "-1e-999999999")
 
 
 def _paths(node, prefix=()):

@@ -310,21 +310,25 @@ class TestAbsolutePnl:
             absolute_impermanent_pnl(position, pool, (1.0, 1.0))
 
     def test_replay_after_genesis_exit(self):
-        # Once genesis exits, float rounding leaves alice's 381.89 shares an ulp
-        # above the pool's supply; her claim is then the whole pool, not more.
+        # Once genesis exits, float rounding would leave alice's 381.89 shares an
+        # ulp above the pool's supply; she holds the whole supply instead, so her
+        # claim is the whole pool and her "all" withdraws it.
         scenario = {
             "pool": {"reserve_x": 1000.0, "reserve_y": 1000.0, "fee": 0.003},
             "events": [
                 {"action": "add", "dx": 381.89, "dy": 381.89, "position": "alice"},
                 {"action": "remove", "position": "genesis", "shares": "all"},
                 {"action": "swap_x_for_y", "amount": 1.0},
+                {"action": "remove", "position": "alice", "shares": "all"},
             ],
         }
         result = run_pool_scenario(scenario)
-        rows, final = result["position_rows"], result["pool_rows"][-1]
-        assert [(r["event"], r["position"]) for r in rows[-2:]] == [(2, "alice"), (3, "alice")]
-        assert rows[-2]["pnl"] == 0.0
-        assert_allclose(rows[-1]["pnl"], final["reserve_x"] + final["reserve_y"] - 2 * 381.89, rtol=1e-9)
+        rows, pool_rows = result["position_rows"], result["pool_rows"]
+        alice = [r for r in rows if r["position"] == "alice"]
+        assert [r["event"] for r in alice] == [1, 2, 3]
+        assert alice[1]["shares"] == pool_rows[2]["total_shares"] and alice[1]["pnl"] == 0.0
+        assert_allclose(alice[2]["pnl"], pool_rows[3]["reserve_x"] + pool_rows[3]["reserve_y"] - 2 * 381.89, rtol=1e-9)
+        assert pool_rows[4]["total_shares"] == 0.0 and result["summary"]["open_positions"] == 0
 
 
 class TestLongRunYield:

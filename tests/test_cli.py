@@ -392,6 +392,13 @@ DRIFT_CASES = {
         scenario_config("xccy", SWAP, "x", "agreement", "legs"), None, "agreement.legs: expected a list"
     ),
     "swap-unknown-party": (scenario_config("xccy", SWAP, "C", "events", 1, "party"), None, "events[1].party"),
+    # Fraction("1e999999999") would build a billion-digit integer before any range check.
+    "pool-huge-exponent-amount": (
+        scenario_config("amm", POOL, "1e999999999", "events", 1, "amount"), None, "events[1].amount"
+    ),
+    "swap-huge-exponent-rate": (
+        scenario_config("xccy", SWAP, "1e-999999999", "events", 0, "rate"), None, "events[0].rate"
+    ),
 }
 
 
@@ -453,17 +460,29 @@ def test_report_json_is_strict_json(tmp_path):
     assert summary["d1"] is None and summary["d2"] is None
 
 
+ACCRUAL_LEG = SWAP["agreement"]["legs"][0]
+
+
 @pytest.mark.parametrize("verb", ["run", "validate"])
-def test_accrual_schedule_bound_exit_2(verb, tmp_path, capsys):
-    # 365 days at 0.0001 would be 3.65 million accrual periods, minutes of replay.
+@pytest.mark.parametrize(
+    "legs, name",
+    [
+        # 365 days at 0.0001 would be 3.65 million accrual periods, minutes of replay.
+        ([{**ACCRUAL_LEG, "frequency_days": 0.0001}], "agreement.legs[0].frequency_days"),
+        # 36,500 periods a leg is within the limit; the third leg takes the total past it.
+        ([{**ACCRUAL_LEG, "frequency_days": 0.01}] * 3, "agreement.legs[2].frequency_days"),
+    ],
+    ids=["one-leg", "three-legs"],
+)
+def test_accrual_schedule_bound_exit_2(verb, legs, name, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(scenario_config("xccy", SWAP, 0.0001, "agreement", "legs", 0, "frequency_days")))
+    cfg.write_text(json.dumps(scenario_config("xccy", SWAP, legs, "agreement", "legs")))
     out = tmp_path / "r"
     start = time.perf_counter()
     assert cli_main([verb, "--config", str(cfg)] + (["--out", str(out)] if verb == "run" else [])) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert "agreement.legs[0].frequency_days" in captured.out + captured.err
+    assert name in captured.out + captured.err
     assert not out.exists()
 
 
