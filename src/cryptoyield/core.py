@@ -127,7 +127,7 @@ class PriceSeries:
         obs = []
         for lineno, row in rows:
             try:
-                obs.append((parse_timestamp(row["timestamp"]), float(row["price"])))
+                obs.append((parse_timestamp(row["timestamp"]), cell_number(row, "price")))
             except (ValueError, DomainError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
         try:
@@ -285,6 +285,18 @@ def read_csv_rows(path, required_columns):
     return rows
 
 
+def cell_number(row, column) -> float:
+    """The CSV cell ``row[column]`` as a finite float.
+
+    Raises ValueError on text that is not a number and on nan or +-inf; the
+    loaders add the file and line.
+    """
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise ValueError(f"column {column!r} holds a non-finite number {row[column]!r}")
+    return value
+
+
 def parse_timestamp(text: str) -> float:
     """Parse an ISO-8601 timestamp (UTC when naive) or epoch seconds."""
     text = text.strip()
@@ -293,9 +305,13 @@ def parse_timestamp(text: str) -> float:
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp {text!r}")
+        return value
     iso = text.replace("Z", "+00:00")
     try:
         dt = datetime.fromisoformat(iso)

@@ -25,6 +25,11 @@ from .errors import DomainError
 # shrinks the block so block_pairs * steps stays within ~2M doubles.
 _TERMINAL_BLOCK = 1 << 16
 _PATH_BLOCK_BUDGET = 1 << 21
+# Most doubles in the slab of upcoming normals that the first-passage kernel
+# copies out for its live paths. A block is path-major, so reading one step
+# for every path touches a cache line per path; a slab reads each line once
+# for several steps (32 steps for 512-step paths) and fits a 2 MB cache.
+_SLAB_DOUBLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,14 @@ def _hit_contributions(spec: GbmSpec, barrier: float, discount_rate: float, brid
     exp(-2 (x_i - b)(x_{i+1} - b) / (sigma^2 dt)) is added (hit time taken
     at mid-step); without the correction only grid-point breaches count,
     paid at the grid time.
+
+    With antithetic sampling the mirrored paths (normals -z) are walked in
+    the same arrays as the plain ones; the result holds the plain paths'
+    weights, then the mirrored ones'. Each step does arithmetic only on the
+    live paths, those not yet at or below the barrier on the grid. Stepping
+    every path to maturity, a breach pays the path's remaining survival and
+    sets it to zero, so every later term of its sum is +0.0; dropping the
+    path changes no bit as long as the discount factor exp(-r t) is finite.
     """
     m, steps = z.shape
     dt = spec.T / steps
@@ -176,29 +189,63 @@ def _hit_contributions(spec: GbmSpec, barrier: float, discount_rate: float, brid
     nu = spec.drift_a - 0.5 * sigma**2
     b_log = math.log(barrier / spec.s0_a)
     vol_step = sigma * math.sqrt(dt)
+    bridged = bridge and sigma > 0.0
+    discounted = discount_rate != 0.0
+    if discounted:
+        mid_discount = np.exp(-discount_rate * ((np.arange(steps) + 0.5) * dt))
 
-    x = np.zeros(m)
-    survival = np.ones(m)
-    contrib = np.zeros(m)
-    for i in range(steps):
-        x_next = x + nu * dt + vol_step * z[:, i]
-        hit = x_next <= b_log
-        if bridge and sigma > 0.0:
-            with np.errstate(over="ignore"):
+    paths = 2 * m if spec.antithetic else m
+    contrib = np.zeros(paths)
+    # Slot j holds live path pos[j], in no particular order; its normals are
+    # row pos[j] % m of z, and vol[j] carries the antithetic sign.
+    pos = np.arange(paths)
+    vol = np.where(pos < m, vol_step, -vol_step)
+    x = np.zeros(paths)
+    survival = np.ones(paths)
+    acc = np.zeros(paths)
+    width = max(1, _SLAB_DOUBLES // paths)
+    with np.errstate(over="ignore"):
+        for i in range(steps):
+            k = i % width
+            if k == 0:
+                slab = z[pos % m, i : i + width]
+            x_next = x + nu * dt
+            x_next += slab[:, k] * vol
+            hit = x_next <= b_log
+            dead = hit.nonzero()[0]
+            if bridged:
                 p_cross = np.exp(-2.0 * (x - b_log) * (x_next - b_log) / (sigma**2 * dt))
-            p_cross = np.where(hit, 1.0, np.minimum(p_cross, 1.0))
-            frac = np.where(
-                hit,
-                np.clip((x - b_log) / np.maximum(x - x_next, 1e-300), 0.0, 1.0),
-                0.5,
-            )
-        else:
-            p_cross = hit.astype(float)
-            frac = 1.0
-        t_hit = (i + frac) * dt
-        contrib += survival * p_cross * np.exp(-discount_rate * t_hit)
-        survival *= 1.0 - p_cross
-        x = x_next
+                # A live path starts the step above the barrier, so unless it
+                # breaches its exponent is <= 0 and no cap at 1 is needed.
+                p_cross[dead] = 1.0
+                weight = survival * p_cross
+                if discounted:
+                    weight *= mid_discount[i]
+                    if dead.size:
+                        x_hit = x[dead]
+                        frac = np.clip(
+                            (x_hit - b_log) / np.maximum(x_hit - x_next[dead], 1e-300), 0.0, 1.0
+                        )
+                        weight[dead] = survival[dead] * np.exp(-discount_rate * ((i + frac) * dt))
+                acc += weight
+                survival *= 1.0 - p_cross
+            else:
+                # Survival stays exactly 1 until the grid breach, which pays in full.
+                acc[dead] += np.exp(-discount_rate * ((i + 1.0) * dt))
+            x = x_next
+            if dead.size:
+                contrib[pos[dead]] = acc[dead]
+                live = x.size - dead.size
+                if not live:
+                    return contrib
+                # Move the live paths beyond the new end into the freed slots.
+                fill = dead[dead < live]
+                src = live + (~hit[live:]).nonzero()[0]
+                for a in (x, survival, acc, pos, vol, slab):
+                    a[fill] = a[src]
+                x, survival, acc = x[:live], survival[:live], acc[:live]
+                pos, vol, slab = pos[:live], vol[:live], slab[:live]
+    contrib[pos] = acc
     return contrib
 
 
@@ -220,17 +267,11 @@ def first_passage_value(
         return McEstimate(mean=payout, std_error=0.0, paths=spec.paths)
 
     block_pairs = max(1, _PATH_BLOCK_BUDGET // spec.steps)
+    total = spec.paths // 2 if spec.antithetic else spec.paths
     values = []
-    if spec.antithetic:
-        total_pairs = spec.paths // 2
-        for block, m in _pair_blocks(total_pairs, block_pairs):
-            z = _block_generator(spec.seed, block).standard_normal((m, spec.steps))
-            c_pos = _hit_contributions(spec, barrier, discount_rate, bridge, z)
-            c_neg = _hit_contributions(spec, barrier, discount_rate, bridge, -z)
-            values.append(0.5 * (c_pos + c_neg))
-    else:
-        for block, m in _pair_blocks(spec.paths, block_pairs):
-            z = _block_generator(spec.seed, block).standard_normal((m, spec.steps))
-            values.append(_hit_contributions(spec, barrier, discount_rate, bridge, z))
+    for block, m in _pair_blocks(total, block_pairs):
+        z = _block_generator(spec.seed, block).standard_normal((m, spec.steps))
+        c = _hit_contributions(spec, barrier, discount_rate, bridge, z)
+        values.append(0.5 * (c[:m] + c[m:]) if spec.antithetic else c)
     est = _estimate_from_values(values, 1.0, spec.paths)
     return McEstimate(mean=payout * est.mean, std_error=abs(payout) * est.std_error, paths=spec.paths)

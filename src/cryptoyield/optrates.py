@@ -141,10 +141,10 @@ def load_chain_csv(path):
                 OptionQuote(
                     quote_time=core.parse_timestamp(row["quote_time"]),
                     expiry=core.parse_timestamp(row["expiry"]),
-                    strike=float(row["strike"]),
-                    call=float(row["call"]),
-                    put=float(row["put"]),
-                    underlying=float(row["underlying"]),
+                    strike=core.cell_number(row, "strike"),
+                    call=core.cell_number(row, "call"),
+                    put=core.cell_number(row, "put"),
+                    underlying=core.cell_number(row, "underlying"),
                 )
             )
         except (ValueError, DomainError) as exc:

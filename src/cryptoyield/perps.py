@@ -173,9 +173,8 @@ def load_mark_index_csv(path):
     out = []
     for lineno, row in rows:
         try:
-            out.append(
-                (core.parse_timestamp(row["timestamp"]), float(row["mark"]), float(row["index"]))
-            )
+            t = core.parse_timestamp(row["timestamp"])
+            out.append((t, core.cell_number(row, "mark"), core.cell_number(row, "index")))
         except (ValueError, DomainError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
     return out
@@ -189,7 +188,7 @@ def load_basis_csv(path):
         try:
             t = core.parse_timestamp(row["timestamp"])
             expiry = core.parse_timestamp(row["expiry"])
-            out.append((t, float(row["perp"]), float(row["future"]), expiry))
+            out.append((t, core.cell_number(row, "perp"), core.cell_number(row, "future"), expiry))
         except (ValueError, DomainError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         if expiry <= t:

@@ -7,7 +7,8 @@ version, seed and input-file digests instead of timestamps. Identical
 config and inputs therefore produce byte-identical files.
 
 All series are computed before anything is written; if writing itself
-fails, the partial outputs are removed.
+fails, the partial outputs and the directories the write created are
+removed.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ class Report:
             for column in series.columns:
                 if not all(math.isfinite(v) for row in series.rows if isinstance(v := row.get(column), float)):
                     raise CryptoYieldError(f"{series.name}.csv: column {column!r} holds a non-finite number")
+        created = []  # directories this call makes, deepest first
+        parent = os.path.abspath(out_dir)
+        while not os.path.exists(parent):
+            created.append(parent)
+            parent = os.path.dirname(parent)
         os.makedirs(out_dir, exist_ok=True)
         written = []
         try:
@@ -115,6 +121,11 @@ class Report:
             for path in written:
                 try:
                     os.unlink(path)
+                except OSError:
+                    pass
+            for path in created:
+                try:
+                    os.rmdir(path)
                 except OSError:
                     pass
             raise

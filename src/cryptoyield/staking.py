@@ -162,7 +162,7 @@ def load_validators(path) -> dict:
     for lineno, row in rows:
         try:
             ts = core.parse_timestamp(row["timestamp"])
-            balance = float(row["balance"])
+            balance = core.cell_number(row, "balance")
         except (ValueError, DomainError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         per_validator.setdefault(row["validator_id"], []).append((ts, balance, row["state"]))

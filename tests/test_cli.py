@@ -486,6 +486,20 @@ def test_accrual_schedule_bound_exit_2(verb, legs, name, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_input_cell_exit_2(tmp_path, capsys):
+    # The demo funding quotes with a nan mark on line 3.
+    lines = (DEMO / "funding_quotes.csv").read_text().splitlines()
+    lines[2] = "28800,nan,40000"
+    quotes = tmp_path / "funding_quotes.csv"
+    quotes.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "perp-funding", "quotes": str(quotes)}))
+    out = tmp_path / "r"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "funding_quotes.csv:3: column 'mark' holds a non-finite number 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_csv_cell_exit_3(tmp_path, capsys):
     # A 1e308 swap drives the pool's reserves past float range: pnl would be written as inf.
     scenario = {"pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003},

@@ -64,6 +64,13 @@ class TestPriceSeries:
         with pytest.raises(InputError, match=r"p\.csv:3"):
             PriceSeries.from_csv(f)
 
+    @pytest.mark.parametrize("row", ["86400,nan", "86400,inf", "86400,-Infinity", "nan,110", "inf,110"])
+    def test_from_csv_refuses_non_finite_cell(self, tmp_path, row):
+        f = tmp_path / "p.csv"
+        f.write_text(f"timestamp,price\n0,100\n{row}\n")
+        with pytest.raises(InputError, match=r"p\.csv:3: .*non-finite"):
+            PriceSeries.from_csv(f)
+
 
 class TestLogReturns:
     def test_constant_series(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cryptoyield import mc
 from cryptoyield.errors import DomainError
 from cryptoyield.mc import GbmSpec, first_passage_value, price_payoff, simulate_terminal
 
@@ -135,3 +136,102 @@ class TestFirstPassage:
         spec = GbmSpec(s0_a=1.5, sigma_a=0.8, paths=100)
         with pytest.raises(DomainError):
             first_passage_value(spec, barrier=0.0, payout=1.0)
+
+
+def reference_hit_contributions(spec, barrier, discount_rate, bridge, z):
+    """The first-passage kernel as a plain loop over every path and step.
+
+    Kept as the oracle for ``mc._hit_contributions``, which must return the
+    same bits while stepping only the live paths.
+    """
+    m, steps = z.shape
+    dt = spec.T / steps
+    sigma = spec.sigma_a
+    nu = spec.drift_a - 0.5 * sigma**2
+    b_log = math.log(barrier / spec.s0_a)
+    vol_step = sigma * math.sqrt(dt)
+
+    x = np.zeros(m)
+    survival = np.ones(m)
+    contrib = np.zeros(m)
+    for i in range(steps):
+        x_next = x + nu * dt + vol_step * z[:, i]
+        hit = x_next <= b_log
+        if bridge and sigma > 0.0:
+            with np.errstate(over="ignore"):
+                p_cross = np.exp(-2.0 * (x - b_log) * (x_next - b_log) / (sigma**2 * dt))
+            p_cross = np.where(hit, 1.0, np.minimum(p_cross, 1.0))
+            frac = np.where(
+                hit,
+                np.clip((x - b_log) / np.maximum(x - x_next, 1e-300), 0.0, 1.0),
+                0.5,
+            )
+        else:
+            p_cross = hit.astype(float)
+            frac = 1.0
+        t_hit = (i + frac) * dt
+        contrib += survival * p_cross * np.exp(-discount_rate * t_hit)
+        survival *= 1.0 - p_cross
+        x = x_next
+    return contrib
+
+
+def reference_first_passage(spec, barrier, payout, discount_rate, bridge):
+    """first_passage_value with one reference kernel call per antithetic leg."""
+    block_pairs = max(1, mc._PATH_BLOCK_BUDGET // spec.steps)
+    values = []
+    total = spec.paths // 2 if spec.antithetic else spec.paths
+    for block, m in mc._pair_blocks(total, block_pairs):
+        z = mc._block_generator(spec.seed, block).standard_normal((m, spec.steps))
+        c = reference_hit_contributions(spec, barrier, discount_rate, bridge, z)
+        if spec.antithetic:
+            c = 0.5 * (c + reference_hit_contributions(spec, barrier, discount_rate, bridge, -z))
+        values.append(c)
+    est = mc._estimate_from_values(values, 1.0, spec.paths)
+    return payout * est.mean, abs(payout) * est.std_error
+
+
+# (spec, barrier): odd and single step counts, drift of either sign, zero
+# volatility, no antithetic leg, slabs of normals shorter than the path, and
+# a barrier just under spot where every path breaches within a few steps.
+KERNEL_CASES = {
+    "base": (GbmSpec(s0_a=1.5, sigma_a=0.8, steps=33, paths=64), 1.2),
+    "up-drift-plain": (GbmSpec(s0_a=1.5, sigma_a=0.6, drift_a=0.3, steps=16, paths=41, antithetic=False), 1.2),
+    "down-drift-one-step": (GbmSpec(s0_a=1.3, sigma_a=1.1, drift_a=-0.4, steps=1, paths=200), 1.2),
+    "zero-vol": (GbmSpec(s0_a=1.5, drift_a=-0.5, T=2.0, steps=20, paths=10), 1.2),
+    "slabs": (GbmSpec(s0_a=1.5, sigma_a=0.8, drift_a=0.05, steps=301, paths=1200), 1.2),
+    "at-spot": (GbmSpec(s0_a=1.5, sigma_a=0.8, drift_a=-1.0, steps=64, paths=16), 1.5 * (1 - 1e-9)),
+}
+
+
+@pytest.mark.parametrize("discount_rate", [0.0, 0.05, -0.02])
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernel_matches_reference_loop_bit_for_bit(case, bridge, discount_rate):
+    spec, barrier = KERNEL_CASES[case]
+    m = spec.paths // 2 if spec.antithetic else spec.paths
+    z = np.random.default_rng(31).standard_normal((m, spec.steps))
+    want = reference_hit_contributions(spec, barrier, discount_rate, bridge, z)
+    if spec.antithetic:
+        want = np.concatenate([want, reference_hit_contributions(spec, barrier, discount_rate, bridge, -z)])
+    got = mc._hit_contributions(spec, barrier, discount_rate, bridge, z)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_stops_once_every_path_breached():
+    spec, barrier = KERNEL_CASES["at-spot"]
+    z = np.random.default_rng(31).standard_normal((spec.paths // 2, spec.steps))
+    assert (mc._hit_contributions(spec, barrier, 0.0, False, z) == 1.0).all()
+
+
+# 1025 steps make a block 2046 pairs, so each spec ends on a partial block.
+@pytest.mark.parametrize(
+    "antithetic, bridge, discount_rate",
+    [(True, True, 0.0), (True, False, 0.03), (False, True, -0.02)],
+)
+def test_first_passage_matches_reference_bit_for_bit(antithetic, bridge, discount_rate):
+    paths = 2 * 2049 if antithetic else 2051
+    spec = GbmSpec(s0_a=1.5, sigma_a=0.8, drift_a=0.1, steps=1025, paths=paths, seed=5, antithetic=antithetic)
+    est = first_passage_value(spec, 1.2, 0.08, discount_rate=discount_rate, bridge=bridge)
+    want = reference_first_passage(spec, 1.2, 0.08, discount_rate, bridge)
+    assert np.array([est.mean, est.std_error]).tobytes() == np.array(want).tobytes()

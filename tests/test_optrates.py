@@ -190,6 +190,13 @@ class TestCsv:
         quotes = load_chain_csv(f)
         assert_allclose(point_from_quote(quotes[0]).rate, 0.05, rtol=1e-9)
 
+    @pytest.mark.parametrize("row", ["0,100,nan,1,1,100", "0,100,100,inf,1,100", "0,100,100,1,-inf,100", "0,100,100,1,1,NaN"])
+    def test_non_finite_cell_names_line(self, tmp_path, row):
+        f = tmp_path / "chain.csv"
+        f.write_text(f"quote_time,expiry,strike,call,put,underlying\n{row}\n")
+        with pytest.raises(InputError, match=r"chain\.csv:2: column '\w+' holds a non-finite"):
+            load_chain_csv(f)
+
     def test_bad_row_diagnostic(self, tmp_path):
         f = tmp_path / "chain.csv"
         f.write_text("quote_time,expiry,strike,call,put,underlying\n0,100,x,1,1,100\n")

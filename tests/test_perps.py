@@ -211,6 +211,20 @@ class TestCsv:
         with pytest.raises(InputError, match="expiry"):
             load_basis_csv(f)
 
+    @pytest.mark.parametrize("row", ["28800,nan,40000", "28800,40000,inf"])
+    def test_mark_index_non_finite_cell_names_line(self, tmp_path, row):
+        f = tmp_path / "quotes.csv"
+        f.write_text(f"timestamp,mark,index\n0,40100,40000\n{row}\n")
+        with pytest.raises(InputError, match=r"quotes\.csv:3: column '\w+' holds a non-finite"):
+            load_mark_index_csv(f)
+
+    @pytest.mark.parametrize("row", ["0,nan,51000,7884000", "0,50000,-inf,7884000", "0,50000,51000,inf"])
+    def test_basis_non_finite_cell_names_line(self, tmp_path, row):
+        f = tmp_path / "basis.csv"
+        f.write_text(f"timestamp,perp,future,expiry\n{row}\n")
+        with pytest.raises(InputError, match=r"basis\.csv:2: .*non-finite"):
+            load_basis_csv(f)
+
     def test_missing_column_diagnostic(self, tmp_path):
         f = tmp_path / "quotes.csv"
         f.write_text("timestamp,mark\n0,40100\n")

@@ -48,7 +48,18 @@ class TestReportWrite:
         out = tmp_path / "out"
         with pytest.raises(KeyError):
             report.write(out)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_write_keeps_existing_directory(self, tmp_path):
+        report = Report(command="demo", summary={})
+        report.add_series("bad", ("i", "missing"), [{"i": 1}])
+        (tmp_path / "keep.txt").write_text("x")
+        with pytest.raises(KeyError):
+            report.write(tmp_path / "new" / "out")
+        assert not (tmp_path / "new").exists()
+        with pytest.raises(KeyError):
+            report.write(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_summary_refused_before_writing(self, tmp_path, bad):

@@ -208,6 +208,13 @@ class TestCsvLoading:
         with pytest.raises(InputError, match="validator_id"):
             load_validators(f)
 
+    @pytest.mark.parametrize("balance", ["nan", "inf", "-inf"])
+    def test_non_finite_balance_names_line(self, tmp_path, balance):
+        f = tmp_path / "validators.csv"
+        f.write_text(f"validator_id,timestamp,balance,state\nv1,2021-06-01,{balance},Active\n")
+        with pytest.raises(InputError, match=r"validators\.csv:2: column 'balance' holds a non-finite"):
+            load_validators(f)
+
     def test_bad_balance_names_line(self, tmp_path):
         f = tmp_path / "validators.csv"
         f.write_text("validator_id,timestamp,balance,state\nv1,2021-06-01,abc,Active\n")
