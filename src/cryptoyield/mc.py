@@ -272,6 +272,9 @@ def first_passage_value(
     for block, m in _pair_blocks(total, block_pairs):
         z = _block_generator(spec.seed, block).standard_normal((m, spec.steps))
         c = _hit_contributions(spec, barrier, discount_rate, bridge, z)
+        # Free this block's normals before the next block draws its own, so
+        # one block's worth is resident at a time, not two.
+        del z
         values.append(0.5 * (c[:m] + c[m:]) if spec.antithetic else c)
     est = _estimate_from_values(values, 1.0, spec.paths)
     return McEstimate(mean=payout * est.mean, std_error=abs(payout) * est.std_error, paths=spec.paths)
