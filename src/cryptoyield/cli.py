@@ -71,12 +71,10 @@ def _run_stake(config, balances, day, percentiles):
     days = [day] if day else staking.available_days(balances.values())
 
     rows, skipped_days = [], 0
-    for d in days:
-        try:
-            bands = staking.percentile_bands(balances.values(), d, percentiles)
-        except EmptyCohortError:
+    for d, bands in zip(days, staking.daily_bands(balances.values(), days, percentiles)):
+        if bands is None:
             if day:
-                raise
+                raise EmptyCohortError(f"no eligible validators on {day}")
             skipped_days += 1
             continue
         for p in percentiles:
@@ -382,13 +380,19 @@ def _command(config):
     return COMMANDS.get(name) if isinstance(name, str) else None
 
 
+# A config file may name its report directory; `run --out` overrides it.
+OUT_DIR = Key("out_dir", _text)
+
+
 def _check_config(config):
     """(command, values, problems) from the table alone; reads no file."""
     command = _command(config)
     if command is None:
         return None, {}, [f"config must be a JSON object with a command in {sorted(COMMANDS)}"]
     problems = []
-    return command, _check_keys(command.keys, config, "", problems), problems
+    values = _check_keys(command.keys, config, "", problems)
+    _check_keys((OUT_DIR,), config, "", problems)
+    return command, values, problems
 
 
 def validate_config(config) -> list:
@@ -429,6 +433,8 @@ def run_command(config: dict, out_dir, provenance_config=None) -> Report:
     command, values, problems = _check_config(config)
     if problems:
         raise InputError("; ".join(problems))
+    if not out_dir:
+        raise InputError("run: --out or a config out_dir path is required")
     inputs = [key for key in command.keys if key.load]
     paths = [values[key.name] for key in inputs if isinstance(values[key.name], str)]
     values.update({key.name: key.load(values[key.name]) for key in inputs})
@@ -513,16 +519,15 @@ def main(argv=None) -> int:
     try:
         if args.command in ("run", "validate"):
             raw = _load_json(args.config)
-            out_dir = raw.pop("out_dir", None) if isinstance(raw, dict) else None
             config = resolve_config_paths(raw, os.path.dirname(os.path.abspath(args.config)))
             if args.command == "validate":
                 problems = validate_config(config)
                 print(json.dumps({"valid": not problems, "problems": problems}, indent=2))
                 return 0 if not problems else 2
-            out_dir = args.out or out_dir
-            if not out_dir or not isinstance(out_dir, str):
-                raise InputError("run: --out or a config out_dir path is required")
-            report = run_command(config, out_dir, provenance_config=raw)
+            # The report directory is not part of the run, so it stays out of the config hash.
+            given = {k: v for k, v in raw.items() if k != OUT_DIR.name} if isinstance(raw, dict) else raw
+            out_dir = args.out or (raw.get(OUT_DIR.name) if isinstance(raw, dict) else None)
+            report = run_command(config, out_dir, provenance_config=given)
         else:
             config, out_dir = _config_from_args(args)
             report = run_command(config, out_dir)

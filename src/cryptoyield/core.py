@@ -265,23 +265,31 @@ def read_csv_rows(path, required_columns):
         raise InputError(f"{path}: {exc}") from exc
     with fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise InputError(f"{path}: empty file, expected header {','.join(required_columns)}")
-        missing = [c for c in required_columns if c not in header]
-        if missing:
-            raise InputError(
-                f"{path}:1: missing column(s) {', '.join(missing)}; got header {','.join(header)}"
-            )
-        rows = []
-        for row in reader:
-            lineno = reader.line_num
-            if any(row.get(c) in (None, "") for c in required_columns):
-                bad = [c for c in required_columns if row.get(c) in (None, "")]
-                raise InputError(f"{path}:{lineno}: empty value for column(s) {', '.join(bad)}")
-            rows.append((lineno, row))
+        try:
+            rows = _checked_rows(path, reader, required_columns)
+        except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field, bytes that are not text
+            raise InputError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: no data rows")
+    return rows
+
+
+def _checked_rows(path, reader, required_columns):
+    header = reader.fieldnames
+    if header is None:
+        raise InputError(f"{path}: empty file, expected header {','.join(required_columns)}")
+    missing = [c for c in required_columns if c not in header]
+    if missing:
+        raise InputError(
+            f"{path}:1: missing column(s) {', '.join(missing)}; got header {','.join(header)}"
+        )
+    rows = []
+    for row in reader:
+        lineno = reader.line_num
+        if any(row.get(c) in (None, "") for c in required_columns):
+            bad = [c for c in required_columns if row.get(c) in (None, "")]
+            raise InputError(f"{path}:{lineno}: empty value for column(s) {', '.join(bad)}")
+        rows.append((lineno, row))
     return rows
 
 
@@ -297,29 +305,29 @@ def cell_number(row, column) -> float:
     return value
 
 
+# Epoch seconds that name a calendar day: 0001-01-02 to 9999-12-31 UTC, so a
+# day either side of any accepted instant is still a date.
+EPOCH_RANGE = tuple(datetime(*ymd, tzinfo=timezone.utc).timestamp() for ymd in ((1, 1, 2), (9999, 12, 31)))
+
+
 def parse_timestamp(text: str) -> float:
-    """Parse an ISO-8601 timestamp (UTC when naive) or epoch seconds."""
+    """Parse an ISO-8601 timestamp (UTC when naive) or epoch seconds within EPOCH_RANGE."""
     text = text.strip()
-    try:
-        return float(int(text))
-    except ValueError:
-        pass
     try:
         value = float(text)
     except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite timestamp {text!r}")
-        return value
-    iso = text.replace("Z", "+00:00")
-    try:
-        dt = datetime.fromisoformat(iso)
-    except ValueError as exc:
-        raise DomainError(f"unparseable timestamp {text!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+        try:
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise DomainError(f"unparseable timestamp {text!r}") from exc
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        value = dt.timestamp()
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite timestamp {text!r}")
+    if not EPOCH_RANGE[0] <= value <= EPOCH_RANGE[1]:
+        raise ValueError(f"timestamp {text!r} is outside years 1-9999")
+    return value
 
 
 # ---------------------------------------------------------------------------

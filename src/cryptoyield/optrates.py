@@ -116,8 +116,11 @@ def aggregate_daily(points, day) -> float:
 
 def daily_series(points):
     """Sorted (day, mean_rate, point_count) rows over all days present."""
-    days = sorted({p.day for p in points})
-    return [(d, aggregate_daily(points, d), sum(1 for p in points if p.day == d)) for d in days]
+    by_day = {}
+    for p in points:
+        by_day.setdefault(p.day, []).append(p.rate)
+    # fsum rounds exactly once, so a day's mean does not depend on point order.
+    return [(d, math.fsum(rates) / len(rates), len(rates)) for d, rates in sorted(by_day.items())]
 
 
 def rolling_average(values, window: int):

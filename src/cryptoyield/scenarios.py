@@ -23,7 +23,9 @@ Pool scenario schema::
 
 An external_price event arbitrages the pool to the quoted price and sets
 the numeraire price of token x for PnL rows (token y is the numeraire,
-price 1). Swap scenario schema::
+price 1). A remove of "all" by the last open position withdraws the whole
+share supply, so float rounding leaves no shares that nobody holds. Swap
+scenario schema::
 
     {"agreement": {"notional_a": 100, "notional_b": 100, "x0": 1.0,
                    "margin_a": 5, "margin_b": 5, "threshold": 0.2,
@@ -212,16 +214,22 @@ def run_pool_scenario(config) -> dict:
                 if name not in positions:
                     raise InputError(f"unknown position {name!r}")
                 held = positions[name]
-                shares = held.shares if event["shares"] == "all" else conv(event["shares"])
-                if shares > held.shares:
-                    raise InputError(f"position {name!r} holds only {held.shares} shares")
-                taken_fraction = shares / held.shares if held.shares else 0
-                pool.remove_liquidity(shares)
-                positions[name] = LpPosition(
-                    held.shares - shares, tuple(e - e * taken_fraction for e in held.entry_reserves)
-                )
-                if positions[name].shares == 0:
+                if event["shares"] == "all":
+                    # The last holder's "all" also takes the rounding dust that
+                    # float shares leave between its holding and the supply.
+                    pool.remove_liquidity(pool.total_shares if len(positions) == 1 else held.shares)
                     del positions[name]
+                else:
+                    shares = conv(event["shares"])
+                    if shares > held.shares:
+                        raise InputError(f"position {name!r} holds only {held.shares} shares")
+                    taken_fraction = shares / held.shares if held.shares else 0
+                    pool.remove_liquidity(shares)
+                    positions[name] = LpPosition(
+                        held.shares - shares, tuple(e - e * taken_fraction for e in held.entry_reserves)
+                    )
+                    if positions[name].shares == 0:
+                        del positions[name]
                 # Float rounding can leave a holder an ulp above the supply once others exit.
                 for holder, kept in positions.items():
                     if kept.shares > pool.total_shares:

@@ -6,6 +6,15 @@ The annualized staking return between two daily balance snapshots (taken at
 the 32 token minimum on any available snapshot in the window; missing state
 coverage counts as ineligible, not Active.
 
+`window_returns` is the one place these rules live. It takes a validator's
+snapshots as arrays and judges every requested window in one pass: binary
+search for the snapshots inside each window, a prefix count of sub-minimum
+snapshots, and one coverage mask per Active interval. `daily_return` asks it
+about one window; `daily_bands` asks it about every day for every validator
+and takes each day's percentiles over the eligible column of the resulting
+validators x days matrix, so a year of bands costs one pass per validator
+rather than one scan per validator-day.
+
 Coordinated failure is penalized jointly: slashing costs 3x the failing
 network percentage, so a third of the network can lose everything.
 """
@@ -14,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+
+import numpy as np
 
 from . import core
 from .core import SECONDS_PER_DAY
@@ -26,7 +37,6 @@ from .errors import (
 )
 
 MIN_VALIDATOR_BALANCE = 32.0
-DAYS_PER_YEAR = 365.0
 
 
 @dataclass(frozen=True)
@@ -34,9 +44,6 @@ class StateInterval:
     start: float
     end: float
     state: str
-
-    def covers(self, t0: float, t1: float) -> bool:
-        return self.start <= t0 and t1 <= self.end
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class ValidatorRecord:
         for i, (t, b) in enumerate(obs):
             if b < 0:
                 raise DomainError(f"validator {self.id}: balance at index {i} is negative")
-            if i > 0 and t <= obs[i - 1][0]:
+            if i > 0 and not t > obs[i - 1][0]:
                 raise DomainError(f"validator {self.id}: timestamps must be strictly increasing")
         object.__setattr__(self, "balances", obs)
         object.__setattr__(
@@ -63,18 +70,6 @@ class ValidatorRecord:
                 for iv in self.state_intervals
             ),
         )
-
-    def balance_at(self, t: float):
-        for ts, b in self.balances:
-            if ts == t:
-                return b
-        return None
-
-    def snapshots_between(self, t0: float, t1: float):
-        return [(ts, b) for ts, b in self.balances if t0 <= ts <= t1]
-
-    def continuously_active(self, t0: float, t1: float) -> bool:
-        return any(iv.state == "Active" and iv.covers(t0, t1) for iv in self.state_intervals)
 
 
 @dataclass(frozen=True)
@@ -89,28 +84,59 @@ def midnight_utc(day: date) -> float:
     return datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()
 
 
+# Outcome of one window, in the order the rules are checked: the first rule a
+# window breaks is its reason.
+ELIGIBLE, NOT_ACTIVE, BELOW_MINIMUM, MISSING_SNAPSHOT = range(4)
+
+
+def window_returns(validator: ValidatorRecord, t1s):
+    """(reasons, rates) for the 24h windows ending at each midnight in `t1s`.
+
+    A window [t0, t1] is NOT_ACTIVE unless one Active interval covers all of
+    it, BELOW_MINIMUM if any snapshot inside it is under the 32 token
+    minimum, and MISSING_SNAPSHOT without snapshots at both t0 and t1. An
+    ELIGIBLE window's rate is 365 * (V_t1 / V_t0 - 1); every other rate is NaN.
+    """
+    t1 = np.asarray(t1s, dtype=float)
+    t0 = t1 - SECONDS_PER_DAY
+    active = np.zeros(t1.shape, dtype=bool)
+    for iv in validator.state_intervals:
+        if iv.state == "Active":
+            active |= (iv.start <= t0) & (t1 <= iv.end)
+    # A NaN sentinel past the last snapshot matches no midnight, so an index
+    # one past the end (or -1) reads as a missing snapshot.
+    times, balances = np.array([*validator.balances, (np.nan, np.nan)]).T
+    first = np.searchsorted(times[:-1], t0, "left")  # first snapshot at or after t0
+    last = np.searchsorted(times[:-1], t1, "right") - 1  # last snapshot at or before t1
+    below = np.concatenate(([0], np.cumsum(balances[:-1] < MIN_VALIDATOR_BALANCE)))
+    reasons = np.select(
+        [~active, below[last + 1] > below[first], (times[first] != t0) | (times[last] != t1)],
+        [NOT_ACTIVE, BELOW_MINIMUM, MISSING_SNAPSHOT],
+        ELIGIBLE,
+    )
+    rates = np.full(t1.shape, np.nan)
+    ok = reasons == ELIGIBLE
+    rates[ok] = core.RateConvention().days_per_year * (balances[last[ok]] / balances[first[ok]] - 1.0)
+    return reasons, rates
+
+
 def daily_return(validator: ValidatorRecord, day: date) -> StakingReturn:
     """365 * (V_t/V_{t-1} - 1) for an eligible validator; may be negative."""
-    t1 = midnight_utc(day)
-    t0 = t1 - SECONDS_PER_DAY
-    if not validator.continuously_active(t0, t1):
+    (reason,), (rate,) = window_returns(validator, [midnight_utc(day)])
+    if reason == NOT_ACTIVE:
         raise EligibilityError(
             f"validator {validator.id} not continuously Active over {day - timedelta(days=1)}..{day}"
         )
-    window = validator.snapshots_between(t0, t1)
-    if any(b < MIN_VALIDATOR_BALANCE for _, b in window):
+    if reason == BELOW_MINIMUM:
         raise EligibilityError(
             f"validator {validator.id} dipped below {MIN_VALIDATOR_BALANCE} in the window ending {day}"
         )
-    v0 = validator.balance_at(t0)
-    v1 = validator.balance_at(t1)
-    if v0 is None or v1 is None:
+    if reason == MISSING_SNAPSHOT:
         raise MissingDataError(
             f"validator {validator.id} lacks a balance snapshot at 00:00 UTC on "
             f"{day - timedelta(days=1)} or {day}"
         )
-    rate = DAYS_PER_YEAR * (v1 / v0 - 1.0)
-    return StakingReturn(date=day, annualized_return=rate)
+    return StakingReturn(date=day, annualized_return=float(rate))
 
 
 def slash_cost(network_fraction_pct: float) -> float:
@@ -123,21 +149,43 @@ def slash_cost(network_fraction_pct: float) -> float:
     return min(3.0 * network_fraction_pct, 100.0)
 
 
+def daily_bands(validators, days, percentiles) -> list:
+    """Per-day {percentile: annualized return} across each day's eligible cohort.
+
+    One entry per day in `days`: None when no validator is eligible that day.
+    A percentile level outside [0, 100] is a DomainError once a day has a
+    cohort.
+    """
+    validators = list(validators)
+    t1s = [midnight_utc(d) for d in days]
+    eligible = np.zeros((len(validators), len(t1s)), dtype=bool)
+    rates = np.zeros(eligible.shape)
+    for row, validator in enumerate(validators):
+        reasons, rates[row] = window_returns(validator, t1s)
+        eligible[row] = reasons == ELIGIBLE
+    bad = [p for p in percentiles if not 0.0 <= p <= 100.0]
+    bands = []
+    for col in range(len(t1s)):
+        cohort = rates[eligible[:, col], col]
+        if not cohort.size:
+            bands.append(None)
+            continue
+        if bad:
+            raise DomainError(f"percentile level must be in [0, 100], got {bad[0]}")
+        bands.append(dict(zip(percentiles, np.percentile(cohort, percentiles).tolist())))
+    return bands
+
+
 def percentile_bands(validators, day: date, percentiles) -> dict:
     """Per-percentile annualized return across the eligible cohort for a day.
 
     Ineligible validators and ones with missing snapshots are skipped; an
     empty cohort is an error.
     """
-    returns = []
-    for validator in validators:
-        try:
-            returns.append(daily_return(validator, day).annualized_return)
-        except (EligibilityError, MissingDataError):
-            continue
-    if not returns:
+    (bands,) = daily_bands(validators, [day], percentiles)
+    if bands is None:
         raise EmptyCohortError(f"no eligible validators on {day}")
-    return {p: core.percentile(returns, p) for p in percentiles}
+    return bands
 
 
 def available_days(validators) -> list:

@@ -1,10 +1,20 @@
-"""Scenario fuzz for the CLI: mutated demo scenarios through `run` and `validate`.
+"""CLI fuzz: mutated demo scenarios and demo CSVs through `run` and `validate`.
 
 `scenarios()` draws the demo pool or swap scenario and mutates it one to
 three times: it drops a key, retypes one (text, null, bool, list, object),
 sets a number to nan, inf, 1e308, a negative value or text with a huge
-decimal exponent, or duplicates, reorders or truncates the events. `check_scenario` runs the result in-process
-through `cli.main`, inline in a command config, and asserts the contract:
+decimal exponent, or duplicates, reorders or truncates the events.
+
+`csv_files()` draws one of the demo CSV inputs (validator balances, option
+chain, funding quotes, basis quotes) and mutates it one to three times: it
+drops, duplicates or reorders rows, gives one row another row's timestamp
+(and validator), puts nan, inf, a huge exponent or integer, a date before
+the year 1, text or a byte that is not UTF-8 into a numeric cell, truncates
+the file mid-line, prepends a byte-order mark, or leaves the header alone or
+nothing at all.
+
+`check_scenario` and `check_csv` run the result in-process through
+`cli.main` and assert the contract:
 
   exit codes     `run` exits 0, 2 or 3 and no exception escapes `main`;
   no debris      a failed run leaves no report directory;
@@ -31,6 +41,20 @@ BASES = {
     "amm": json.loads((DEMO / "pool_scenario.json").read_text()),
     "xccy": json.loads((DEMO / "swap_scenario.json").read_text()),
 }
+# command -> (config key of its CSV input, demo file)
+CSV_INPUTS = {
+    "stake": ("balances", "validators.csv"),
+    "implied-rate": ("chain", "option_chain.csv"),
+    "perp-funding": ("quotes", "funding_quotes.csv"),
+    "perp-basis": ("quotes", "basis_quotes.csv"),
+}
+CSV_TEXT = {command: (DEMO / name).read_text() for command, (_, name) in CSV_INPUTS.items()}
+# Columns that identify a row rather than measure something.
+CSV_KEY_COLUMNS = {"validator_id", "timestamp", "quote_time"}
+CSV_CELLS = (
+    "nan", "inf", "-inf", "NaN", "1e308", "-1e308", "1e400", "1e999999999", "1e-999999999", "1" + "0" * 400,
+    "0001-01-01T00:00:00Z", "x", "1,5", "4\udcff0",  # the lone surrogate writes byte 0xff: not UTF-8
+)
 RETYPED = ("text", None, True, [], {})
 NUMBERS = (math.nan, math.inf, 1e308, "negative", "1e999999999", "-1e-999999999")
 
@@ -86,6 +110,48 @@ def scenarios(draw):
     return command, scenario
 
 
+@st.composite
+def csv_files(draw):
+    """(command, mutated CSV text)."""
+    command = draw(st.sampled_from(sorted(CSV_INPUTS)))
+    header, *rows = CSV_TEXT[command].splitlines()
+    columns = header.split(",")
+    rows = [row.split(",") for row in rows]
+    prefix, cut = "", None
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(
+            ("drop", "duplicate", "reorder", "retime", "cell", "cell", "truncate", "bom", "empty", "header")
+        ))
+        if mutation == "bom":
+            prefix = "\ufeff"
+        elif mutation == "empty":
+            return command, ""
+        elif mutation == "header":
+            rows = []
+        elif mutation == "truncate":
+            cut = draw(st.integers(len(header) + 1, len(CSV_TEXT[command]) - 1))
+        elif not rows:
+            continue
+        elif mutation == "drop":
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        elif mutation == "duplicate":
+            i = draw(st.integers(0, len(rows) - 1))
+            rows.insert(i, list(rows[i]))
+        elif mutation == "reorder":
+            rows[:] = draw(st.permutations(rows))
+        elif mutation == "retime":
+            source, target = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            for c, name in enumerate(columns):
+                if name in CSV_KEY_COLUMNS:
+                    rows[target][c] = rows[source][c]
+        else:  # cell
+            numeric = [c for c, name in enumerate(columns) if name not in ("validator_id", "state")]
+            row, c = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(numeric))
+            rows[row][c] = draw(st.sampled_from(CSV_CELLS))
+    text = prefix + "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+    return command, text if cut is None else text[:cut]
+
+
 def _assert_finite_report(out):
     def reject(constant):
         raise AssertionError(f"report.json holds {constant}")
@@ -104,9 +170,21 @@ def _assert_finite_report(out):
 
 def check_scenario(command, scenario, workdir) -> int:
     """Run and validate one scenario under `workdir`; returns `run`'s exit code."""
+    return _check_config({"command": command, "scenario": scenario}, workdir)
+
+
+def check_csv(command, text, workdir) -> int:
+    """Run and validate one command on CSV `text` under `workdir`; returns `run`'s exit code."""
+    key, name = CSV_INPUTS[command]
+    path = pathlib.Path(workdir) / name
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return _check_config({"command": command, key: str(path)}, workdir)
+
+
+def _check_config(command_config, workdir) -> int:
     workdir = pathlib.Path(workdir)
     config, out = workdir / "cfg.json", workdir / "report"
-    config.write_text(json.dumps({"command": command, "scenario": scenario}))
+    config.write_text(json.dumps(command_config))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         run = cli_main(["run", "--config", str(config), "--out", str(out)])
         valid = cli_main(["validate", "--config", str(config)])

@@ -330,6 +330,33 @@ class TestAbsolutePnl:
         assert_allclose(alice[2]["pnl"], pool_rows[3]["reserve_x"] + pool_rows[3]["reserve_y"] - 2 * 381.89, rtol=1e-9)
         assert pool_rows[4]["total_shares"] == 0.0 and result["summary"]["open_positions"] == 0
 
+    @pytest.mark.parametrize(
+        "reserves, added, swaps",
+        [
+            # Float rounding leaves alice an ulp below the supply: her "all" used
+            # to leave dust shares and reserves that no position held ...
+            ((4237.6670724727355, 6936.771159900146), (210.86521883459164, 345.17194098126953),
+             (26.632758279003372, 51.616197415492245)),
+            # ... or a dust reserve of 0 beside dust shares, which divided by zero.
+            ((1261.722901903465, 1642.1884005046647), (333.30199735547484, 433.80735429028044),
+             (39.14517900076349, 70.02078114839313)),
+        ],
+    )
+    def test_last_holder_all_withdraws_whole_pool(self, reserves, added, swaps):
+        scenario = {
+            "pool": {"reserve_x": reserves[0], "reserve_y": reserves[1], "fee": 0.003},
+            "events": [
+                {"action": "add", "dx": added[0], "dy": added[1], "position": "alice"},
+                {"action": "swap_x_for_y", "amount": swaps[0]},
+                {"action": "remove", "position": "genesis", "shares": "all"},
+                {"action": "swap_y_for_x", "amount": swaps[1]},
+                {"action": "remove", "position": "alice", "shares": "all"},
+            ],
+        }
+        summary = run_pool_scenario(scenario)["summary"]
+        assert summary["open_positions"] == 0
+        assert summary["final_total_shares"] == summary["final_reserve_x"] == summary["final_reserve_y"] == 0.0
+
 
 class TestLongRunYield:
     def test_no_risk_returns_fee_rate(self):

@@ -251,6 +251,21 @@ class TestRunAndValidate:
         assert report["provenance"]["config_hash"]
         assert report["provenance"]["version"]
 
+    def test_config_out_dir(self, tmp_path, capsys):
+        config = json.loads((DEMO / "stake.json").read_text())
+        config["balances"] = str(DEMO / "validators.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path / "named")}))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps(config))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+        # The report directory is left out of the config hash.
+        assert read_report(tmp_path / "named") == read_report(tmp_path / "flag")
+        cfg.write_text(json.dumps({**config, "out_dir": 5}))
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        assert "out_dir: expected a non-empty string, got 5" in capsys.readouterr().err
+
     def test_validate_valid_config(self, capsys):
         assert cli_main(["validate", "--config", str(DEMO / "stake.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -352,6 +367,9 @@ DRIFT_CASES = {
     "oracle-text-paths": ({"command": "oracle", "spec": {"paths": "abc"}}, None, "spec.paths"),
     "stake-bad-day": (
         {"command": "stake", "balances": str(DEMO / "validators.csv"), "day": "nope"}, None, "day"
+    ),
+    "stake-out-dir-not-text": (
+        {"command": "stake", "balances": str(DEMO / "validators.csv"), "out_dir": 5}, None, "out_dir"
     ),
     "list-config": ([{"command": "kelly"}], None, "config"),
     "command-not-text": ({"command": ["kelly"]}, None, "command"),
@@ -518,3 +536,11 @@ def test_scenario_fuzz_keeps_the_cli_contract(case):
     command, scenario = case
     with tempfile.TemporaryDirectory() as workdir:
         cli_fuzz.check_scenario(command, scenario, workdir)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(cli_fuzz.csv_files())
+def test_csv_fuzz_keeps_the_cli_contract(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as workdir:
+        cli_fuzz.check_csv(command, text, workdir)

@@ -283,3 +283,24 @@ class TestParseTimestamp:
     def test_garbage_rejected(self):
         with pytest.raises(DomainError):
             parse_timestamp("yesterday")
+
+    @pytest.mark.parametrize(
+        "text", ["1e308", "-1e308", "1" + "0" * 400, "nan", "0001-01-01T00:00:00Z", "9999-12-31T00:00:01Z"]
+    )
+    def test_no_calendar_day_rejected(self, text):
+        # Each of these used to reach datetime.fromtimestamp (or float()) and
+        # escape the loaders as an OverflowError.
+        with pytest.raises(ValueError, match="timestamp"):
+            parse_timestamp(text)
+
+    def test_calendar_edges_accepted(self):
+        assert parse_timestamp("0001-01-02T00:00:00Z") == -62135510400.0
+        assert parse_timestamp("9999-12-31T00:00:00Z") == 253402214400.0
+
+
+@pytest.mark.parametrize("cell", [b"1\xff", b"1" * 200_000], ids=["not-utf8", "oversized-field"])
+def test_unreadable_csv_is_input_error(tmp_path, cell):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"timestamp,price\n0,1\n86400," + cell + b"\n")
+    with pytest.raises(InputError, match=r"prices\.csv: unreadable CSV"):
+        PriceSeries.from_csv(path)

@@ -156,6 +156,28 @@ class TestAggregation:
         assert [d for d, _, _ in series] == [date(1970, 1, 1), date(1970, 1, 2)]
         assert_allclose([r for _, r, _ in series], [0.04, 0.06], rtol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_daily_series_matches_per_day_rescan(self, seed):
+        def reference_daily_series(points):
+            days = sorted({p.day for p in points})
+            return [(d, aggregate_daily(points, d), sum(1 for p in points if p.day == d)) for d in days]
+
+        rng = random.Random(seed)
+        quotes = [
+            parity_quote(
+                rng.uniform(-0.02, 0.2),
+                rng.choice([0.1, 0.25, 0.5]),
+                rng.uniform(30_000.0, 50_000.0),
+                quote_time=rng.randrange(40) * 86_400.0 + rng.choice([0.0, 1.0, 43_200.0, 86_399.0]),
+            )
+            for _ in range(400)
+        ]
+        points, _ = chain_points(quotes)
+        rng.shuffle(points)
+        series = daily_series(points)
+        assert series == reference_daily_series(points)
+        assert sum(n for _, _, n in series) == len(points) and len(series) > 30
+
 
 class TestRollingAverage:
     def test_window_one_is_identity(self):

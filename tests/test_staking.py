@@ -1,6 +1,7 @@
 import random
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,14 +15,20 @@ from cryptoyield.errors import (
     MissingDataError,
 )
 from cryptoyield.staking import (
+    BELOW_MINIMUM,
+    ELIGIBLE,
+    MISSING_SNAPSHOT,
+    NOT_ACTIVE,
     StateInterval,
     ValidatorRecord,
     available_days,
+    daily_bands,
     daily_return,
     load_validators,
     midnight_utc,
     percentile_bands,
     slash_cost,
+    window_returns,
 )
 
 DAY = 86_400.0
@@ -89,6 +96,8 @@ class TestDailyReturn:
             ValidatorRecord(id="v", balances=[(T1, 32.0), (T0, 32.0)])
         with pytest.raises(DomainError):
             ValidatorRecord(id="v", balances=[(T0, -1.0)])
+        with pytest.raises(DomainError):  # NaN compares false, so it used to slip through
+            ValidatorRecord(id="v", balances=[(T0, 32.0), (float("nan"), 32.0)])
 
 
 class TestSlashCost:
@@ -164,6 +173,121 @@ class TestPercentileBands:
         bad = validator([(T0, 31.0), (T1, 32.01)])
         with pytest.raises(EmptyCohortError):
             percentile_bands([bad], D1, [50])
+
+
+# -- the per-validator-day scans the array engine replaced, kept as its oracle --
+
+
+def reference_daily_return(v, day):
+    """The scalar rule, one linear scan per lookup: (reason, rate or None)."""
+    t1 = midnight_utc(day)
+    t0 = t1 - DAY
+    if not any(iv.state == "Active" and iv.start <= t0 and t1 <= iv.end for iv in v.state_intervals):
+        return NOT_ACTIVE, None
+    if any(b < 32.0 for ts, b in v.balances if t0 <= ts <= t1):
+        return BELOW_MINIMUM, None
+    v0 = next((b for ts, b in v.balances if ts == t0), None)
+    v1 = next((b for ts, b in v.balances if ts == t1), None)
+    if v0 is None or v1 is None:
+        return MISSING_SNAPSHOT, None
+    return ELIGIBLE, 365.0 * (v1 / v0 - 1.0)
+
+
+def reference_percentile_bands(validators, day, percentiles):
+    """One scalar np.percentile per level over the day's eligible rates, or None."""
+    rates = [rate for reason, rate in (reference_daily_return(v, day) for v in validators) if reason == ELIGIBLE]
+    if not rates:
+        return None
+    return {p: float(np.percentile(np.asarray(rates), p)) for p in percentiles}
+
+
+ERRORS = {NOT_ACTIVE: EligibilityError, BELOW_MINIMUM: EligibilityError, MISSING_SNAPSHOT: MissingDataError}
+
+
+def random_validator(rng, vid, days=12):
+    """Daily midnights with gaps, intraday snapshots and dips, and state runs
+    that start or end mid-window, are zero-length or are not Active."""
+    stamps = set()
+    for k in range(days):
+        if rng.random() < 0.85:
+            stamps.add(T0 + k * DAY)
+        if rng.random() < 0.2:
+            stamps.add(T0 + k * DAY + rng.choice([1.0, DAY / 3, DAY / 2, DAY - 1.0]))
+    if rng.random() < 0.05:
+        stamps = set()
+    balances = []
+    for ts in sorted(stamps):
+        b = rng.choice([rng.uniform(32.0, 40.0), rng.uniform(32.0, 40.0), rng.uniform(31.0, 32.5), 32.0])
+        balances.append((ts, b))
+    intervals, t = [], T0 - rng.choice([0.0, DAY])
+    while t < T0 + days * DAY and rng.random() < 0.9:
+        length = rng.choice([0.0, DAY / 2, DAY, 2 * DAY, 5 * DAY, 15 * DAY])
+        state = rng.choice(["Active", "Active", "Active", "Exited", "Pending"])
+        intervals.append((t, t + length, state))
+        t += length + rng.choice([0.0, 0.0, DAY / 4, DAY])
+    return ValidatorRecord(id=vid, balances=balances, state_intervals=intervals)
+
+
+def random_cohort(seed, size):
+    rng = random.Random(seed)
+    return [random_validator(rng, f"v{i}") for i in range(size)]
+
+
+# Days before, inside and after the generated data.
+ORACLE_DAYS = [D0 + timedelta(days=k) for k in range(-2, 15)]
+
+
+class TestEngineAgainstScans:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_window_returns_match_scalar_rule(self, seed):
+        cohort = random_cohort(seed, 50)
+        t1s = [midnight_utc(d) for d in ORACLE_DAYS]
+        outcomes = set()
+        for v in cohort:
+            reasons, rates = window_returns(v, t1s)
+            for day, reason, rate in zip(ORACLE_DAYS, reasons, rates):
+                want_reason, want = reference_daily_return(v, day)
+                assert reason == want_reason, (v, day)
+                outcomes.add(want_reason)
+                if want_reason == ELIGIBLE:
+                    assert rate == want
+                    assert daily_return(v, day).annualized_return == want
+                else:
+                    assert np.isnan(rate)
+                    with pytest.raises(ERRORS[want_reason]):
+                        daily_return(v, day)
+        assert outcomes == {ELIGIBLE, NOT_ACTIVE, BELOW_MINIMUM, MISSING_SNAPSHOT}
+
+    def test_empty_balance_list_is_missing(self):
+        v = ValidatorRecord(id="v", balances=[], state_intervals=[(T0, T1 + DAY, "Active")])
+        reasons, rates = window_returns(v, [T1, T1 + DAY])
+        assert reasons.tolist() == [MISSING_SNAPSHOT] * 2 and np.isnan(rates).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_daily_bands_match_per_day_bands(self, seed):
+        cohort = random_cohort(100 + seed, 60)
+        levels = [0, 1, 5, 25, 50, 50, 75, 95, 99, 100, 33.3]
+        bands = daily_bands(cohort, ORACLE_DAYS, levels)
+        assert len(bands) == len(ORACLE_DAYS)
+        assert any(b is None for b in bands) and any(b is not None for b in bands)
+        for day, got in zip(ORACLE_DAYS, bands):
+            assert got == reference_percentile_bands(cohort, day, levels)
+            if got is None:
+                with pytest.raises(EmptyCohortError):
+                    percentile_bands(cohort, day, levels)
+            else:
+                assert percentile_bands(cohort, day, levels) == got
+
+    @pytest.mark.parametrize("level", [150, -1, float("nan")])
+    def test_level_outside_range_is_domain_error(self, level):
+        cohort = TestPercentileBands().make_cohort([0.01, 0.02])
+        with pytest.raises(DomainError, match="percentile level"):
+            percentile_bands(cohort, D1, [50, level])
+        with pytest.raises(DomainError, match="percentile level"):
+            daily_bands(cohort, [D0, D1], [level])
+
+    def test_bad_level_without_cohort_is_empty_cohort(self):
+        assert daily_bands([validator([(T0, 31.0), (T1, 32.0)])], [D1], [150]) == [None]
 
 
 class TestCsvLoading:
