@@ -257,10 +257,11 @@ def read_csv_rows(path, required_columns):
     """Read a CSV with an exact set of required columns.
 
     Returns a list of (line_number, row_dict). Raises InputError naming the
-    file, line and offending column on any mismatch.
+    file, line and offending column on any mismatch. A UTF-8 byte-order mark,
+    as spreadsheet exports write, is dropped before the header.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     with fh:

@@ -168,7 +168,10 @@ def implied_rate_from_basis(
 
 
 def load_mark_index_csv(path):
-    """Read `timestamp,mark,index` rows into (time, mark, index) tuples."""
+    """Read `timestamp,mark,index` rows into (time, mark, index) tuples.
+
+    Each row is one settlement, so timestamps must strictly increase.
+    """
     rows = core.read_csv_rows(path, ["timestamp", "mark", "index"])
     out = []
     for lineno, row in rows:
@@ -177,6 +180,8 @@ def load_mark_index_csv(path):
             out.append((t, core.cell_number(row, "mark"), core.cell_number(row, "index")))
         except (ValueError, DomainError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if len(out) > 1 and t <= out[-2][0]:
+            raise InputError(f"{path}:{lineno}: quote time {t} is not after the previous quote's {out[-2][0]}")
     return out
 
 

@@ -271,7 +271,8 @@ def validate_swap_scenario(config) -> list:
 
 
 def _schedule(agreement: SwapAgreement, events) -> list:
-    """Merge the checked scenario events with generated accruals and maturity, in order."""
+    """(exact time, event) pairs: the checked scenario events merged with
+    generated accruals and maturity, in replay order."""
     events = list(events)
     if agreement.maturity_time is not None:
         for i, leg in enumerate(agreement.legs):
@@ -283,10 +284,8 @@ def _schedule(agreement: SwapAgreement, events) -> list:
                 events.append({"type": "accrue", "time": end, "start": start, "end": end, "leg": i})
                 start = end
         events.append({"type": "mature", "time": agreement.maturity_time})
-    return sorted(
-        enumerate(events),
-        key=lambda pair: (to_fraction(pair[1]["time"]), _PRIORITY[pair[1]["type"]], pair[0]),
-    )
+    keyed = sorted((to_fraction(e["time"]), _PRIORITY[e["type"]], i, e) for i, e in enumerate(events))
+    return [(time, event) for time, _, _, event in keyed]
 
 
 def run_swap_scenario(config) -> dict:
@@ -301,25 +300,25 @@ def run_swap_scenario(config) -> dict:
     settlement = None
     skipped = 0
     accrued = {}  # leg index -> periods already paid (merged multi-leg accrual)
-    for _, event in _schedule(agreement, values["events"]):
+    for time, event in _schedule(agreement, values["events"]):
         if agreement.state != "active":
             skipped += 1
             continue
         etype = event["type"]
         if etype == "tick":
-            result = agreement.check_and_terminate(OracleTick(event["time"], event["rate"]))
+            result = agreement.check_and_terminate(OracleTick(time, event["rate"]))
             if result is not None:
                 settlement = result
         elif etype == "replenish":
-            agreement.replenish(event["party"], event["amount"], time=event["time"])
+            agreement.replenish(event["party"], event["amount"], time=time)
         elif etype == "accrue":
             i = event["leg"]
             agreement.accrue_legs(event["start"], event["end"], fixings=fixings or None, only=i)
             accrued[i] = accrued.get(i, 0) + 1
         elif etype == "terminate":
-            settlement = agreement.voluntary_terminate(event["party"], event["time"])
+            settlement = agreement.voluntary_terminate(event["party"], time)
         else:  # mature
-            settlement = agreement.mature(event["time"])
+            settlement = agreement.mature(time)
 
     try:
         audit_rows = [

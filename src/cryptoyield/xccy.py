@@ -20,6 +20,14 @@ at the tick rate.
 All token amounts are exact rationals internally (floats convert via their
 shortest decimal repr), so conservation checks are exact equalities. Each
 agreement is single-writer; independent agreements are independent.
+
+Between margin changes the breach test is two bounds on the tick rate, so
+`check_and_terminate` caches that quiet band per pair of contract margins
+and lets a tick inside it only advance the clock. The band is exact, not a
+safe approximation: its edges are exact rationals, the rates at which a
+residual margin fraction equals the threshold (not a breach), so it holds
+exactly the rates that the full mark calls quiet. Every other tick takes the
+full mark, which keeps A's priority and the settlement as they were.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ TERMINAL_STATES = (MATURED, TERMINATED_BREACH, TERMINATED_VOLUNTARY)
 
 def to_fraction(value) -> Fraction:
     """Exact rational from int/str/Fraction; floats via their decimal repr."""
+    if type(value) is Fraction:  # an exact type test skips the ABC machinery of isinstance
+        return value
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
@@ -228,6 +238,8 @@ class SwapAgreement:
         self.breaching_party = None
         self.last_time = None
         self.last_rate = self.x0
+        self._band_margins = None  # contract margins the cached quiet band was computed for
+        self._band = None
         self.ledger = Ledger()
         self.ledger.deposit("A", ALPHA, self.notional_a + self.margin_a_initial)
         self.ledger.deposit("B", BETA, self.notional_b + self.margin_b_initial)
@@ -283,6 +295,12 @@ class SwapAgreement:
         self.last_rate = tick.rate
         return self._view(time, tick.rate)
 
+    def _threshold_bases(self) -> tuple:
+        """What each party's residual margin is measured against: (A's, B's)."""
+        if self.threshold_base == "initial_margin":
+            return self.margin_a_initial, self.margin_b_initial
+        return self.notional_a, self.notional_b
+
     def _view(self, time, rate) -> MarkView:
         move = self.notional_a * (rate - self.x0)  # beta units, >0 favours A
         exposure_a = move if move > 0 else Fraction(0)
@@ -291,8 +309,7 @@ class SwapAgreement:
 
         residual_a = self.margin("A") - exposure_b
         residual_b = self.margin("B") - exposure_a
-        base_a = self.margin_a_initial if self.threshold_base == "initial_margin" else self.notional_a
-        base_b = self.margin_b_initial if self.threshold_base == "initial_margin" else self.notional_b
+        base_a, base_b = self._threshold_bases()
         frac_a = residual_a / base_a
         frac_b = residual_b / base_b
 
@@ -338,13 +355,41 @@ class SwapAgreement:
             self.ledger.transfer(time, event, BETA, "contract", "B", self.margin("B"),
                                  note="margin returned")
 
+    def _quiet_band(self) -> tuple | None:
+        """Rates (low, high) at which no tick can breach under today's margins.
+
+        With slack_P = margin(P) - threshold * base_P and N = notional_a, A
+        breaches exactly when slack_A < exposure_b, which is slack_A < 0 or
+        rate < N * x0 / (slack_A + N); B exactly when slack_B < exposure_a,
+        which is slack_B < 0 or rate > x0 + slack_B / N. Both edges are exact
+        rationals, so low <= rate <= high is the same test as `_view`'s. None
+        when a slack is negative. Cached per pair of contract margins.
+        """
+        margins = (self.margin("A"), self.margin("B"))
+        if margins != self._band_margins:
+            base_a, base_b = self._threshold_bases()
+            slack_a = margins[0] - self.threshold * base_a
+            slack_b = margins[1] - self.threshold * base_b
+            n = self.notional_a
+            quiet = slack_a >= 0 and slack_b >= 0
+            self._band = (n * self.x0 / (slack_a + n), self.x0 + slack_b / n) if quiet else None
+            self._band_margins = margins
+        return self._band
+
     def check_and_terminate(self, tick: OracleTick) -> Settlement | None:
         """Mark at the tick; terminate on breach not replenished this step.
 
         Replenishment semantics: a top-up must land before this call within
         the same tick-step (the scenario runner orders replenish events
-        first); once called, a breach terminates immediately.
+        first); once called, a breach terminates immediately. A tick inside
+        the quiet band only advances the clock.
         """
+        self._require_state(ACTIVE)
+        band = self._quiet_band()
+        if band is not None and band[0] <= tick.rate <= band[1]:
+            self._advance_clock(tick.time)
+            self.last_rate = tick.rate
+            return None
         view = self.mark(tick)
         if view.breaching_party is None:
             return None

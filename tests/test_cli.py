@@ -518,6 +518,21 @@ def test_non_finite_input_cell_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_out_of_order_funding_quotes_exit_2(verb, tmp_path, capsys):
+    # The demo funding quotes in reverse order: the second data row (line 3) is the first out of order.
+    header, *rows = (DEMO / "funding_quotes.csv").read_text().splitlines()
+    quotes = tmp_path / "funding_quotes.csv"
+    quotes.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "perp-funding", "quotes": str(quotes)}))
+    out = tmp_path / "r"
+    assert cli_main([verb, "--config", str(cfg)] + (["--out", str(out)] if verb == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert "funding_quotes.csv:3: quote time" in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_non_finite_csv_cell_exit_3(tmp_path, capsys):
     # A 1e308 swap drives the pool's reserves past float range: pnl would be written as inf.
     scenario = {"pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003},

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cryptoyield.core import (
     log_returns,
     parse_timestamp,
     percentile,
+    read_csv_rows,
     realized_vol,
     sharpe_ratio,
 )
@@ -27,6 +29,7 @@ from cryptoyield.errors import (
 )
 
 DAY = 86_400.0
+DEMO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "demo"
 
 # ln(1.1) evaluated to 30 digits with mpmath, frozen here.
 LN_1_1 = 0.09531017980432486
@@ -304,3 +307,12 @@ def test_unreadable_csv_is_input_error(tmp_path, cell):
     path.write_bytes(b"timestamp,price\n0,1\n86400," + cell + b"\n")
     with pytest.raises(InputError, match=r"prices\.csv: unreadable CSV"):
         PriceSeries.from_csv(path)
+
+
+def test_csv_behind_byte_order_mark_reads_like_plain(tmp_path):
+    # Spreadsheet exports often begin with a UTF-8 byte-order mark.
+    plain = DEMO / "validators.csv"
+    marked = tmp_path / "validators.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    columns = ["validator_id", "timestamp", "balance", "state"]
+    assert read_csv_rows(marked, columns) == read_csv_rows(plain, columns)

@@ -1,10 +1,42 @@
+import csv
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
+from cryptoyield import reporting
 from cryptoyield.errors import CryptoYieldError
 from cryptoyield.reporting import Report, config_hash, render_value
+
+
+def reference_csv(columns, rows) -> bytes:
+    """A series as csv.writer writes it with every cell through render_value."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([render_value(row[c]) for c in columns])
+    return buffer.getvalue().encode()
+
+
+def mixed_rows(n):
+    """Rows whose cells cover every rendering path; `drift` changes type part-way down."""
+    texts = ["plain", "with,comma", 'with "quote"', "two\nlines", "", "cr\rhere"]
+    rows = []
+    for i in range(n):
+        rows.append({
+            "i": i,
+            "x": (-1) ** i * 1.5 ** (i % 90) * 1e-20,  # scientific repr at both ends
+            "zero": -0.0 if i % 3 else 0.0,
+            "flag": i % 2 == 0,
+            "maybe": None if i % 4 == 0 else i / 7,
+            "text": texts[i % len(texts)] if i > n // 2 else "quiet",
+            "drift": float(i) if i < n // 3 else (i if i < 2 * n // 3 else f"t{i}"),
+            "np": np.float64(i / 3),
+        })
+    return rows
 
 
 class TestRendering:
@@ -69,3 +101,53 @@ class TestReportWrite:
         with pytest.raises(CryptoYieldError):
             report.write(out)
         assert not out.exists()
+
+
+class TestStagedWrite:
+    """Report.write renders chunk by chunk into a staging directory, then moves the files into place."""
+
+    COLUMNS = ("i", "x", "zero", "flag", "maybe", "text", "drift", "np")
+
+    @pytest.mark.parametrize("chunk_rows", [reporting._CHUNK_ROWS, 7, 1])
+    def test_bytes_equal_csv_writer_with_render_value(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
+        rows = mixed_rows(5000 if chunk_rows > 7 else 90)
+        report = Report(command="demo", summary={})
+        report.add_series("mixed", self.COLUMNS, rows)
+        report.add_series("numbers", ("i", "x"), rows)  # chunks with no quoting
+        report.add_series("lone", ("maybe",), rows)  # a lone empty cell is quoted
+        report.write(tmp_path / "out")
+        for name, columns in (("mixed", self.COLUMNS), ("numbers", ("i", "x")), ("lone", ("maybe",))):
+            assert (tmp_path / "out" / f"{name}.csv").read_bytes() == reference_csv(columns, rows)
+
+    @staticmethod
+    def nan_after_first_chunk(column="x", bad=float("nan")):
+        rows = mixed_rows(reporting._CHUNK_ROWS + 10)
+        rows[reporting._CHUNK_ROWS + 5][column] = bad
+        report = Report(command="demo", summary={"answer": 1})
+        report.add_series("good", ("i",), rows)
+        report.add_series("numbers", ("i", column), rows)
+        return report
+
+    # A float column, a float-or-None column and a float-subclass column.
+    @pytest.mark.parametrize("column, bad", [("x", float("nan")), ("maybe", float("inf")), ("np", np.float64("nan"))])
+    def test_non_finite_after_first_chunk_leaves_no_new_directory(self, tmp_path, column, bad):
+        with pytest.raises(CryptoYieldError, match=rf"numbers\.csv: column '{column}'"):
+            self.nan_after_first_chunk(column, bad).write(tmp_path / "new" / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_after_first_chunk_leaves_existing_files_untouched(self, tmp_path):
+        before = {"keep.txt": b"x", "good.csv": b"old good\n", "report.json": b"{}\n"}
+        for name, data in before.items():
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(CryptoYieldError):
+            self.nan_after_first_chunk().write(tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_no_staging_directory_left_behind(self, tmp_path):
+        written = TestReportWrite().make_report().write(tmp_path / "out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["numbers.csv", "report.json"]
+        assert written == [str(tmp_path / "out" / "numbers.csv"), str(tmp_path / "out" / "report.json")]
+        TestReportWrite().make_report().write(tmp_path / "out")  # over an existing report
+        assert sorted(os.listdir(tmp_path / "out")) == ["numbers.csv", "report.json"]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,110 @@ class TestBreach:
         assert settlement.transfer_token == ALPHA
         # exposure in alpha at the tick: 100 * (1 - 0.96) / 0.96
         assert settlement.transfer_amount == Fraction(100) * Fraction(4, 100) / Fraction("0.96")
+
+
+def random_fraction(rng, low, high):
+    """A random rational in [low, high] with a denominator up to 997."""
+    denominator = rng.randint(1, 997)
+    return Fraction(rng.randint(int(low * denominator), int(high * denominator)), denominator)
+
+
+def random_terms(rng, threshold_base):
+    return dict(
+        notional_a=random_fraction(rng, 1, 500),
+        notional_b=random_fraction(rng, 1, 500),
+        margin_a=random_fraction(rng, 1, 60),
+        margin_b=random_fraction(rng, 1, 60),
+        threshold=random_fraction(rng, 0, 0.95),
+        x0=random_fraction(rng, 0.05, 20),
+        threshold_base=threshold_base,
+    )
+
+
+def twins(terms, drain=None):
+    """Two identical active agreements; the second never uses the quiet band.
+
+    ``drain`` = (party, fraction) takes that fraction of the party's margin
+    out of the contract, as a gap settlement would, to reach negative slack.
+    """
+    pair = SwapAgreement(**terms).initiate(), SwapAgreement(**terms).initiate()
+    pair[1]._quiet_band = lambda: None
+    if drain is not None:
+        party, fraction = drain
+        for agreement in pair:
+            token = ALPHA if party == "A" else BETA
+            agreement.ledger.transfer(0, "test", token, "contract", party, agreement.margin(party) * fraction)
+    return pair
+
+
+def assert_same_tick(banded, full, tick):
+    """Both agreements take the tick alike, and as the full view says; returns the settlement."""
+    breaching = full._view(tick.time, tick.rate).breaching_party
+    settlement = banded.check_and_terminate(tick)
+    assert settlement == full.check_and_terminate(tick)
+    assert (settlement and settlement.party) == breaching
+    assert banded.ledger.entries == full.ledger.entries
+    assert banded.ledger.balances == full.ledger.balances
+    for name in ("state", "breaching_party", "last_time", "last_rate"):
+        assert getattr(banded, name) == getattr(full, name)
+    assert banded.last_rate == tick.rate
+    return settlement
+
+
+class TestQuietBand:
+    """The cached breach band against the full mark, on random rational terms."""
+
+    @pytest.mark.parametrize("threshold_base", ["initial_margin", "notional"])
+    def test_band_edges_agree_with_full_view(self, threshold_base):
+        rng = random.Random(f"band-{threshold_base}")
+        seen = {"band": 0, "none": 0}
+        for _ in range(150):
+            terms = random_terms(rng, threshold_base)
+            drain = (rng.choice("AB"), random_fraction(rng, 0, 1)) if rng.random() < 0.3 else None
+            agreement = twins(terms, drain)[0]
+            band = agreement._quiet_band()
+            if band is None:  # a negative slack: no rate is safe
+                seen["none"] += 1
+                base_a, base_b = agreement._threshold_bases()
+                slack_a = agreement.margin("A") - agreement.threshold * base_a
+                slack_b = agreement.margin("B") - agreement.threshold * base_b
+                assert min(slack_a, slack_b) < 0
+                rates = [agreement.x0, agreement.x0 * random_fraction(rng, 0.5, 2)]
+            else:
+                seen["band"] += 1
+                low, high = band
+                assert 0 < low <= agreement.x0 <= high
+                step = min(low, (high - low) or low) / rng.randint(2, 10**6)
+                rates = [low - step, low, low + step, high - step, high, high + step]
+            for rate in rates:  # a fresh pair per rate: one tick can terminate
+                settlement = assert_same_tick(*twins(terms, drain), OracleTick(1, rate))
+                # The band is exact: every rate inside it is quiet, every rate outside breaches.
+                assert (settlement is None) == (band is not None and band[0] <= rate <= band[1])
+        assert seen["band"] > 0 and seen["none"] > 0
+
+    def test_band_follows_margin_changes(self):
+        rng = random.Random("band-margins")
+        for _ in range(40):
+            banded, full = twins(random_terms(rng, "initial_margin"))
+            for time in range(1, 13):
+                band = banded._quiet_band()
+                if band is None:
+                    break
+                low, high = band
+                rate = rng.choice([low, high, low + random_fraction(rng, 0, 1) * (high - low)])
+                assert assert_same_tick(banded, full, OracleTick(time, rate)) is None
+                party, amount = rng.choice("AB"), random_fraction(rng, 1, 100) / 10
+                if rng.random() < 0.5:
+                    for agreement in (banded, full):
+                        agreement.replenish(party, amount, time=time)
+                else:  # shrink a margin directly, so a stale band would be too wide
+                    token, amount = (ALPHA if party == "A" else BETA), min(amount, banded.margin(party))
+                    for agreement in (banded, full):
+                        agreement.ledger.transfer(time, "test", token, "contract", party, amount)
+            band = banded._quiet_band()
+            if band is not None and banded.state == "active":
+                rate = rng.choice([band[0] / 2, band[1] * 2])
+                assert assert_same_tick(banded, full, OracleTick(100, rate)) is not None
 
 
 class TestReplenish:
