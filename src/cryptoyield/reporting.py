@@ -9,8 +9,13 @@ config and inputs therefore produce byte-identical files.
 All series are computed before anything is written. `Report.write` then
 renders every file into a staging directory, refusing a non-finite cell as
 it renders, and moves the files into the report directory only once all of
-them have rendered. A failed write therefore leaves nothing behind, and a
-report directory that already existed keeps its other files. Series render
+them have rendered. A write that fails while rendering therefore leaves
+nothing behind, and a report directory that already existed keeps its other
+files. A target that is a directory is refused before the first move; the
+moves themselves go one file at a time, so an OS error among them (a
+permission, a full disk) can leave the files moved before it. The staging
+directory is removed on return and on any exception, but a process killed
+mid-write leaves it behind as a hidden `.report-*` directory. Series render
 in chunks of rows, so the write holds at most one chunk of cells besides
 the rows themselves.
 """
@@ -18,12 +23,12 @@ the rows themselves.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
 import operator
 import os
-import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -36,10 +41,8 @@ from .errors import CryptoYieldError, InputError
 # measurable and writes as fast.
 _CHUNK_ROWS = 256
 
-# Characters that can make csv.writer quote a cell: the delimiter, the quote
-# character and line breaks; "\r" and NUL are handled differently across
-# Python versions, so they count too.
-_QUOTABLE = re.compile('[\0\r\n,"]')
+# Cell types that csv.writer renders exactly as render_value does.
+_CSV_NATIVE = {float, int, str, type(None)}
 
 
 def render_value(value):
@@ -102,7 +105,7 @@ class Report:
         non-finite number raises CryptoYieldError, and out_dir gains nothing.
         Files render into a staging directory, made in out_dir or its
         nearest existing ancestor and removed on return, and are moved into
-        out_dir once all of them have rendered.
+        out_dir once all of them have rendered and no target is a directory.
         """
         payload = {
             "command": self.command,
@@ -124,11 +127,13 @@ class Report:
                     _write_series(fh, series)
             with open(os.path.join(stage, "report.json"), "w") as fh:
                 fh.write(text + "\n")
+            written = [os.path.join(out_dir, name) for name in payload["series_files"] + ["report.json"]]
+            for path in written:  # os.replace cannot put a file over a directory
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, "is a directory", path)
             os.makedirs(out_dir, exist_ok=True)
-            written = []
-            for name in payload["series_files"] + ["report.json"]:
-                written.append(os.path.join(out_dir, name))
-                os.replace(os.path.join(stage, name), written[-1])
+            for path in written:
+                os.replace(os.path.join(stage, os.path.basename(path)), path)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
         return written
@@ -137,16 +142,15 @@ class Report:
 def _write_series(fh, series):
     """Header plus rows of one series; a non-finite float cell raises CryptoYieldError.
 
-    Each cell renders as render_value renders it. A chunk none of whose text
-    cells holds a character that csv.writer quotes is joined directly; any
-    other chunk goes through csv.writer.
+    csv.writer renders cells of exactly these types as render_value does
+    (repr for floats, "" for None, str otherwise), so only a column holding
+    any other type, such as bool or a float subclass, goes through render_value.
     """
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(series.columns)
     for start in range(0, len(series.rows), _CHUNK_ROWS):
         chunk = series.rows[start:start + _CHUNK_ROWS]
         cells = []
-        plain = len(series.columns) > 1  # csv.writer quotes a lone empty cell
         for column in series.columns:
             values = list(map(operator.itemgetter(column), chunk))
             types = set(map(type, values))
@@ -154,14 +158,5 @@ def _write_series(fh, series):
                 floats = values if types == {float} else [v for v in values if isinstance(v, float)]
                 if not all(map(math.isfinite, floats)):
                     raise CryptoYieldError(f"{series.name}.csv: column {column!r} holds a non-finite number")
-            kind = types.pop() if len(types) == 1 else None
-            if kind is float or kind is int:  # render_value gives repr for these exact types
-                cells.append(list(map(repr, values)))
-            else:
-                cells.append(values if kind is str else list(map(render_value, values)))
-                plain = plain and not _QUOTABLE.search("".join(cells[-1]))
-        if plain:
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        else:
-            writer.writerows(zip(*cells))
-
+            cells.append(values if types <= _CSV_NATIVE else list(map(render_value, values)))
+        writer.writerows(zip(*cells))

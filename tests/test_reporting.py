@@ -144,6 +144,15 @@ class TestStagedWrite:
             self.nan_after_first_chunk().write(tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_directory_in_place_of_a_file_moves_nothing(self, tmp_path):
+        (tmp_path / "numbers.csv").write_bytes(b"old\n")
+        (tmp_path / "report.json").mkdir()
+        with pytest.raises(IsADirectoryError, match="report.json"):
+            TestReportWrite().make_report().write(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == ["numbers.csv", "report.json"]
+        assert (tmp_path / "numbers.csv").read_bytes() == b"old\n"
+        assert os.listdir(tmp_path / "report.json") == []
+
     def test_no_staging_directory_left_behind(self, tmp_path):
         written = TestReportWrite().make_report().write(tmp_path / "out")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
