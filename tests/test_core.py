@@ -316,3 +316,34 @@ def test_csv_behind_byte_order_mark_reads_like_plain(tmp_path):
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     columns = ["validator_id", "timestamp", "balance", "state"]
     assert read_csv_rows(marked, columns) == read_csv_rows(plain, columns)
+
+
+class TestCsvRowSemantics:
+    """How a CSV's rows map to cells, pinned through the loaders."""
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        return PriceSeries.from_csv(path)
+
+    def test_blank_line_is_skipped_but_counted(self, tmp_path):
+        assert self.load(tmp_path, "timestamp,price\n0,100\n\n86400,110\n").prices.tolist() == [100.0, 110.0]
+        with pytest.raises(InputError, match=r"p\.csv:4: "):
+            self.load(tmp_path, "timestamp,price\n0,100\n\nx,110\n")
+
+    def test_extra_trailing_field_is_ignored(self, tmp_path):
+        series = self.load(tmp_path, "timestamp,price\n0,100,extra\n86400,110,1,2\n")
+        assert series.observations == ((0.0, 100.0), (86400.0, 110.0))
+
+    def test_short_row_is_an_empty_value(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.csv:3: empty value for column\(s\) price$"):
+            self.load(tmp_path, "timestamp,price\n0,100\n86400\n")
+
+    def test_duplicated_header_name_takes_the_last_column(self, tmp_path):
+        assert self.load(tmp_path, "price,timestamp,price\n1,0,100\n").prices.tolist() == [100.0]
+        with pytest.raises(InputError, match=r"p\.csv:2: empty value for column\(s\) price$"):
+            self.load(tmp_path, "price,timestamp,price\n1,0\n")
+
+    def test_embedded_newline_names_the_record_last_line(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.csv:4: could not convert string to float"):
+            self.load(tmp_path, 'timestamp,price\n0,100\n86400,"1\n2"\n')
