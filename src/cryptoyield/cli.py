@@ -440,7 +440,10 @@ def run_command(config: dict, out_dir, provenance_config=None) -> Report:
     values.update({key.name: key.load(values[key.name]) for key in inputs})
     report, seed = command.handler(config, **values)
     report.finalize_provenance(provenance_config or config, paths, seed)
-    report.write(out_dir)
+    try:
+        report.write(out_dir)
+    except OSError as exc:  # a file in the way, no permission, a full disk
+        raise InputError(f"--out {out_dir}: cannot write the report: {exc}") from exc
     return report
 
 

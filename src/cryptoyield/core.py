@@ -14,6 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -123,15 +124,9 @@ class PriceSeries:
         Timestamps may be ISO-8601 (assumed UTC when naive) or integer epoch
         seconds; prices use ``.`` as the decimal separator.
         """
-        rows = read_csv_rows(path, ["timestamp", "price"])
-        obs = []
-        for lineno, row in rows:
-            try:
-                obs.append((parse_timestamp(row["timestamp"]), cell_number(row, "price")))
-            except (ValueError, DomainError) as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+        columns = read_csv_rows(path, {"timestamp": TIMESTAMP, "price": NUMBER})
         try:
-            return cls(obs)
+            return cls(zip(columns["timestamp"].tolist(), columns["price"].tolist()))
         except DomainError as exc:
             raise InputError(f"{path}: {exc}") from exc
 
@@ -253,13 +248,89 @@ def percentile(values, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def read_csv_rows(path, required_columns):
-    """Read a CSV with an exact set of required columns.
+class Columns:
+    """A CSV's parsed columns by name, and the line of each row; its length is the row count."""
 
-    Returns a list of (line_number, row_dict). Raises InputError naming the
-    file, line and offending column on any mismatch. A UTF-8 byte-order mark,
-    as spreadsheet exports write, is dropped before the header.
+    def __init__(self, lines, columns):
+        self.lines, self.columns = lines, columns
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, name):
+        return self.columns[name]
+
+
+def read_csv_rows(path, schema, check=None) -> Columns:
+    """The columns `schema` names from a CSV, each parsed as a whole.
+
+    `schema` maps each column to TEXT (a list of the cells as they are),
+    NUMBER (a float array of finite cells, see `cell_number`) or TIMESTAMP
+    (a float array of epoch seconds, see `parse_timestamp`). `check(columns)`
+    is the loader's row rule: None, or (row index, message) for the first row
+    that breaks it. A UTF-8 byte-order mark, as spreadsheet exports write, is
+    dropped before the header.
+
+    A clean file is read once, as columns. Any other file is read again row
+    by row, and its first problem in file order raises an InputError naming
+    the file and line: the header, then an empty cell in any row, then per
+    row the first bad cell (timestamp columns first, then the others, each in
+    schema order) or the row `check` names, whichever comes first. Rows
+    follow `csv.DictReader`: a blank line is skipped, extra fields are
+    ignored, a repeated header name means its last column, and a row's line
+    is the last physical line of its record.
     """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            columns = _clean_columns(fh.read(), schema)
+    except (OSError, UnicodeDecodeError, ValueError):  # the row scan names the problem
+        columns = None
+    if columns is None:
+        columns = _scanned_columns(path, schema, check)
+    _refuse_broken_row(path, columns, check)
+    return columns
+
+
+def _clean_columns(text, schema):
+    """The columns of a clean CSV text, else None or a parse error.
+
+    Clean means no quote and no NUL, so every record is one line and
+    splitting it at commas is what `csv.reader` does; every row has the same
+    number of fields; no cell is empty and every number is finite.
+    """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # line ends as `csv.reader` sees them
+    if '"' in text or "\0" in text:
+        return None
+    header, *body = text.split("\n")
+    if body and not body[-1]:
+        body.pop()  # the newline that ends the last record
+    lines = list(range(2, len(body) + 2))
+    if "" in body:  # a blank line is skipped but counted
+        lines = [n for n, line in zip(lines, body) if line]
+        body = list(filter(None, body))
+    if not body or max(map(len, body)) > csv.field_size_limit():
+        return None
+    index = {name: i for i, name in enumerate(header.split(","))}  # a repeated name keeps its last column
+    width = body[0].count(",") + 1
+    # Every row as wide as the first, and that wide enough for every column.
+    if set(map(str.count, body, repeat(","))) != {width - 1} or not all(index.get(c, width) < width for c in schema):
+        return None
+    cells = ",".join(body).split(",")
+    columns = {}
+    for name, kind in schema.items():
+        column = cells[index[name] :: width]
+        if "" in column:
+            return None
+        if kind is not TEXT:
+            column = np.fromiter(map(kind, column), float, len(column))
+            if not np.isfinite(column).all():
+                return None
+        columns[name] = column
+    return Columns(lines, columns)
+
+
+def _scanned_columns(path, schema, check):
+    """The columns of a CSV read row by row; raises its first problem."""
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -267,12 +338,33 @@ def read_csv_rows(path, required_columns):
     with fh:
         reader = csv.DictReader(fh)
         try:
-            rows = _checked_rows(path, reader, required_columns)
+            rows = _checked_rows(path, reader, list(schema))
         except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field, bytes that are not text
             raise InputError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return rows
+    order = sorted(schema, key=lambda name: schema[name] is not TIMESTAMP)
+    lines, parsed = [], {name: [] for name in schema}
+    for lineno, row in rows:
+        try:
+            cells = [cell_number(row, c) if schema[c] is NUMBER else schema[c](row[c]) for c in order]
+        except ValueError as exc:
+            _refuse_broken_row(path, _columns(schema, lines, parsed), check)
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        lines.append(lineno)
+        for name, cell in zip(order, cells):
+            parsed[name].append(cell)
+    return _columns(schema, lines, parsed)
+
+
+def _columns(schema, lines, parsed):
+    return Columns(lines, {c: cells if schema[c] is TEXT else np.array(cells, dtype=float) for c, cells in parsed.items()})
+
+
+def _refuse_broken_row(path, columns, check):
+    broken = check(columns) if check else None
+    if broken:
+        raise InputError(f"{path}:{columns.lines[broken[0]]}: {broken[1]}")
 
 
 def _checked_rows(path, reader, required_columns):
@@ -292,6 +384,15 @@ def _checked_rows(path, reader, required_columns):
             raise InputError(f"{path}:{lineno}: empty value for column(s) {', '.join(bad)}")
         rows.append((lineno, row))
     return rows
+
+
+def first_broken(rules):
+    """A `check` result from (mask over rows, message) rules: the first row any mask marks, with its first rule's message."""
+    masks = np.array([mask for mask, _ in rules], dtype=bool)
+    rows = np.flatnonzero(masks.any(axis=0))
+    if rows.size:
+        return int(rows[0]), rules[int(masks[:, rows[0]].argmax())][1]
+    return None
 
 
 def cell_number(row, column) -> float:
@@ -329,6 +430,10 @@ def parse_timestamp(text: str) -> float:
     if not EPOCH_RANGE[0] <= value <= EPOCH_RANGE[1]:
         raise ValueError(f"timestamp {text!r} is outside years 1-9999")
     return value
+
+
+# What a CSV schema maps a column to: the cell as it is, or the cell parsed.
+TEXT, NUMBER, TIMESTAMP = str, float, parse_timestamp
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import core
-from .errors import DomainError, EmptyDayError, InputError
+from .errors import DomainError, EmptyDayError
 
 
 @dataclass(frozen=True)
@@ -134,22 +134,30 @@ def rolling_average(values, window: int):
     return out
 
 
+CHAIN_CSV = {
+    "quote_time": core.TIMESTAMP,
+    "expiry": core.TIMESTAMP,
+    "strike": core.NUMBER,
+    "call": core.NUMBER,
+    "put": core.NUMBER,
+    "underlying": core.NUMBER,
+}
+
+
+def _quote_rules(columns):
+    """OptionQuote's own checks, in its order, over whole columns."""
+    c = columns
+    return core.first_broken([
+        ((c["strike"] <= 0) | (c["underlying"] <= 0), "strike and underlying must be > 0"),
+        ((c["call"] < 0) | (c["put"] < 0), "option prices must be >= 0"),
+        (c["expiry"] <= c["quote_time"], "expiry must be after the quote time"),
+    ])
+
+
 def load_chain_csv(path):
-    """Read `quote_time,expiry,strike,call,put,underlying` option-chain CSV."""
-    rows = core.read_csv_rows(path, ["quote_time", "expiry", "strike", "call", "put", "underlying"])
-    quotes = []
-    for lineno, row in rows:
-        try:
-            quotes.append(
-                OptionQuote(
-                    quote_time=core.parse_timestamp(row["quote_time"]),
-                    expiry=core.parse_timestamp(row["expiry"]),
-                    strike=core.cell_number(row, "strike"),
-                    call=core.cell_number(row, "call"),
-                    put=core.cell_number(row, "put"),
-                    underlying=core.cell_number(row, "underlying"),
-                )
-            )
-        except (ValueError, DomainError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-    return quotes
+    """Read `quote_time,expiry,strike,call,put,underlying` option-chain CSV.
+
+    The first row that OptionQuote would refuse is named by its line.
+    """
+    columns = core.read_csv_rows(path, CHAIN_CSV, _quote_rules)
+    return [OptionQuote(*row) for row in zip(*(columns[name].tolist() for name in CHAIN_CSV))]

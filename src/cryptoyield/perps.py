@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import core
-from .errors import DomainError, InputError
+from .errors import DomainError
 
 DEFAULT_BAND = 0.0005
 DEFAULT_INTERVAL_HOURS = 8.0
@@ -167,38 +169,40 @@ def implied_rate_from_basis(
 # -- CSV ingestion -----------------------------------------------------------
 
 
+MARK_INDEX_CSV = {"timestamp": core.TIMESTAMP, "mark": core.NUMBER, "index": core.NUMBER}
+BASIS_CSV = {"timestamp": core.TIMESTAMP, "perp": core.NUMBER, "future": core.NUMBER, "expiry": core.TIMESTAMP}
+
+
+def _later_quotes(columns):
+    t = columns["timestamp"]
+    late = np.flatnonzero(t[1:] <= t[:-1])
+    if late.size:
+        prev, now = t[late[0] : late[0] + 2].tolist()
+        return int(late[0]) + 1, f"quote time {now} is not after the previous quote's {prev}"
+    return None
+
+
 def load_mark_index_csv(path):
     """Read `timestamp,mark,index` rows into (time, mark, index) tuples.
 
-    Each row is one settlement, so timestamps must strictly increase.
+    Each row is one settlement, so timestamps must strictly increase; the
+    first row that does not is named by its line.
     """
-    rows = core.read_csv_rows(path, ["timestamp", "mark", "index"])
-    out = []
-    for lineno, row in rows:
-        try:
-            t = core.parse_timestamp(row["timestamp"])
-            out.append((t, core.cell_number(row, "mark"), core.cell_number(row, "index")))
-        except (ValueError, DomainError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if len(out) > 1 and t <= out[-2][0]:
-            raise InputError(f"{path}:{lineno}: quote time {t} is not after the previous quote's {out[-2][0]}")
-    return out
+    columns = core.read_csv_rows(path, MARK_INDEX_CSV, _later_quotes)
+    return list(zip(*(columns[name].tolist() for name in MARK_INDEX_CSV)))
+
+
+def _expiry_after_quote(columns):
+    return core.first_broken([(columns["expiry"] <= columns["timestamp"], "expiry must be after the quote time")])
 
 
 def load_basis_csv(path):
-    """Read `timestamp,perp,future,expiry` rows into tuples with epoch times."""
-    rows = core.read_csv_rows(path, ["timestamp", "perp", "future", "expiry"])
-    out = []
-    for lineno, row in rows:
-        try:
-            t = core.parse_timestamp(row["timestamp"])
-            expiry = core.parse_timestamp(row["expiry"])
-            out.append((t, core.cell_number(row, "perp"), core.cell_number(row, "future"), expiry))
-        except (ValueError, DomainError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if expiry <= t:
-            raise InputError(f"{path}:{lineno}: expiry must be after the quote time")
-    return out
+    """Read `timestamp,perp,future,expiry` rows into tuples with epoch times.
+
+    The first row whose expiry is not after its quote time is named by its line.
+    """
+    columns = core.read_csv_rows(path, BASIS_CSV, _expiry_after_quote)
+    return list(zip(*(columns[name].tolist() for name in BASIS_CSV)))
 
 
 def basis_rows(quotes, convention: core.RateConvention = core.RateConvention()):

@@ -55,13 +55,14 @@ class ValidatorRecord:
     state_intervals: tuple = ()
 
     def __post_init__(self):
-        obs = tuple((float(t), float(b)) for t, b in self.balances)
-        for i, (t, b) in enumerate(obs):
-            if b < 0:
-                raise DomainError(f"validator {self.id}: balance at index {i} is negative")
-            if i > 0 and not t > obs[i - 1][0]:
-                raise DomainError(f"validator {self.id}: timestamps must be strictly increasing")
-        object.__setattr__(self, "balances", obs)
+        obs = np.array(self.balances, dtype=float).reshape(len(self.balances), 2)
+        t, b = obs.T
+        bad = np.flatnonzero((b < 0) | np.concatenate(([False], ~(t[1:] > t[:-1]))))
+        if bad.size:
+            i = int(bad[0])
+            problem = f"balance at index {i} is negative" if b[i] < 0 else "timestamps must be strictly increasing"
+            raise DomainError(f"validator {self.id}: {problem}")
+        object.__setattr__(self, "balances", tuple(zip(*obs.T.tolist())))
         object.__setattr__(
             self,
             "state_intervals",
@@ -190,45 +191,53 @@ def percentile_bands(validators, day: date, percentiles) -> dict:
 
 def available_days(validators) -> list:
     """Days with at least one consecutive-midnight snapshot pair."""
-    days = set()
+    ends = [np.zeros(0)]
     for validator in validators:
-        stamps = {ts for ts, _ in validator.balances}
-        for ts in stamps:
-            if ts - SECONDS_PER_DAY in stamps:
-                days.add(datetime.fromtimestamp(ts, tz=timezone.utc).date())
+        t = np.array([ts for ts, _ in validator.balances])
+        ends.append(t[np.isin(t - SECONDS_PER_DAY, t)])
+    # Dates of the distinct pair ends only; fromtimestamp rounds to the microsecond.
+    days = {datetime.fromtimestamp(ts, tz=timezone.utc).date() for ts in np.unique(np.concatenate(ends)).tolist()}
     return sorted(days)
+
+
+VALIDATOR_CSV = {"validator_id": core.TEXT, "timestamp": core.TIMESTAMP, "balance": core.NUMBER, "state": core.TEXT}
+
+
+def _codes(texts):
+    """(distinct texts in order of first appearance, each text's index among them)."""
+    rank = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+    return list(rank), np.fromiter(map(rank.__getitem__, texts), np.intp, len(texts))
 
 
 def load_validators(path) -> dict:
     """Read `validator_id,timestamp,balance,state` daily-snapshot CSV.
 
-    Consecutive snapshots with the same state merge into one state interval.
-    Returns {validator_id: ValidatorRecord}.
+    Rows group per validator in order of first appearance and sort by time,
+    ties in file order. Consecutive snapshots with the same state merge into
+    one state interval. Returns {validator_id: ValidatorRecord}; the first
+    validator that ValidatorRecord refuses is named.
     """
-    rows = core.read_csv_rows(path, ["validator_id", "timestamp", "balance", "state"])
-    per_validator = {}
-    for lineno, row in rows:
-        try:
-            ts = core.parse_timestamp(row["timestamp"])
-            balance = core.cell_number(row, "balance")
-        except (ValueError, DomainError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        per_validator.setdefault(row["validator_id"], []).append((ts, balance, row["state"]))
-
+    columns = core.read_csv_rows(path, VALIDATOR_CSV)
+    ids, vid = _codes(columns["validator_id"])
+    states, state = _codes(columns["state"])
+    order = np.lexsort((columns["timestamp"], vid))
+    vid, state = vid[order], state[order]
+    snapshots = np.column_stack((columns["timestamp"], columns["balance"]))[order]
+    t = snapshots[:, 0]
+    # First row of each validator, then of each state run, with the end appended.
+    starts = np.append(np.flatnonzero(np.diff(vid, prepend=-1)), len(t))
+    runs = np.append(np.flatnonzero(np.diff(vid, prepend=-1) | np.diff(state, prepend=-1)), len(t))
+    intervals = list(map(StateInterval, t[runs[:-1]].tolist(), t[runs[1:] - 1].tolist(),
+                         [states[k] for k in state[runs[:-1]].tolist()]))
+    run_starts = np.searchsorted(runs, starts).tolist()
+    starts = starts.tolist()
     records = {}
-    for vid, entries in per_validator.items():
-        entries.sort(key=lambda e: e[0])
-        intervals = []
-        for ts, _, state in entries:
-            if intervals and intervals[-1][2] == state:
-                intervals[-1][1] = ts
-            else:
-                intervals.append([ts, ts, state])
+    for k, name in enumerate(ids):
         try:
-            records[vid] = ValidatorRecord(
-                id=vid,
-                balances=tuple((ts, b) for ts, b, _ in entries),
-                state_intervals=tuple(StateInterval(a, b, s) for a, b, s in intervals),
+            records[name] = ValidatorRecord(
+                id=name,
+                balances=snapshots[starts[k] : starts[k + 1]],
+                state_intervals=tuple(intervals[run_starts[k] : run_starts[k + 1]]),
             )
         except DomainError as exc:
             raise InputError(f"{path}: {exc}") from exc

@@ -533,6 +533,18 @@ def test_out_of_order_funding_quotes_exit_2(verb, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/report"], ids=["a-file", "under-a-file"])
+def test_unwritable_out_exits_2_naming_it(out, tmp_path, capsys):
+    (tmp_path / "taken").write_text("keep")
+    code = cli_main(["run", "--config", str(DEMO / "kelly.json"), "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"input error: --out {tmp_path / out}: cannot write the report: ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "keep"
+
+
 def test_non_finite_csv_cell_exit_3(tmp_path, capsys):
     # A 1e308 swap drives the pool's reserves past float range: pnl would be written as inf.
     scenario = {"pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003},

@@ -27,6 +27,7 @@ from cryptoyield.errors import (
     SpacingError,
     UndefinedRatioError,
 )
+from cryptoyield.staking import VALIDATOR_CSV
 
 DAY = 86_400.0
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "demo"
@@ -314,8 +315,10 @@ def test_csv_behind_byte_order_mark_reads_like_plain(tmp_path):
     plain = DEMO / "validators.csv"
     marked = tmp_path / "validators.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    columns = ["validator_id", "timestamp", "balance", "state"]
-    assert read_csv_rows(marked, columns) == read_csv_rows(plain, columns)
+    got, want = (read_csv_rows(path, VALIDATOR_CSV) for path in (marked, plain))
+    assert got.lines == want.lines
+    for name in VALIDATOR_CSV:
+        assert np.array_equal(got[name], want[name])
 
 
 class TestCsvRowSemantics:

@@ -2,7 +2,8 @@
 
 The reference functions below are the `csv.DictReader` loaders as they stood
 before `core.read_csv_rows` read columns: one dict per row, a per-row scan for
-empty cells, then a per-cell parse that stops at the first bad cell. Every
+empty cells, then a per-cell parse that stops at the first bad cell, with
+`ValidatorRecord`'s per-snapshot checks as they stood. Every
 loader must return what its reference returns, or raise an `InputError` with
 the same message, on the demo CSVs, on mutated demo CSVs drawn by
 `cli_fuzz.csv_files()`, and on one benchmark-sized generated market year.
@@ -86,20 +87,22 @@ def reference_load_validators(path):
     records = {}
     for vid, entries in per_validator.items():
         entries.sort(key=lambda e: e[0])
+        for i, (ts, balance, _) in enumerate(entries):  # ValidatorRecord's checks as they stood
+            if balance < 0:
+                raise InputError(f"{path}: validator {vid}: balance at index {i} is negative")
+            if i > 0 and not ts > entries[i - 1][0]:
+                raise InputError(f"{path}: validator {vid}: timestamps must be strictly increasing")
         intervals = []
         for ts, _, state in entries:
             if intervals and intervals[-1][2] == state:
                 intervals[-1][1] = ts
             else:
                 intervals.append([ts, ts, state])
-        try:
-            records[vid] = ValidatorRecord(
-                id=vid,
-                balances=tuple((ts, b) for ts, b, _ in entries),
-                state_intervals=tuple(StateInterval(a, b, s) for a, b, s in intervals),
-            )
-        except DomainError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        records[vid] = ValidatorRecord(
+            id=vid,
+            balances=tuple((ts, b) for ts, b, _ in entries),
+            state_intervals=tuple(StateInterval(a, b, s) for a, b, s in intervals),
+        )
     return records
 
 
@@ -225,6 +228,14 @@ EDGE_CASES = {
     "empty-before-unreadable": ("perp-basis", BASIS + "0,1,,100\n0,1,1," + "9" * 200_000 + "\n"),
     "unreadable-before-empty": ("perp-basis", BASIS + "0,1,1," + "9" * 200_000 + "\n0,1,,100\n"),
     "blank-lines-count": ("perp-basis", BASIS + "\n0,1,1,100\n\n\n5,1,1,x\n"),
+    "blank-lines-before-model-row": ("perp-basis", BASIS + "0,1,1,100\n\n\n5,1,1,1\n"),
+    "crlf-lines": ("perp-basis", BASIS.replace("\n", "\r\n") + "0,1,1,100\r\n5,1,1,1\r\n"),
+    "cr-lines": ("perp-basis", BASIS.replace("\n", "\r") + "0,1,1,100\r\r5,1,1,1\r"),
+    "cr-inside-line": ("stake", BALANCES + "v1,10,40,Active\rv2,20,41,Active\n"),
+    "quoted-text-cells": ("stake", BALANCES + '"v1",10,40,Active\nv1,20,41,"Active"\n'),
+    "quoted-number-cell": ("stake", BALANCES + 'v1,10,40,Active\nv1,"20",41,Active\n'),
+    "empty-text-cell": ("stake", BALANCES + "v1,10,40,Active\nv1,20,41,\n"),
+    "oversized-text-field": ("stake", BALANCES + "v" * 200_000 + ",10,40,Active\n"),
     "duplicate-header-last-wins": ("perp-basis", "timestamp,perp,future,expiry,perp\n0,1,1,100,2\n"),
     "duplicate-header-short-row": ("perp-basis", "timestamp,perp,future,expiry,perp\n0,1,1,100\n"),
     "extra-fields": ("perp-basis", BASIS + "0,1,1,100,7,8\n"),
