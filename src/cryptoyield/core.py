@@ -283,7 +283,7 @@ def read_csv_rows(path, schema, check=None) -> Columns:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             columns = _clean_columns(fh.read(), schema)
-    except (OSError, UnicodeDecodeError, ValueError):  # the row scan names the problem
+    except (OSError, ValueError):  # a decoding error too: the row scan names the problem
         columns = None
     if columns is None:
         columns = _scanned_columns(path, schema, check)
@@ -322,7 +322,7 @@ def _clean_columns(text, schema):
         if "" in column:
             return None
         if kind is not TEXT:
-            column = np.fromiter(map(kind, column), float, len(column))
+            column = _parsed_column(kind, column)
             if not np.isfinite(column).all():
                 return None
         columns[name] = column
@@ -427,9 +427,31 @@ def parse_timestamp(text: str) -> float:
         value = dt.timestamp()
     if not math.isfinite(value):
         raise ValueError(f"non-finite timestamp {text!r}")
-    if not EPOCH_RANGE[0] <= value <= EPOCH_RANGE[1]:
+    if not _in_calendar(value):
         raise ValueError(f"timestamp {text!r} is outside years 1-9999")
     return value
+
+
+def _in_calendar(seconds):
+    """Whether epoch seconds (a float, or elementwise an array) lie within EPOCH_RANGE; NaN does not."""
+    return (EPOCH_RANGE[0] <= seconds) & (seconds <= EPOCH_RANGE[1])
+
+
+def _parsed_column(kind, cells):
+    """`kind` over every cell, as a float array.
+
+    A timestamp column of epoch seconds within the calendar takes one float
+    pass: where float() accepts a cell it reads what parse_timestamp reads,
+    since float() skips (or refuses) the whitespace that strip() removes.
+    """
+    if kind is TIMESTAMP:
+        try:
+            seconds = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:  # ISO-8601 text
+            seconds = None
+        if seconds is not None and _in_calendar(seconds).all():
+            return seconds
+    return np.fromiter(map(kind, cells), float, len(cells))
 
 
 # What a CSV schema maps a column to: the cell as it is, or the cell parsed.

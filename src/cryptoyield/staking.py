@@ -224,9 +224,10 @@ def load_validators(path) -> dict:
     vid, state = vid[order], state[order]
     snapshots = np.column_stack((columns["timestamp"], columns["balance"]))[order]
     t = snapshots[:, 0]
-    # First row of each validator, then of each state run, with the end appended.
-    starts = np.append(np.flatnonzero(np.diff(vid, prepend=-1)), len(t))
-    runs = np.append(np.flatnonzero(np.diff(vid, prepend=-1) | np.diff(state, prepend=-1)), len(t))
+    first = np.diff(vid, prepend=-1) != 0  # each validator's first row
+    # Row where each validator, and each of its state runs, starts; then the end.
+    starts = np.append(np.flatnonzero(first), len(t))
+    runs = np.append(np.flatnonzero(first | (np.diff(state, prepend=-1) != 0)), len(t))
     intervals = list(map(StateInterval, t[runs[:-1]].tolist(), t[runs[1:] - 1].tolist(),
                          [states[k] for k in state[runs[:-1]].tolist()]))
     run_starts = np.searchsorted(runs, starts).tolist()

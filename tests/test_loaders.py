@@ -236,6 +236,9 @@ EDGE_CASES = {
     "quoted-number-cell": ("stake", BALANCES + 'v1,10,40,Active\nv1,"20",41,Active\n'),
     "empty-text-cell": ("stake", BALANCES + "v1,10,40,Active\nv1,20,41,\n"),
     "oversized-text-field": ("stake", BALANCES + "v" * 200_000 + ",10,40,Active\n"),
+    "padded-timestamps": ("perp-funding", MARKS + " 10 ,1,1\n\x1c20\x1c,1,1\n\t30\u2003,1,1\n"),
+    "iso-and-epoch-timestamps": ("perp-funding", MARKS + "10,1,1\n1970-01-01T00:00:20Z,1,1\n1e308,1,1\n"),
+    "timestamp-past-calendar": ("perp-funding", MARKS + "10,1,1\n1e308,1,1\n"),
     "duplicate-header-last-wins": ("perp-basis", "timestamp,perp,future,expiry,perp\n0,1,1,100,2\n"),
     "duplicate-header-short-row": ("perp-basis", "timestamp,perp,future,expiry,perp\n0,1,1,100\n"),
     "extra-fields": ("perp-basis", BASIS + "0,1,1,100,7,8\n"),
