@@ -124,9 +124,9 @@ class PriceSeries:
         Timestamps may be ISO-8601 (assumed UTC when naive) or integer epoch
         seconds; prices use ``.`` as the decimal separator.
         """
-        columns = read_csv_rows(path, {"timestamp": TIMESTAMP, "price": NUMBER})
+        rows = read_csv_rows(path, {"timestamp": TIMESTAMP, "price": NUMBER}).rows()
         try:
-            return cls(zip(columns["timestamp"].tolist(), columns["price"].tolist()))
+            return cls(rows)
         except DomainError as exc:
             raise InputError(f"{path}: {exc}") from exc
 
@@ -259,6 +259,10 @@ class Columns:
 
     def __getitem__(self, name):
         return self.columns[name]
+
+    def rows(self) -> list:
+        """Each row as a tuple of its cells, text as str and the rest as float, in schema order."""
+        return list(zip(*(cells if isinstance(cells, list) else cells.tolist() for cells in self.columns.values())))
 
 
 def read_csv_rows(path, schema, check=None) -> Columns:
@@ -432,6 +436,10 @@ def parse_timestamp(text: str) -> float:
     return value
 
 
+# What a CSV schema maps a column to: the cell as it is, or the cell parsed.
+TEXT, NUMBER, TIMESTAMP = str, float, parse_timestamp
+
+
 def _in_calendar(seconds):
     """Whether epoch seconds (a float, or elementwise an array) lie within EPOCH_RANGE; NaN does not."""
     return (EPOCH_RANGE[0] <= seconds) & (seconds <= EPOCH_RANGE[1])
@@ -452,10 +460,6 @@ def _parsed_column(kind, cells):
         if seconds is not None and _in_calendar(seconds).all():
             return seconds
     return np.fromiter(map(kind, cells), float, len(cells))
-
-
-# What a CSV schema maps a column to: the cell as it is, or the cell parsed.
-TEXT, NUMBER, TIMESTAMP = str, float, parse_timestamp
 
 
 # ---------------------------------------------------------------------------

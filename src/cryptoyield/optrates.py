@@ -144,9 +144,8 @@ CHAIN_CSV = {
 }
 
 
-def _quote_rules(columns):
+def _quote_rules(c):
     """OptionQuote's own checks, in its order, over whole columns."""
-    c = columns
     return core.first_broken([
         ((c["strike"] <= 0) | (c["underlying"] <= 0), "strike and underlying must be > 0"),
         ((c["call"] < 0) | (c["put"] < 0), "option prices must be >= 0"),
@@ -159,5 +158,4 @@ def load_chain_csv(path):
 
     The first row that OptionQuote would refuse is named by its line.
     """
-    columns = core.read_csv_rows(path, CHAIN_CSV, _quote_rules)
-    return [OptionQuote(*row) for row in zip(*(columns[name].tolist() for name in CHAIN_CSV))]
+    return [OptionQuote(*row) for row in core.read_csv_rows(path, CHAIN_CSV, _quote_rules).rows()]

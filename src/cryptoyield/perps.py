@@ -188,8 +188,7 @@ def load_mark_index_csv(path):
     Each row is one settlement, so timestamps must strictly increase; the
     first row that does not is named by its line.
     """
-    columns = core.read_csv_rows(path, MARK_INDEX_CSV, _later_quotes)
-    return list(zip(*(columns[name].tolist() for name in MARK_INDEX_CSV)))
+    return core.read_csv_rows(path, MARK_INDEX_CSV, _later_quotes).rows()
 
 
 def _expiry_after_quote(columns):
@@ -201,8 +200,7 @@ def load_basis_csv(path):
 
     The first row whose expiry is not after its quote time is named by its line.
     """
-    columns = core.read_csv_rows(path, BASIS_CSV, _expiry_after_quote)
-    return list(zip(*(columns[name].tolist() for name in BASIS_CSV)))
+    return core.read_csv_rows(path, BASIS_CSV, _expiry_after_quote).rows()
 
 
 def basis_rows(quotes, convention: core.RateConvention = core.RateConvention()):
