@@ -274,6 +274,9 @@ def impermanent_loss_relative(price_ratio) -> float:
     return 2.0 * math.sqrt(price_ratio) / (1.0 + price_ratio) - 1.0
 
 
+SHARES_EXCEED_SUPPLY = "position shares exceed pool share supply"
+
+
 def absolute_impermanent_pnl(position: LpPosition, pool: Pool, exit_prices) -> float:
     """Numeraire PnL of the LP claim vs passively holding the entry tokens.
 
@@ -284,11 +287,22 @@ def absolute_impermanent_pnl(position: LpPosition, pool: Pool, exit_prices) -> f
     if not pool.live:
         raise LifecycleError("pool has been fully withdrawn")
     if position.shares > pool.total_shares:
-        raise DomainError("position shares exceed pool share supply")
-    px, py = exit_prices
-    claim_x = pool.reserve_x * position.shares / pool.total_shares
-    claim_y = pool.reserve_y * position.shares / pool.total_shares
-    entry_x, entry_y = position.entry_reserves
+        raise DomainError(SHARES_EXCEED_SUPPLY)
+    return claim_pnl(
+        pool.reserve_x, pool.reserve_y, pool.total_shares, position.shares, *position.entry_reserves, *exit_prices
+    )
+
+
+def claim_pnl(reserve_x, reserve_y, total_shares, shares, entry_x, entry_y, px, py):
+    """The formula of absolute_impermanent_pnl, without its checks.
+
+    `shares` of `total_shares` claim that slice of the reserves; the PnL is
+    the claim's value at prices (px, py) less the value of (entry_x, entry_y)
+    held instead. Elementwise on numpy arrays (float, or object arrays of
+    Fraction) as on numbers, with the same operations in the same order.
+    """
+    claim_x = reserve_x * shares / total_shares
+    claim_y = reserve_y * shares / total_shares
     return (claim_x * px + claim_y * py) - (entry_x * px + entry_y * py)
 
 

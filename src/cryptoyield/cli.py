@@ -70,17 +70,19 @@ def _scenario_json(value):
 def _run_stake(config, balances, day, percentiles):
     days = [day] if day else staking.available_days(balances.values())
 
-    rows, skipped_days = [], 0
+    bands_by_day, skipped_days = [], 0
     for d, bands in zip(days, staking.daily_bands(balances.values(), days, percentiles)):
         if bands is None:
             if day:
                 raise EmptyCohortError(f"no eligible validators on {day}")
             skipped_days += 1
             continue
-        for p in percentiles:
-            rows.append(
-                {"day": d.isoformat(), "percentile": p, "return_pct": 100.0 * bands[p]}
-            )
+        bands_by_day.append((d.isoformat(), bands))
+    rows = core.Columns({
+        "day": [d for d, _ in bands_by_day for _ in percentiles],
+        "percentile": list(percentiles) * len(bands_by_day),
+        "return_pct": [100.0 * bands[p] for _, bands in bands_by_day for p in percentiles],
+    })
     report = Report(
         command="stake",
         summary={
@@ -90,16 +92,15 @@ def _run_stake(config, balances, day, percentiles):
             "percentiles": list(percentiles),
         },
     )
-    report.add_series("bands", ("day", "percentile", "return_pct"), rows)
+    report.add_series("bands", tuple(rows.columns), rows)
     return report, None
 
 
 def _run_amm(config, scenario):
     result = run_pool_scenario(scenario)
     report = Report(command="amm", summary=result["summary"])
-    # The pool rows open with "create", so the first row names the columns.
-    report.add_series("pool", tuple(result["pool_rows"][0]), result["pool_rows"])
-    report.add_series("positions", ("event", "position", "shares", "pnl"), result["position_rows"])
+    report.add_series("pool", tuple(result["pool_rows"].columns), result["pool_rows"])
+    report.add_series("positions", tuple(result["position_rows"].columns), result["position_rows"])
     return report, None
 
 
@@ -151,57 +152,45 @@ def _run_perp_funding(config, quotes, variant, band, interval_hours, interest_ra
         _FUNDING_VARIANTS[variant], interval_hours=interval_hours, band=band, interest_rate=interest_rate
     )
     events = perps.events_from_quotes(quotes, spec)
-    rows = []
-    for (t, mark, index), event in zip(quotes, events):
-        premium = perps.premium_rate(perps.MarkIndexPair(mark, index))
-        rows.append(
-            {
-                "time": t,
-                "mark": mark,
-                "index": index,
-                "premium": premium,
-                "funding_rate": event.funding_rate,
-                "funding_rate_pct": 100.0 * event.funding_rate,
-                "time_fraction": event.time_fraction,
-                "payer": event.payer or "",
-                "cash_flow_per_notional": event.cash_flow_per_notional,
-            }
-        )
-    summary = _funding_summary([r["funding_rate_pct"] for r in rows])
+    times, marks, indexes = (list(column) for column in zip(*quotes))  # the loader refuses a CSV without rows
+    rows = core.Columns({
+        "time": times,
+        "mark": marks,
+        "index": indexes,
+        "premium": [perps.premium_rate(perps.MarkIndexPair(m, i)) for m, i in zip(marks, indexes)],
+        "funding_rate": [e.funding_rate for e in events],
+        "funding_rate_pct": [100.0 * e.funding_rate for e in events],
+        "time_fraction": [e.time_fraction for e in events],
+        "payer": [e.payer or "" for e in events],
+        "cash_flow_per_notional": [e.cash_flow_per_notional for e in events],
+    })
+    summary = _funding_summary(rows["funding_rate_pct"])
     summary["variant"] = variant
     report = Report(command="perp-funding", summary=summary)
-    report.add_series("funding", tuple(rows[0]), rows)  # the loader refuses a CSV without rows
+    report.add_series("funding", tuple(rows.columns), rows)
     return report, None
 
 
 def _run_perp_basis(config, quotes, window):
     rows = perps.basis_rows(quotes)
-    rolling = optrates.rolling_average([r["implied_rate"] for r in rows], window)
-    out_rows = []
-    for (t, perp, future, expiry), row, smooth in zip(quotes, rows, rolling):
-        out_rows.append(
-            {
-                "time": t,
-                "perp": perp,
-                "future": future,
-                "basis": row["basis"],
-                "tenor_years": row["tenor_years"],
-                "implied_rate_pct": 100.0 * row["implied_rate"],
-                "rolling_rate_pct": 100.0 * smooth,
-            }
-        )
+    rates = [r["implied_rate"] for r in rows]
+    out = core.Columns({
+        "time": [t for t, _, _, _ in quotes],
+        "perp": [perp for _, perp, _, _ in quotes],
+        "future": [future for _, _, future, _ in quotes],
+        "basis": [r["basis"] for r in rows],
+        "tenor_years": [r["tenor_years"] for r in rows],
+        "implied_rate_pct": [100.0 * rate for rate in rates],
+        "rolling_rate_pct": [100.0 * smooth for smooth in optrates.rolling_average(rates, window)],
+    })
     summary = {
-        "rows": len(out_rows),
+        "rows": len(out),
         "window": window,
-        "mean_basis": math.fsum(r["basis"] for r in out_rows) / len(out_rows),
-        "mean_rate_pct": math.fsum(r["implied_rate_pct"] for r in out_rows) / len(out_rows),
+        "mean_basis": math.fsum(out["basis"]) / len(out),
+        "mean_rate_pct": math.fsum(out["implied_rate_pct"]) / len(out),
     }
     report = Report(command="perp-basis", summary=summary)
-    report.add_series(
-        "basis",
-        ("time", "perp", "future", "basis", "tenor_years", "implied_rate_pct", "rolling_rate_pct"),
-        out_rows,
-    )
+    report.add_series("basis", tuple(out.columns), out)
     return report, None
 
 
@@ -211,38 +200,32 @@ def _run_implied_rate(config, chain, window):
         raise EmptyCohortError("no valid implied-rate points in the chain")
     daily = optrates.daily_series(points)
     rolling = optrates.rolling_average([rate for _, rate, _ in daily], window)
-    daily_rows = [
-        {
-            "day": d.isoformat(),
-            "mean_rate": rate,
-            "mean_rate_pct": 100.0 * rate,
-            "points": count,
-        }
-        for (d, rate, count) in daily
-    ]
-    rolling_rows = [
-        {"day": d.isoformat(), "rolling_rate_pct": 100.0 * smooth}
-        for (d, _, _), smooth in zip(daily, rolling)
-    ]
+    days = [d.isoformat() for d, _, _ in daily]
+    daily_rows = core.Columns({
+        "day": days,
+        "mean_rate": [rate for _, rate, _ in daily],
+        "mean_rate_pct": [100.0 * rate for _, rate, _ in daily],
+        "points": [count for _, _, count in daily],
+    })
+    rolling_rows = core.Columns({"day": days, "rolling_rate_pct": [100.0 * smooth for smooth in rolling]})
     summary = {
         "quotes": len(chain),
         "valid_points": len(points),
         "excluded_points": excluded,
         "days": len(daily),
         "window": window,
-        "mean_rate_pct": math.fsum(r["mean_rate_pct"] for r in daily_rows) / len(daily_rows),
+        "mean_rate_pct": math.fsum(daily_rows["mean_rate_pct"]) / len(daily_rows),
     }
     report = Report(command="implied-rate", summary=summary)
-    report.add_series("daily", ("day", "mean_rate", "mean_rate_pct", "points"), daily_rows)
-    report.add_series("rolling", ("day", "rolling_rate_pct"), rolling_rows)
+    report.add_series("daily", tuple(daily_rows.columns), daily_rows)
+    report.add_series("rolling", tuple(rolling_rows.columns), rolling_rows)
     return report, None
 
 
 def _run_xccy(config, scenario):
     result = run_swap_scenario(scenario)
     report = Report(command="xccy", summary=result["final_state"])
-    # The audit trail opens with the margin posts, so its first row names the columns.
-    report.add_series("audit", tuple(result["audit_rows"][0]), result["audit_rows"])
+    report.add_series("audit", tuple(result["audit_rows"].columns), result["audit_rows"])
     return report, None
 
 
@@ -275,10 +258,7 @@ def _run_oracle(config, spec, payoff, discount_rate, barrier, payout, bridge):
 
 def _run_kelly(config, means, riskless_rate, covariance):
     weights = core.kelly_weights(means, riskless_rate, covariance)
-    rows = [
-        {"asset": i, "mean": m, "weight": float(w)}
-        for i, (m, w) in enumerate(zip(means, weights))
-    ]
+    rows = core.Columns({"asset": list(range(len(means))), "mean": list(means), "weight": weights.tolist()})
     summary = {
         "assets": len(means),
         "riskless_rate": riskless_rate,
@@ -286,7 +266,7 @@ def _run_kelly(config, means, riskless_rate, covariance):
         "gross_leverage": float(np.sum(np.abs(weights))),
     }
     report = Report(command="kelly", summary=summary)
-    report.add_series("weights", ("asset", "mean", "weight"), rows)
+    report.add_series("weights", tuple(rows.columns), rows)
     return report, None
 
 

@@ -249,19 +249,31 @@ def percentile(values, p: float) -> float:
 
 
 class Columns:
-    """A CSV's parsed columns by name, and the line of each row; its length is the row count."""
+    """A table of named, equal-length columns, each a list or a 1-D numpy array.
 
-    def __init__(self, lines, columns):
-        self.lines, self.columns = lines, columns
+    Its length is the row count. A table read from a CSV also keeps the file
+    line of each row in `lines`; any other table has `lines` None.
+    """
+
+    def __init__(self, columns, lines=None):
+        self.columns, self.lines = columns, lines
 
     def __len__(self) -> int:
-        return len(self.lines)
+        if self.lines is not None:
+            return len(self.lines)
+        return len(next(iter(self.columns.values()))) if self.columns else 0
 
     def __getitem__(self, name):
         return self.columns[name]
 
+    def __eq__(self, other):
+        """Equal names in the same order, equal cells and equal lines."""
+        if not isinstance(other, Columns):
+            return NotImplemented
+        return list(self.columns) == list(other.columns) and self.lines == other.lines and self.rows() == other.rows()
+
     def rows(self) -> list:
-        """Each row as a tuple of its cells, text as str and the rest as float, in schema order."""
+        """Each row as a tuple of its cells' Python values, in column order."""
         return list(zip(*(cells if isinstance(cells, list) else cells.tolist() for cells in self.columns.values())))
 
 
@@ -330,7 +342,7 @@ def _clean_columns(text, schema):
             if not np.isfinite(column).all():
                 return None
         columns[name] = column
-    return Columns(lines, columns)
+    return Columns(columns, lines)
 
 
 def _scanned_columns(path, schema, check):
@@ -362,7 +374,8 @@ def _scanned_columns(path, schema, check):
 
 
 def _columns(schema, lines, parsed):
-    return Columns(lines, {c: cells if schema[c] is TEXT else np.array(cells, dtype=float) for c, cells in parsed.items()})
+    columns = {c: cells if schema[c] is TEXT else np.array(cells, dtype=float) for c, cells in parsed.items()}
+    return Columns(columns, lines)
 
 
 def _refuse_broken_row(path, columns, check):

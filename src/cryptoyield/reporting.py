@@ -1,6 +1,8 @@
 """Report assembly and deterministic emission.
 
-A report is a summary dict plus named CSV series. Emission is strictly
+A report is a summary dict plus named CSV series. A series is a table of
+named, equal-length columns (`core.Columns`), each a list or a 1-D numpy
+array; the CSV holds the columns it names, in that order. Emission is strictly
 reproducible: floats render via repr (shortest round-trip), JSON keys are
 sorted, newlines are fixed, and provenance carries the config hash, tool
 version, seed and input-file digests instead of timestamps. Identical
@@ -17,7 +19,7 @@ permission, a full disk) can leave the files moved before it. The staging
 directory is removed on return and on any exception, but a process killed
 mid-write leaves it behind as a hidden `.report-*` directory. Series render
 in chunks of rows, so the write holds at most one chunk of cells besides
-the rows themselves.
+the columns themselves.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import errno
 import hashlib
 import json
 import math
-import operator
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import __version__
 from .errors import CryptoYieldError, InputError
@@ -46,7 +49,12 @@ _CSV_NATIVE = {float, int, str, type(None)}
 
 
 def render_value(value):
-    """Canonical cell rendering: repr for floats, str otherwise."""
+    """Canonical cell rendering: repr for floats, str otherwise.
+
+    A numpy scalar renders as the Python value it holds.
+    """
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool) or value is None:
         return "" if value is None else str(value).lower()
     if isinstance(value, float):
@@ -72,9 +80,14 @@ def file_digest(path) -> str:
 
 @dataclass
 class Series:
+    """One CSV: the column names it writes, in order, and the table they come from.
+
+    `rows` is a `core.Columns`; its len() is the row count.
+    """
+
     name: str
     columns: tuple
-    rows: list
+    rows: object
 
 
 @dataclass
@@ -84,8 +97,13 @@ class Report:
     series: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
-    def add_series(self, name, columns, rows):
-        self.series.append(Series(name=name, columns=tuple(columns), rows=rows))
+    def add_series(self, name, columns, table):
+        """Add `name`.csv: the columns of `table` (a `core.Columns`) that `columns` names, in that order.
+
+        Each column is a list or a 1-D numpy array of the table's length. A
+        column the table lacks raises KeyError when the report is written.
+        """
+        self.series.append(Series(name=name, columns=tuple(columns), rows=table))
 
     def finalize_provenance(self, config: dict, input_paths=(), seed=None):
         # The config itself is embedded so a report can be reproduced from
@@ -142,20 +160,27 @@ class Report:
 def _write_series(fh, series):
     """Header plus rows of one series; a non-finite float cell raises CryptoYieldError.
 
-    csv.writer renders cells of exactly these types as render_value does
-    (repr for floats, "" for None, str otherwise), so only a column holding
-    any other type, such as bool or a float subclass, goes through render_value.
+    An array column renders from the Python values it holds (`tolist`).
+    csv.writer renders cells of exactly the _CSV_NATIVE types as
+    render_value does (repr for floats, "" for None, str otherwise), so only
+    a column holding any other type, such as bool or a numpy scalar, goes
+    through render_value.
     """
+    table, rows = series.rows, len(series.rows)
+    data = [table[column] for column in series.columns]
+    for column, values in zip(series.columns, data):
+        if len(values) != rows:
+            raise ValueError(f"{series.name}.csv: column {column!r} has {len(values)} rows, not {rows}")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(series.columns)
-    for start in range(0, len(series.rows), _CHUNK_ROWS):
-        chunk = series.rows[start:start + _CHUNK_ROWS]
+    for start in range(0, rows, _CHUNK_ROWS):
         cells = []
-        for column in series.columns:
-            values = list(map(operator.itemgetter(column), chunk))
+        for column, values in zip(series.columns, data):
+            values = values[start:start + _CHUNK_ROWS]
+            values = values.tolist() if isinstance(values, np.ndarray) else values
             types = set(map(type, values))
-            if any(issubclass(t, float) for t in types):
-                floats = values if types == {float} else [v for v in values if isinstance(v, float)]
+            if any(issubclass(t, (float, np.floating)) for t in types):
+                floats = values if types == {float} else [v for v in values if isinstance(v, (float, np.floating))]
                 if not all(map(math.isfinite, floats)):
                     raise CryptoYieldError(f"{series.name}.csv: column {column!r} holds a non-finite number")
             cells.append(values if types <= _CSV_NATIVE else list(map(render_value, values)))

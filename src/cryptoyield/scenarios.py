@@ -51,8 +51,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .amm import LpPosition, absolute_impermanent_pnl, create_pool, genesis_position
-from .core import Key, _check_keys, _one_of, _rational
+import numpy as np
+
+from .amm import SHARES_EXCEED_SUPPLY, LpPosition, claim_pnl, create_pool, genesis_position
+from .core import Columns, Key, _check_keys, _one_of, _rational
 from .errors import CryptoYieldError, DomainError, InputError
 from .xccy import ALPHA, BETA, PARTIES, Leg, OracleTick, SwapAgreement, to_fraction
 
@@ -157,38 +159,41 @@ def validate_pool_scenario(config) -> list:
     return _check(POOL_SCENARIO, config)[1]
 
 
+# The pool state each event records, in the column order of the pool rows.
+_POOL_STATE = (
+    "reserve_x", "reserve_y", "spot_price", "total_shares", "product",
+    "cumulative_fees_x", "cumulative_fees_y", "price_x",
+)
+
+
 def run_pool_scenario(config) -> dict:
-    """Replay a pool scenario; returns pool rows, position PnL rows and summary."""
+    """Replay a pool scenario; returns pool rows, position PnL rows and summary.
+
+    `pool_rows` and `position_rows` are `core.Columns`: one pool row per
+    event (the create step is event 0), and one position row per open
+    position after each event, in name order.
+    """
     values = _check(POOL_SCENARIO, config, "pool")[0]
     spec = values["pool"]
-    conv = to_fraction if spec["exact"] else float
-    pool_rows, position_rows = [], []
+    exact = spec["exact"]
+    conv = to_fraction if exact else float
+    # Per recorded event: the pool state (exact in exact mode), and (action,
+    # live, index into holders). Holders change only at create, add and
+    # remove, so only those take a sorted snapshot of the open positions.
+    states, recorded, holders = [], [], []
 
-    def record(index, action):
-        pool_rows.append(
-            {
-                "event": index,
-                "action": action,
-                "reserve_x": float(pool.reserve_x),
-                "reserve_y": float(pool.reserve_y),
-                "spot_price": float(pool.reserve_y / pool.reserve_x) if pool.live else 0.0,
-                "total_shares": float(pool.total_shares),
-                "product": float(pool.product),
-                "cumulative_fees_x": float(pool.cumulative_fees_x),
-                "cumulative_fees_y": float(pool.cumulative_fees_y),
-                "price_x": float(price_x),
-            }
+    def record(action):
+        live = pool.live
+        state = (
+            pool.reserve_x, pool.reserve_y, pool.reserve_y / pool.reserve_x if live else 0.0, pool.total_shares,
+            pool.product, pool.cumulative_fees_x, pool.cumulative_fees_y, price_x,
         )
-        for name in sorted(positions):
-            position = positions[name]
-            if pool.live:
-                pnl = absolute_impermanent_pnl(position, pool, (price_x, 1))
-            else:  # a withdrawn pool leaves no claim
-                entry_x, entry_y = position.entry_reserves
-                pnl = 0 * price_x - (entry_x * price_x + entry_y)
-            position_rows.append(
-                {"event": index, "position": name, "shares": float(position.shares), "pnl": float(pnl)}
-            )
+        if exact:
+            tuple(map(float, state))  # a value past float range fails at its own event
+        if action in ("create", "add", "remove"):
+            holders.append(sorted(positions.items()))
+        states.append(state)
+        recorded.append((action, live, len(holders) - 1))
 
     try:
         pool = create_pool(
@@ -196,12 +201,13 @@ def run_pool_scenario(config) -> dict:
         )
         price_x = pool.reserve_y / pool.reserve_x  # numeraire = token y
         positions = {"genesis": genesis_position(pool, pool.reserve_x, pool.reserve_y)}
-        record(0, "create")
+        record("create")
     except ArithmeticError as exc:  # exact reserves past float range
         raise DomainError(f"pool: {exc}") from exc
-    for index, event in enumerate(values["events"], start=1):
-        action = event["action"]
-        try:
+    failure = None
+    try:
+        for index, event in enumerate(values["events"], start=1):
+            action = event["action"]
             if action == "add":
                 added = pool.add_liquidity(conv(event["dx"]), conv(event["dy"]))
                 held = positions.get(event["position"], LpPosition(0, (0, 0)))
@@ -241,11 +247,13 @@ def run_pool_scenario(config) -> dict:
             else:  # external_price
                 price_x = conv(event["price"])
                 pool.arbitrage_to_price(price_x)
-            record(index, action)
-        except CryptoYieldError as exc:
-            raise type(exc)(f"event {index} ({action}): {exc}") from exc
-        except ArithmeticError as exc:  # float reserves driven to zero, exact ones past float range
-            raise DomainError(f"event {index} ({action}): {exc}") from exc
+            record(action)
+    except (CryptoYieldError, ArithmeticError) as exc:  # float reserves driven to zero, exact ones past float range
+        failure = index, action, exc
+    # A failing position row of an earlier event comes first, as in a row-by-row replay.
+    pool_rows, position_rows = _pool_tables(states, recorded, holders, conv)
+    if failure:
+        _replay_error(*failure)
 
     summary = {
         "events": len(values["events"]),
@@ -258,6 +266,73 @@ def run_pool_scenario(config) -> dict:
         "open_positions": len(positions),
     }
     return {"pool_rows": pool_rows, "position_rows": position_rows, "summary": summary}
+
+
+def _replay_error(index, action, exc):
+    """Raise `exc` as a pool replay reports it at event `index`; event 0 is the create step."""
+    if index == 0:
+        if isinstance(exc, ArithmeticError):  # exact reserves past float range
+            raise DomainError(f"pool: {exc}") from exc
+        raise exc
+    kind = type(exc) if isinstance(exc, CryptoYieldError) else DomainError
+    raise kind(f"event {index} ({action}): {exc}") from exc
+
+
+def _overflow(value):
+    """The OverflowError that float(value) raises, else None."""
+    try:
+        float(value)
+    except OverflowError as exc:
+        return exc
+    return None
+
+
+def _pool_tables(states, recorded, holders, conv):
+    """Pool and position columns of the recorded events.
+
+    Each event's position rows are its holder snapshot, laid out by
+    indexing, and their PnL is one array evaluation of `claim_pnl`. Raises
+    the first failing position row, checked in the order a row-by-row replay
+    meets them: shares above the supply of a live pool, then, in exact mode,
+    shares and PnL past float range.
+    """
+    exact = conv is not float
+    floats = np.array(states, dtype=float)  # exact values were checked as each event recorded them
+    state = np.array(states, dtype=object) if exact else floats
+    actions, live, snapshot = (np.array(column) for column in zip(*recorded))
+    pool_rows = Columns({"event": np.arange(len(states)), "action": actions, **dict(zip(_POOL_STATE, floats.T))})
+
+    sizes = np.array([len(h) for h in holders])
+    counts = sizes[snapshot]
+    event = np.repeat(np.arange(len(states)), counts)
+    first = (np.cumsum(sizes) - sizes)[snapshot] - (np.cumsum(counts) - counts)  # snapshot start less row start
+    take = np.arange(len(event)) + np.repeat(first, counts)
+    flat = [holder for snapshot_holders in holders for holder in snapshot_holders]
+    names = np.array([name for name, _ in flat], dtype=object)[take]
+    shares, entry_x, entry_y = (np.array(column, dtype=state.dtype)[take] for column in zip(
+        *((p.shares, *p.entry_reserves) for _, p in flat)))
+    del take
+    reserve_x, reserve_y, total_shares, price_x = (state[event, _POOL_STATE.index(c)] for c in (
+        "reserve_x", "reserve_y", "total_shares", "price_x"))
+    live = live[event]
+    with np.errstate(all="ignore"):  # inf and nan stay in the cells, for the writer to refuse
+        over = np.flatnonzero(live & (shares > total_shares))
+        # A withdrawn pool leaves no claim, so its rows value a claim of nothing.
+        dead = ~live
+        reserve_x[dead], reserve_y[dead], total_shares[dead] = conv(0), conv(0), conv(1)
+        claimed = np.where(live, shares, conv(0))
+        pnl = claim_pnl(reserve_x, reserve_y, total_shares, claimed, entry_x, entry_y, price_x, 1)
+    failures = [(over[0], 0, DomainError(SHARES_EXCEED_SUPPLY))] if over.size else []
+    if exact:
+        for order, column in enumerate((shares, pnl), start=1):
+            failures += [(row, order, exc) for row, exc in enumerate(map(_overflow, column)) if exc][:1]
+    if failures:
+        row, _, exc = min(failures, key=lambda failure: failure[:2])
+        _replay_error(event[row], actions[event[row]], exc)
+    position_rows = Columns(
+        {"event": event, "position": names, "shares": shares.astype(float), "pnl": pnl.astype(float)}
+    )
+    return pool_rows, position_rows
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +364,10 @@ def _schedule(agreement: SwapAgreement, events) -> list:
 
 
 def run_swap_scenario(config) -> dict:
-    """Replay a swap scenario; returns the audit trail and the final state."""
+    """Replay a swap scenario; returns the audit trail and the final state.
+
+    `audit_rows` is a `core.Columns` with one row per ledger entry.
+    """
     values = _check(SWAP_SCENARIO, config, "swap")[0]
     spec = {name: value for name, value in values["agreement"].items() if value is not None}
     legs = [Leg(**{key: value for key, value in leg.items() if value is not None}) for leg in spec.pop("legs", ())]
@@ -320,21 +398,19 @@ def run_swap_scenario(config) -> dict:
         else:  # mature
             settlement = agreement.mature(time)
 
+    entries = agreement.ledger.entries
     try:
-        audit_rows = [
-            {
-                "seq": e.seq,
-                "time": float(e.time),
-                "event": e.event,
-                "token": e.token,
-                "source": e.source,
-                "destination": e.destination,
-                "amount": str(e.amount),
-                "amount_float": float(e.amount),
-                "note": e.note,
-            }
-            for e in agreement.ledger.entries
-        ]
+        audit_rows = Columns({
+            "seq": [e.seq for e in entries],
+            "time": [float(e.time) for e in entries],
+            "event": [e.event for e in entries],
+            "token": [e.token for e in entries],
+            "source": [e.source for e in entries],
+            "destination": [e.destination for e in entries],
+            "amount": [str(e.amount) for e in entries],
+            "amount_float": [float(e.amount) for e in entries],
+            "note": [e.note for e in entries],
+        })
         final_state = {
             "state": agreement.state,
             "breaching_party": agreement.breaching_party,

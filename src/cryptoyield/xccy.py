@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, LifecycleError, MissingFixingError, StaleTickError
@@ -55,11 +56,18 @@ TERMINAL_STATES = (MATURED, TERMINATED_BREACH, TERMINATED_VOLUNTARY)
 
 
 def to_fraction(value) -> Fraction:
-    """Exact rational from int/str/Fraction; floats via their decimal repr."""
+    """Exact rational from int/str/Fraction; floats via their decimal repr.
+
+    A finite float reads its repr through Decimal, which gives the value
+    Fraction(str(value)) gives in half the time; nan and inf raise
+    Fraction's own ValueError.
+    """
     if type(value) is Fraction:  # an exact type test skips the ABC machinery of isinstance
         return value
     if isinstance(value, float):
-        return Fraction(str(value))
+        if not math.isfinite(value):
+            return Fraction(str(value))  # ValueError: Invalid literal for Fraction
+        return Fraction(*Decimal(str(value)).as_integer_ratio())
     return Fraction(value)
 
 

@@ -323,7 +323,10 @@ class TestAbsolutePnl:
             ],
         }
         result = run_pool_scenario(scenario)
-        rows, pool_rows = result["position_rows"], result["pool_rows"]
+        rows, pool_rows = (
+            [dict(zip(table.columns, row)) for row in table.rows()]
+            for table in (result["position_rows"], result["pool_rows"])
+        )
         alice = [r for r in rows if r["position"] == "alice"]
         assert [r["event"] for r in alice] == [1, 2, 3]
         assert alice[1]["shares"] == pool_rows[2]["total_shares"] and alice[1]["pnl"] == 0.0

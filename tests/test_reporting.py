@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cryptoyield import reporting
+from cryptoyield.core import Columns
 from cryptoyield.errors import CryptoYieldError
 from cryptoyield.reporting import Report, config_hash, render_value
 
@@ -19,6 +20,11 @@ def reference_csv(columns, rows) -> bytes:
     for row in rows:
         writer.writerow([render_value(row[c]) for c in columns])
     return buffer.getvalue().encode()
+
+
+def table(rows):
+    """Row dicts as one table of list columns, the shape Report.add_series takes."""
+    return Columns({name: [row[name] for row in rows] for name in rows[0]})
 
 
 def mixed_rows(n):
@@ -47,6 +53,13 @@ class TestRendering:
     def test_none_renders_empty(self):
         assert render_value(None) == ""
 
+    def test_numpy_scalars_render_as_their_python_values(self):
+        assert render_value(np.float64(1.5)) == "1.5"
+        assert render_value(np.float64(1 / 3)) == "0.3333333333333333"
+        assert render_value(np.int64(7)) == "7"
+        assert render_value(np.bool_(True)) == "true"
+        assert render_value(np.bool_(False)) == "false"
+
     def test_config_hash_key_order_invariant(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
 
@@ -54,7 +67,7 @@ class TestRendering:
 class TestReportWrite:
     def make_report(self):
         report = Report(command="demo", summary={"answer": 42})
-        report.add_series("numbers", ("i", "x"), [{"i": 1, "x": 0.5}, {"i": 2, "x": 0.25}])
+        report.add_series("numbers", ("i", "x"), table([{"i": 1, "x": 0.5}, {"i": 2, "x": 0.25}]))
         report.finalize_provenance({"command": "demo"}, input_paths=(), seed=7)
         return report
 
@@ -75,8 +88,8 @@ class TestReportWrite:
 
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         report = Report(command="demo", summary={})
-        report.add_series("good", ("i",), [{"i": 1}])
-        report.add_series("bad", ("i", "missing"), [{"i": 1}])  # KeyError mid-write
+        report.add_series("good", ("i",), table([{"i": 1}]))
+        report.add_series("bad", ("i", "missing"), table([{"i": 1}]))  # KeyError mid-write
         out = tmp_path / "out"
         with pytest.raises(KeyError):
             report.write(out)
@@ -84,7 +97,7 @@ class TestReportWrite:
 
     def test_failed_write_keeps_existing_directory(self, tmp_path):
         report = Report(command="demo", summary={})
-        report.add_series("bad", ("i", "missing"), [{"i": 1}])
+        report.add_series("bad", ("i", "missing"), table([{"i": 1}]))
         (tmp_path / "keep.txt").write_text("x")
         with pytest.raises(KeyError):
             report.write(tmp_path / "new" / "out")
@@ -113,9 +126,9 @@ class TestStagedWrite:
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
         rows = mixed_rows(5000 if chunk_rows > 7 else 90)
         report = Report(command="demo", summary={})
-        report.add_series("mixed", self.COLUMNS, rows)
-        report.add_series("numbers", ("i", "x"), rows)  # chunks with no quoting
-        report.add_series("lone", ("maybe",), rows)  # a lone empty cell is quoted
+        report.add_series("mixed", self.COLUMNS, table(rows))
+        report.add_series("numbers", ("i", "x"), table(rows))  # chunks with no quoting
+        report.add_series("lone", ("maybe",), table(rows))  # a lone empty cell is quoted
         report.write(tmp_path / "out")
         for name, columns in (("mixed", self.COLUMNS), ("numbers", ("i", "x")), ("lone", ("maybe",))):
             assert (tmp_path / "out" / f"{name}.csv").read_bytes() == reference_csv(columns, rows)
@@ -125,8 +138,8 @@ class TestStagedWrite:
         rows = mixed_rows(reporting._CHUNK_ROWS + 10)
         rows[reporting._CHUNK_ROWS + 5][column] = bad
         report = Report(command="demo", summary={"answer": 1})
-        report.add_series("good", ("i",), rows)
-        report.add_series("numbers", ("i", column), rows)
+        report.add_series("good", ("i",), table(rows))
+        report.add_series("numbers", ("i", column), table(rows))
         return report
 
     # A float column, a float-or-None column and a float-subclass column.
@@ -160,3 +173,48 @@ class TestStagedWrite:
         assert written == [str(tmp_path / "out" / "numbers.csv"), str(tmp_path / "out" / "report.json")]
         TestReportWrite().make_report().write(tmp_path / "out")  # over an existing report
         assert sorted(os.listdir(tmp_path / "out")) == ["numbers.csv", "report.json"]
+
+
+class TestColumnarSeries:
+    """Series are tables of columns; an array column writes as the list of its Python values."""
+
+    @staticmethod
+    def arrays(n):
+        return Columns({
+            "i": np.arange(n),
+            "x": (np.linspace(-1.0, 1.0, n) ** 3) * 1e-300,
+            "flag": np.arange(n) % 3 == 0,
+            "name": np.array([f"n{i}" if i % 5 else "a,b" for i in range(n)], dtype=object),
+        })
+
+    def test_table_length_without_lines(self):
+        assert len(Columns({"a": [1, 2, 3], "b": np.zeros(3)})) == 3
+        assert len(Columns({})) == 0
+
+    @pytest.mark.parametrize("chunk_rows", [reporting._CHUNK_ROWS, 7])
+    def test_array_columns_write_like_list_columns(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
+        arrays = self.arrays(600)
+        lists = Columns({name: column.tolist() for name, column in arrays.columns.items()})
+        rows = [dict(zip(arrays.columns, row)) for row in lists.rows()]
+        for name, table in (("arrays", arrays), ("lists", lists)):
+            report = Report(command="demo", summary={})
+            report.add_series("s", tuple(table.columns), table)
+            report.write(tmp_path / name)
+            assert (tmp_path / name / "s.csv").read_bytes() == reference_csv(tuple(table.columns), rows)
+
+    def test_non_finite_in_array_after_first_chunk(self, tmp_path):
+        table = self.arrays(reporting._CHUNK_ROWS + 10)
+        table["x"][reporting._CHUNK_ROWS + 3] = np.inf
+        report = Report(command="demo", summary={})
+        report.add_series("numbers", ("i", "x"), table)
+        with pytest.raises(CryptoYieldError, match=r"numbers\.csv: column 'x'"):
+            report.write(tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_columns_of_unequal_length_refused(self, tmp_path):
+        report = Report(command="demo", summary={})
+        report.add_series("ragged", ("a", "b"), Columns({"a": [1, 2], "b": np.zeros(3)}))
+        with pytest.raises(ValueError, match="column 'b' has 3 rows, not 2"):
+            report.write(tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cryptoyield.errors import (
@@ -20,6 +24,7 @@ from cryptoyield.xccy import (
     SwapAgreement,
     buffer_size,
     max_leverage,
+    to_fraction,
 )
 from tests.xccy_fuzz import run_fuzz
 
@@ -49,6 +54,33 @@ def wealth(agreement, party, rate):
 
 def totals(agreement):
     return agreement.ledger.total(ALPHA), agreement.ledger.total(BETA)
+
+
+class TestToFraction:
+    """to_fraction reads a float's repr through Decimal; Fraction(str(v)) is the route it replaced."""
+
+    EDGES = (
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+        0.1, 1 / 3, 1e-7, 1e16, 1e22, 1e23, 2.0**53 + 2, 123456789.123, np.float64(0.1),
+    )
+
+    @pytest.mark.parametrize("value", EDGES, ids=repr)
+    def test_edge_floats_equal_str_route(self, value):
+        got = to_fraction(value)
+        assert type(got) is Fraction and got == Fraction(str(value))
+
+    @settings(max_examples=1000, derandomize=True, database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_floats_equal_str_route(self, value):
+        assert to_fraction(value) == Fraction(str(value))
+
+    @pytest.mark.parametrize("value, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_finite_raises_fractions_error(self, value, text):
+        with pytest.raises(ValueError) as want:
+            Fraction(str(value))
+        with pytest.raises(ValueError, match=f"^Invalid literal for Fraction: '{text}'$") as got:
+            to_fraction(value)
+        assert str(got.value) == str(want.value)
 
 
 class TestInitiate:
