@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -177,10 +178,10 @@ def run_pool_scenario(config) -> dict:
     spec = values["pool"]
     exact = spec["exact"]
     conv = to_fraction if exact else float
-    # Per recorded event: the pool state (exact in exact mode), and (action,
-    # live, index into holders). Holders change only at create, add and
+    # Per recorded event: the action, the pool state (exact in exact mode),
+    # and (live, index into holders). Holders change only at create, add and
     # remove, so only those take a sorted snapshot of the open positions.
-    states, recorded, holders = [], [], []
+    actions, states, recorded, holders = [], [], [], []
 
     def record(action):
         live = pool.live
@@ -192,8 +193,9 @@ def run_pool_scenario(config) -> dict:
             tuple(map(float, state))  # a value past float range fails at its own event
         if action in ("create", "add", "remove"):
             holders.append(sorted(positions.items()))
+        actions.append(action)
         states.append(state)
-        recorded.append((action, live, len(holders) - 1))
+        recorded.append((live, len(holders) - 1))
 
     try:
         pool = create_pool(
@@ -251,7 +253,7 @@ def run_pool_scenario(config) -> dict:
     except (CryptoYieldError, ArithmeticError) as exc:  # float reserves driven to zero, exact ones past float range
         failure = index, action, exc
     # A failing position row of an earlier event comes first, as in a row-by-row replay.
-    pool_rows, position_rows = _pool_tables(states, recorded, holders, conv)
+    pool_rows, position_rows = _pool_tables(actions, states, recorded, holders, conv)
     if failure:
         _replay_error(*failure)
 
@@ -287,7 +289,13 @@ def _overflow(value):
     return None
 
 
-def _pool_tables(states, recorded, holders, conv):
+def _matrix(rows, dtype):
+    """Equal-length tuples as the rows of a 2-D array."""
+    width = len(rows[0])
+    return np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width).reshape(len(rows), width)
+
+
+def _pool_tables(actions, states, recorded, holders, conv):
     """Pool and position columns of the recorded events.
 
     Each event's position rows are its holder snapshot, laid out by
@@ -297,9 +305,9 @@ def _pool_tables(states, recorded, holders, conv):
     shares and PnL past float range.
     """
     exact = conv is not float
-    floats = np.array(states, dtype=float)  # exact values were checked as each event recorded them
-    state = np.array(states, dtype=object) if exact else floats
-    actions, live, snapshot = (np.array(column) for column in zip(*recorded))
+    floats = _matrix(states, float)  # exact values were checked as each event recorded them
+    state = _matrix(states, object) if exact else floats
+    live, snapshot = _matrix(recorded, int).T
     pool_rows = Columns({"event": np.arange(len(states)), "action": actions, **dict(zip(_POOL_STATE, floats.T))})
 
     sizes = np.array([len(h) for h in holders])
@@ -309,12 +317,12 @@ def _pool_tables(states, recorded, holders, conv):
     take = np.arange(len(event)) + np.repeat(first, counts)
     flat = [holder for snapshot_holders in holders for holder in snapshot_holders]
     names = np.array([name for name, _ in flat], dtype=object)[take]
-    shares, entry_x, entry_y = (np.array(column, dtype=state.dtype)[take] for column in zip(
-        *((p.shares, *p.entry_reserves) for _, p in flat)))
+    held = _matrix([(p.shares, *p.entry_reserves) for _, p in flat], state.dtype)
+    shares, entry_x, entry_y = (held[take, i] for i in range(3))
     del take
     reserve_x, reserve_y, total_shares, price_x = (state[event, _POOL_STATE.index(c)] for c in (
         "reserve_x", "reserve_y", "total_shares", "price_x"))
-    live = live[event]
+    live = live[event].astype(bool)
     with np.errstate(all="ignore"):  # inf and nan stay in the cells, for the writer to refuse
         over = np.flatnonzero(live & (shares > total_shares))
         # A withdrawn pool leaves no claim, so its rows value a claim of nothing.
