@@ -34,9 +34,9 @@ from collections import namedtuple
 import numpy as np
 
 from . import core, lending, mc, optrates, perps, staking
-from .core import Key, _check_keys, _day, _integer, _number, _numbers, _one_of, _text, _text_or_object
+from .core import Key, _boolean, _check_keys, _day, _integer, _number, _numbers, _one_of, _text, _text_or_object
 from .errors import CryptoYieldError, EmptyCohortError, InputError
-from .reporting import Report
+from .reporting import Report, Series
 from .scenarios import (
     run_pool_scenario,
     run_swap_scenario,
@@ -63,7 +63,7 @@ def _scenario_json(value):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (config as given, checked value of each key) -> (Report, seed)
+# command handlers: (config as given, checked values) -> (summary, series, seed)
 # ---------------------------------------------------------------------------
 
 
@@ -83,25 +83,18 @@ def _run_stake(config, balances, day, percentiles):
         "percentile": list(percentiles) * len(bands_by_day),
         "return_pct": [100.0 * bands[p] for _, bands in bands_by_day for p in percentiles],
     })
-    report = Report(
-        command="stake",
-        summary={
-            "validators": len(balances),
-            "days": len(days) - skipped_days,
-            "days_without_cohort": skipped_days,
-            "percentiles": list(percentiles),
-        },
-    )
-    report.add_series("bands", tuple(rows.columns), rows)
-    return report, None
+    summary = {
+        "validators": len(balances),
+        "days": len(days) - skipped_days,
+        "days_without_cohort": skipped_days,
+        "percentiles": list(percentiles),
+    }
+    return summary, {"bands": rows}, None
 
 
 def _run_amm(config, scenario):
     result = run_pool_scenario(scenario)
-    report = Report(command="amm", summary=result["summary"])
-    report.add_series("pool", tuple(result["pool_rows"].columns), result["pool_rows"])
-    report.add_series("positions", tuple(result["position_rows"].columns), result["position_rows"])
-    return report, None
+    return result["summary"], {"pool": result["pool_rows"], "positions": result["position_rows"]}, None
 
 
 def _run_loan(config, terms, liquidation):
@@ -128,7 +121,7 @@ def _run_loan(config, terms, liquidation):
             "borrower_value": with_liq.borrower_value,
             "lender_value": with_liq.lender_value,
         }
-    return Report(command="loan", summary=summary), None
+    return summary, {}, None
 
 
 def _funding_summary(rates_pct):
@@ -166,9 +159,7 @@ def _run_perp_funding(config, quotes, variant, band, interval_hours, interest_ra
     })
     summary = _funding_summary(rows["funding_rate_pct"])
     summary["variant"] = variant
-    report = Report(command="perp-funding", summary=summary)
-    report.add_series("funding", tuple(rows.columns), rows)
-    return report, None
+    return summary, {"funding": rows}, None
 
 
 def _run_perp_basis(config, quotes, window):
@@ -189,9 +180,7 @@ def _run_perp_basis(config, quotes, window):
         "mean_basis": math.fsum(out["basis"]) / len(out),
         "mean_rate_pct": math.fsum(out["implied_rate_pct"]) / len(out),
     }
-    report = Report(command="perp-basis", summary=summary)
-    report.add_series("basis", tuple(out.columns), out)
-    return report, None
+    return summary, {"basis": out}, None
 
 
 def _run_implied_rate(config, chain, window):
@@ -216,17 +205,12 @@ def _run_implied_rate(config, chain, window):
         "window": window,
         "mean_rate_pct": math.fsum(daily_rows["mean_rate_pct"]) / len(daily_rows),
     }
-    report = Report(command="implied-rate", summary=summary)
-    report.add_series("daily", tuple(daily_rows.columns), daily_rows)
-    report.add_series("rolling", tuple(rolling_rows.columns), rolling_rows)
-    return report, None
+    return summary, {"daily": daily_rows, "rolling": rolling_rows}, None
 
 
 def _run_xccy(config, scenario):
     result = run_swap_scenario(scenario)
-    report = Report(command="xccy", summary=result["final_state"])
-    report.add_series("audit", tuple(result["audit_rows"].columns), result["audit_rows"])
-    return report, None
+    return result["final_state"], {"audit": result["audit_rows"]}, None
 
 
 _PAYOFFS = {
@@ -253,7 +237,7 @@ def _run_oracle(config, spec, payoff, discount_rate, barrier, payout, bridge):
         "discount_rate": discount_rate,
         "spec": dict(config["spec"]),
     }
-    return Report(command="oracle", summary=summary), spec.seed
+    return summary, {}, spec.seed
 
 
 def _run_kelly(config, means, riskless_rate, covariance):
@@ -265,9 +249,7 @@ def _run_kelly(config, means, riskless_rate, covariance):
         "weights": [float(w) for w in weights],
         "gross_leverage": float(np.sum(np.abs(weights))),
     }
-    report = Report(command="kelly", summary=summary)
-    report.add_series("weights", tuple(rows.columns), rows)
-    return report, None
+    return summary, {"weights": rows}, None
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +257,8 @@ def _run_kelly(config, means, riskless_rate, covariance):
 # ---------------------------------------------------------------------------
 
 
-# One command: argv path, handler(config, **values) -> (Report, seed), help,
-# keys, and the flag (if any) that reads the whole config from a JSON file.
+# One command: argv path, handler(config, **values), help, keys, and the
+# flag (if any) that reads the whole config from a JSON file.
 Command = namedtuple("Command", "argv handler help keys config_flag", defaults=(None,))
 
 # Loaders are looked up when called, so a wrapper installed on the module
@@ -328,13 +310,13 @@ COMMANDS = {
             Key("steps", _integer, 1),
             Key("paths", _integer, 100_000),
             Key("seed", _integer, 0),
-            Key("antithetic", bool, True, flag=False),
+            Key("antithetic", _boolean, True, flag=False),
         )),
         Key("payoff", _one_of(*_PAYOFFS, "one_touch"), "exchange"),
         Key("discount_rate", _number, 0.0),
         Key("barrier", _number, required=("payoff", "one_touch")),
         Key("payout", _number, 1.0),
-        Key("bridge", bool, True, flag="--naive", help="disable the Brownian-bridge correction"),
+        Key("bridge", _boolean, True, flag="--naive", help="disable the Brownian-bridge correction"),
     ), config_flag="--spec"),
     "kelly": Command(("kelly",), _run_kelly, "Kelly allocation from means and covariance", (
         Key("means", _numbers, required=True, help="comma-separated annualized means"),
@@ -418,7 +400,8 @@ def run_command(config: dict, out_dir, provenance_config=None) -> Report:
     inputs = [key for key in command.keys if key.load]
     paths = [values[key.name] for key in inputs if isinstance(values[key.name], str)]
     values.update({key.name: key.load(values[key.name]) for key in inputs})
-    report, seed = command.handler(config, **values)
+    summary, series, seed = command.handler(config, **values)
+    report = Report(config["command"], summary, [Series(name, table) for name, table in series.items()])
     report.finalize_provenance(provenance_config or config, paths, seed)
     try:
         report.write(out_dir)
@@ -456,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         for path, key in _leaves(command.keys):
             if key.flag is not False:
                 flag = key.flag or "--" + path.rsplit(".", 1)[-1].replace("_", "-")
-                action = ("store_false" if key.default else "store_true") if key.kind is bool else "store"
+                action = ("store_false" if key.default else "store_true") if key.kind is _boolean else "store"
                 p.add_argument(flag, dest=path, action=action, default=key.default, help=key.help)
         p.add_argument("--out", required=True)
 

@@ -216,9 +216,12 @@ def kelly_weights(means, riskless_rate: float, covariance) -> np.ndarray:
     are not normalized and may exceed 1 (leverage) or be negative (shorts).
     """
     mu = np.asarray(means, dtype=float)
-    cov = np.asarray(covariance, dtype=float)
     if mu.ndim != 1:
         raise DomainError("means must be a vector")
+    lengths = [np.size(row) for row in covariance] if isinstance(covariance, (list, tuple)) else ()
+    if len(set(lengths)) > 1:  # np.asarray refuses ragged rows with a bare ValueError
+        raise DomainError(f"covariance row lengths {lengths} do not match {mu.size} assets")
+    cov = np.asarray(covariance, dtype=float)
     if cov.shape != (mu.size, mu.size):
         raise DomainError(f"covariance shape {cov.shape} does not match {mu.size} assets")
     if not np.allclose(cov, cov.T, rtol=1e-12, atol=0.0):
@@ -517,6 +520,13 @@ def _numbers(value, sep=","):
     return [_numbers(v) if sep == ";" else _number(v) for v in items]
 
 
+def _boolean(value):
+    """JSON true or false; flags give it through store_true and store_false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _text(value):
     if not isinstance(value, str) or not value:
         raise ValueError(f"expected a non-empty string, got {value!r}")
@@ -547,10 +557,10 @@ def _one_of(*options):
 # variant's keys. An absent or null key takes `default`. `required` is True,
 # or an (earlier sibling, value) pair that makes the key required. `flag`
 # None derives the flag from the name (`sigma_alpha` -> `--sigma-alpha`),
-# False means none; a bool key's flag flips its default. `load` reads an
-# input file for `run` and `validate`; `check` lists problems in what `load`
-# returned, for `validate` only (at `run` the handler's own call makes that
-# check).
+# False means none; a `_boolean` key's flag flips its default. `load` reads
+# an input file for `run` and `validate`; `check` lists problems in what
+# `load` returned, for `validate` only (at `run` the handler's own call makes
+# that check).
 Key = namedtuple("Key", "name kind default required flag help keys load check items tag",
                  defaults=(None, None, False, None, None, (), None, None, (), None))
 

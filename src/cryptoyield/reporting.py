@@ -2,11 +2,11 @@
 
 A report is a summary dict plus named CSV series. A series is a table of
 named, equal-length columns (`core.Columns`), each a list or a 1-D numpy
-array; the CSV holds the columns it names, in that order. Emission is strictly
-reproducible: floats render via repr (shortest round-trip), JSON keys are
-sorted, newlines are fixed, and provenance carries the config hash, tool
-version, seed and input-file digests instead of timestamps. Identical
-config and inputs therefore produce byte-identical files.
+array; its CSV holds every column, in the table's order. Emission is
+strictly reproducible: floats render via repr (shortest round-trip), JSON
+keys are sorted, newlines are fixed, and provenance carries the config
+hash, tool version, seed and input-file digests instead of timestamps.
+Identical config and inputs therefore produce byte-identical files.
 
 All series are computed before anything is written. `Report.write` then
 renders every file into a staging directory, refusing a non-finite cell as
@@ -80,13 +80,12 @@ def file_digest(path) -> str:
 
 @dataclass
 class Series:
-    """One CSV: the column names it writes, in order, and the table they come from.
+    """One CSV, `name`.csv: every column of the table `rows`, in the table's order.
 
     `rows` is a `core.Columns`; its len() is the row count.
     """
 
     name: str
-    columns: tuple
     rows: object
 
 
@@ -96,14 +95,6 @@ class Report:
     summary: dict
     series: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-
-    def add_series(self, name, columns, table):
-        """Add `name`.csv: the columns of `table` (a `core.Columns`) that `columns` names, in that order.
-
-        Each column is a list or a 1-D numpy array of the table's length. A
-        column the table lacks raises KeyError when the report is written.
-        """
-        self.series.append(Series(name=name, columns=tuple(columns), rows=table))
 
     def finalize_provenance(self, config: dict, input_paths=(), seed=None):
         # The config itself is embedded so a report can be reproduced from
@@ -166,16 +157,15 @@ def _write_series(fh, series):
     a column holding any other type, such as bool or a numpy scalar, goes
     through render_value.
     """
-    table, rows = series.rows, len(series.rows)
-    data = [table[column] for column in series.columns]
-    for column, values in zip(series.columns, data):
+    columns, rows = series.rows.columns, len(series.rows)
+    for column, values in columns.items():
         if len(values) != rows:
             raise ValueError(f"{series.name}.csv: column {column!r} has {len(values)} rows, not {rows}")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(series.columns)
+    writer.writerow(columns)
     for start in range(0, rows, _CHUNK_ROWS):
         cells = []
-        for column, values in zip(series.columns, data):
+        for column, values in columns.items():
             values = values[start:start + _CHUNK_ROWS]
             values = values.tolist() if isinstance(values, np.ndarray) else values
             types = set(map(type, values))

@@ -21,11 +21,14 @@ Pool scenario schema::
         {"action": "swap_y_for_x", "amount": 10},
         {"action": "external_price", "price": 1.05}]}
 
-An external_price event arbitrages the pool to the quoted price and sets
-the numeraire price of token x for PnL rows (token y is the numeraire,
-price 1). A remove of "all" by the last open position withdraws the whole
-share supply, so float rounding leaves no shares that nobody holds. Swap
-scenario schema::
+`exact` is a JSON boolean: true replays in exact rationals, and each row
+must still fit a float. An external_price event arbitrages the pool to the
+quoted price and sets the numeraire price of token x for PnL rows (token y
+is the numeraire, price 1). A remove of "all" by the last open position
+withdraws the whole share supply, so float rounding leaves no shares that
+nobody holds. A failing event, or a failing position row (shares above a
+live pool's supply, an exact value past float range), raises at its own
+event as `event N (action): ...`. Swap scenario schema::
 
     {"agreement": {"notional_a": 100, "notional_b": 100, "x0": 1.0,
                    "margin_a": 5, "margin_b": 5, "threshold": 0.2,
@@ -55,7 +58,7 @@ from itertools import chain
 import numpy as np
 
 from .amm import SHARES_EXCEED_SUPPLY, LpPosition, claim_pnl, create_pool, genesis_position
-from .core import Columns, Key, _check_keys, _one_of, _rational
+from .core import Columns, Key, _boolean, _check_keys, _one_of, _rational
 from .errors import CryptoYieldError, DomainError, InputError
 from .xccy import ALPHA, BETA, PARTIES, Leg, OracleTick, SwapAgreement, to_fraction
 
@@ -85,7 +88,7 @@ POOL_SCENARIO = (
     Key("pool", required=True, keys=(
         *_required("reserve_x", "reserve_y", "fee"),
         Key("gas_cost", _rational, 0),
-        Key("exact", bool, False),
+        Key("exact", _boolean, False),
     )),
     Key("events", required=True, tag="action", items={
         "add": (*_required("dx", "dy"), *_required("position", kind=str)),
@@ -182,6 +185,7 @@ def run_pool_scenario(config) -> dict:
     # and (live, index into holders). Holders change only at create, add and
     # remove, so only those take a sorted snapshot of the open positions.
     actions, states, recorded, holders = [], [], [], []
+    dead_claim = tuple(map(conv, (0, 0, 1, 0)))  # a withdrawn pool leaves a claim of nothing
 
     def record(action):
         live = pool.live
@@ -191,8 +195,15 @@ def run_pool_scenario(config) -> dict:
         )
         if exact:
             tuple(map(float, state))  # a value past float range fails at its own event
-        if action in ("create", "add", "remove"):
+        moved = action in ("create", "add", "remove")  # the only events that move shares, supply or liveness
+        if moved:
             holders.append(sorted(positions.items()))
+        for _, held in holders[-1] if moved or exact else ():  # exact PnL moves with every event
+            if live and held.shares > pool.total_shares:
+                raise DomainError(SHARES_EXCEED_SUPPLY)
+            if exact:  # shares and PnL past float range fail at their own event
+                claim = (pool.reserve_x, pool.reserve_y, pool.total_shares, held.shares) if live else dead_claim
+                float(held.shares), float(claim_pnl(*claim, *held.entry_reserves, price_x, 1))
         actions.append(action)
         states.append(state)
         recorded.append((live, len(holders) - 1))
@@ -206,7 +217,6 @@ def run_pool_scenario(config) -> dict:
         record("create")
     except ArithmeticError as exc:  # exact reserves past float range
         raise DomainError(f"pool: {exc}") from exc
-    failure = None
     try:
         for index, event in enumerate(values["events"], start=1):
             action = event["action"]
@@ -250,12 +260,11 @@ def run_pool_scenario(config) -> dict:
                 price_x = conv(event["price"])
                 pool.arbitrage_to_price(price_x)
             record(action)
-    except (CryptoYieldError, ArithmeticError) as exc:  # float reserves driven to zero, exact ones past float range
-        failure = index, action, exc
-    # A failing position row of an earlier event comes first, as in a row-by-row replay.
+    except CryptoYieldError as exc:
+        raise type(exc)(f"event {index} ({action}): {exc}") from exc
+    except ArithmeticError as exc:  # float reserves driven to zero, exact ones past float range
+        raise DomainError(f"event {index} ({action}): {exc}") from exc
     pool_rows, position_rows = _pool_tables(actions, states, recorded, holders, conv)
-    if failure:
-        _replay_error(*failure)
 
     summary = {
         "events": len(values["events"]),
@@ -270,25 +279,6 @@ def run_pool_scenario(config) -> dict:
     return {"pool_rows": pool_rows, "position_rows": position_rows, "summary": summary}
 
 
-def _replay_error(index, action, exc):
-    """Raise `exc` as a pool replay reports it at event `index`; event 0 is the create step."""
-    if index == 0:
-        if isinstance(exc, ArithmeticError):  # exact reserves past float range
-            raise DomainError(f"pool: {exc}") from exc
-        raise exc
-    kind = type(exc) if isinstance(exc, CryptoYieldError) else DomainError
-    raise kind(f"event {index} ({action}): {exc}") from exc
-
-
-def _overflow(value):
-    """The OverflowError that float(value) raises, else None."""
-    try:
-        float(value)
-    except OverflowError as exc:
-        return exc
-    return None
-
-
 def _matrix(rows, dtype):
     """Equal-length tuples as the rows of a 2-D array."""
     width = len(rows[0])
@@ -299,14 +289,10 @@ def _pool_tables(actions, states, recorded, holders, conv):
     """Pool and position columns of the recorded events.
 
     Each event's position rows are its holder snapshot, laid out by
-    indexing, and their PnL is one array evaluation of `claim_pnl`. Raises
-    the first failing position row, checked in the order a row-by-row replay
-    meets them: shares above the supply of a live pool, then, in exact mode,
-    shares and PnL past float range.
+    indexing, and their PnL is one array evaluation of `claim_pnl`.
     """
-    exact = conv is not float
     floats = _matrix(states, float)  # exact values were checked as each event recorded them
-    state = _matrix(states, object) if exact else floats
+    state = floats if conv is float else _matrix(states, object)
     live, snapshot = _matrix(recorded, int).T
     pool_rows = Columns({"event": np.arange(len(states)), "action": actions, **dict(zip(_POOL_STATE, floats.T))})
 
@@ -324,19 +310,11 @@ def _pool_tables(actions, states, recorded, holders, conv):
         "reserve_x", "reserve_y", "total_shares", "price_x"))
     live = live[event].astype(bool)
     with np.errstate(all="ignore"):  # inf and nan stay in the cells, for the writer to refuse
-        over = np.flatnonzero(live & (shares > total_shares))
         # A withdrawn pool leaves no claim, so its rows value a claim of nothing.
         dead = ~live
         reserve_x[dead], reserve_y[dead], total_shares[dead] = conv(0), conv(0), conv(1)
         claimed = np.where(live, shares, conv(0))
         pnl = claim_pnl(reserve_x, reserve_y, total_shares, claimed, entry_x, entry_y, price_x, 1)
-    failures = [(over[0], 0, DomainError(SHARES_EXCEED_SUPPLY))] if over.size else []
-    if exact:
-        for order, column in enumerate((shares, pnl), start=1):
-            failures += [(row, order, exc) for row, exc in enumerate(map(_overflow, column)) if exc][:1]
-    if failures:
-        row, _, exc = min(failures, key=lambda failure: failure[:2])
-        _replay_error(event[row], actions[event[row]], exc)
     position_rows = Columns(
         {"event": event, "position": names, "shares": shares.astype(float), "pnl": pnl.astype(float)}
     )

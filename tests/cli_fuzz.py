@@ -3,7 +3,12 @@
 `scenarios()` draws the demo pool or swap scenario and mutates it one to
 three times: it drops a key, retypes one (text, null, bool, list, object),
 sets a number to nan, inf, 1e308, a negative value or text with a huge
-decimal exponent, or duplicates, reorders or truncates the events.
+decimal exponent, or duplicates, reorders or truncates the events. Two
+mutations keep the schema valid, so the draw reaches the replay: one scales
+a number by a factor in [0.5, 2] (an add's two amounts, and the pool's two
+reserves, together, so deposits keep the pool ratio), and one inserts an add
+at the opening pool ratio, before the first trade, and a later remove, for
+an existing holder or a new one.
 
 `csv_files()` draws one of the demo CSV inputs (validator balances, option
 chain, funding quotes, basis quotes) and mutates it one to three times: it
@@ -56,6 +61,11 @@ CSV_CELLS = (
     "0001-01-01T00:00:00Z", "x", "1,5", "4\udcff0",  # the lone surrogate writes byte 0xff: not UTF-8
 )
 RETYPED = ("text", None, True, [], {})
+# Keys scaled together by the perturb mutation, so a deposit keeps the pool ratio.
+SCALED_TOGETHER = ({"dx", "dy"}, {"reserve_x", "reserve_y"})
+# Listed first and three times over, the two mutations that keep the schema
+# valid (perturb, pair) take most draws, so most pool draws reach the replay.
+MUTATIONS = (*("perturb", "pair") * 3, "drop", "retype", "number", "duplicate", "reorder", "truncate")
 NUMBERS = (math.nan, math.inf, 1e308, "negative", "1e999999999", "-1e-999999999")
 
 
@@ -85,20 +95,28 @@ def scenarios(draw):
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(scenario))
         events = scenario.get("events")
-        mutation = draw(st.sampled_from(("drop", "retype", "number", "duplicate", "reorder", "truncate")))
-        if mutation == "number":
+        mutation = draw(st.sampled_from(MUTATIONS))
+        if mutation in ("number", "perturb"):
             paths = [p for p in paths if _is_number(_parent(scenario, p)[p[-1]])]
-        if mutation in ("drop", "retype", "number") and paths:
+        if mutation in ("drop", "retype", "number", "perturb") and paths:
             path = draw(st.sampled_from(paths))
             parent = _parent(scenario, path)
             if mutation == "drop":
                 del parent[path[-1]]
             elif mutation == "retype":
                 parent[path[-1]] = copy.copy(draw(st.sampled_from(RETYPED)))
+            elif mutation == "perturb":
+                factor = draw(st.floats(0.5, 2.0))
+                keys = next((k for k in SCALED_TOGETHER if path[-1] in k and k <= parent.keys()), {path[-1]})
+                for key in keys:
+                    if _is_number(parent[key]):
+                        parent[key] *= factor
             else:
                 number = draw(st.sampled_from(NUMBERS))
                 old = parent[path[-1]]
                 parent[path[-1]] = (-abs(old) if old else -1) if number == "negative" else number
+        elif mutation == "pair" and command == "amm" and isinstance(events, list):
+            _insert_pair(draw, scenario, events)
         elif isinstance(events, list) and events:
             if mutation == "duplicate":
                 i = draw(st.integers(0, len(events) - 1))
@@ -108,6 +126,24 @@ def scenarios(draw):
             elif mutation == "truncate":
                 del events[draw(st.integers(0, len(events))):]
     return command, scenario
+
+
+def _insert_pair(draw, scenario, events):
+    """Insert an add at the opening pool ratio, before the first trade, and a later remove by the same holder."""
+    named = (e.get("position") for e in events if isinstance(e, dict))
+    holders = {"genesis"} | {name for name in named if isinstance(name, str)}
+    name = draw(st.sampled_from(sorted(holders | {"carol"})))
+    spec = scenario["pool"] if isinstance(scenario.get("pool"), dict) else {}
+    rx, ry = spec.get("reserve_x"), spec.get("reserve_y")
+    ratio = ry / rx if _is_number(rx) and _is_number(ry) and rx else 1.0
+    trades = [i for i, e in enumerate(events) if not (isinstance(e, dict) and e.get("action") in ("add", "remove"))]
+    add = draw(st.integers(0, trades[0] if trades else len(events)))
+    remove = draw(st.integers(add, len(events)))
+    dx = draw(st.floats(1.0, 200.0))
+    # A holder that may have later events keeps a position; a new one withdraws it all.
+    shares = 1.0 if name in holders else "all"
+    events.insert(remove, {"action": "remove", "position": name, "shares": shares})
+    events.insert(add, {"action": "add", "dx": dx, "dy": dx * ratio, "position": name})
 
 
 @st.composite

@@ -241,6 +241,19 @@ class TestOracleAndKelly:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["kelly", "--means", "0.1,0.2", "--cov", "0.04,0.01;0.01"],
+        ["run", "--config", "{cfg}"],
+    ], ids=["flags", "run"])
+    def test_kelly_ragged_covariance_exit_3(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "kelly", "means": [0.1, 0.2], "covariance": [[0.04, 0.01], [0.01]]}))
+        out = tmp_path / "r"
+        assert cli_main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "covariance row lengths [2, 1]" in err
+        assert not out.exists()
+
 
 class TestRunAndValidate:
     def test_run_resolves_paths_relative_to_config(self, tmp_path):
@@ -365,6 +378,12 @@ DRIFT_CASES = {
         "barrier",
     ),
     "oracle-text-paths": ({"command": "oracle", "spec": {"paths": "abc"}}, None, "spec.paths"),
+    # Bool keys take only JSON true and false; bool("false") would read as true.
+    "oracle-text-bridge": ({"command": "oracle", "spec": {"paths": 1000}, "bridge": "false"}, None, "bridge"),
+    "oracle-text-antithetic": (
+        {"command": "oracle", "spec": {"paths": 1000, "antithetic": "no"}}, None, "spec.antithetic"
+    ),
+    "pool-text-exact": (scenario_config("amm", POOL, "false", "pool", "exact"), None, "pool.exact"),
     "stake-bad-day": (
         {"command": "stake", "balances": str(DEMO / "validators.csv"), "day": "nope"}, None, "day"
     ),

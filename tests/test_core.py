@@ -211,6 +211,10 @@ class TestKelly:
         with pytest.raises(IllConditionedError):
             kelly_weights([0.05, 0.06], 0.0, cov)
 
+    def test_ragged_covariance_rejected(self):
+        with pytest.raises(DomainError, match=r"covariance row lengths \[2, 1\] do not match 2 assets"):
+            kelly_weights([0.1, 0.2], 0.0, [[0.04, 0.01], [0.01]])
+
     def test_asymmetric_rejected(self):
         cov = [[0.04, 0.02], [0.01, 0.09]]
         with pytest.raises(DomainError):

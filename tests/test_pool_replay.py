@@ -213,6 +213,11 @@ WITHDRAWN = [
     {"action": "remove", "position": "genesis", "shares": "all"},
 ]
 
+PNL_THEN_UNKNOWN = [
+    {"action": "external_price", "price": 1e300},
+    {"action": "remove", "position": "carol", "shares": 1.0},
+]
+
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize(
@@ -240,6 +245,8 @@ WITHDRAWN = [
         # The pool row fits, but the PnL of a claim valued at 1e300 is past float range (exact)
         # or the arbitrage leaves no x reserve (float).
         pool([{"action": "external_price", "price": 1e300}], reserves=(1e300, 1e-300)),
+        # Event 1's PnL past float range (exact) comes before event 2's unknown position.
+        pool(PNL_THEN_UNKNOWN, reserves=(1e300, 1e-300)),
         # Reserves of inf and nan, then a withdrawal: the withdrawn pool's rows must not read them.
         pool([{"action": "add", "dx": 1e-14, "dy": 1e-14, "position": "alice"},
               {"action": "swap_x_for_y", "amount": 1e308}, {"action": "swap_x_for_y", "amount": 1e308},
@@ -247,7 +254,7 @@ WITHDRAWN = [
     ],
     ids=["genesis-exit", "dust-exit", "withdrawn-pool", "genesis-all", "swap-on-withdrawn", "zero-add",
          "unknown-position", "swap-1e308", "two-swaps-1e308", "reserve-past-range", "create-past-range",
-         "pnl-past-range", "withdrawn-after-overflow"],
+         "pnl-past-range", "pnl-past-range-then-unknown", "withdrawn-after-overflow"],
 )
 def test_edge_scenarios(scenario, exact):
     scenario = copy.deepcopy(scenario)
@@ -259,6 +266,9 @@ def test_edge_scenarios_reach_their_paths():
     # The comparisons are only as strong as the paths they reach.
     past_range = pool([{"action": "swap_x_for_y", "amount": 1e308}] * 2, exact=True, reserves=(1e308, 1e-300))
     assert outcome(past_range) == (DomainError, "event 1 (swap_x_for_y): integer division result too large for a float")
+    pnl_first = pool(PNL_THEN_UNKNOWN, exact=True, reserves=(1e300, 1e-300))
+    message = "event 1 (external_price): integer division result too large for a float"
+    assert outcome(pnl_first) == (DomainError, message)
     created = pool([], exact=True, reserves=(1e308, 1e308))
     assert outcome(created) == (DomainError, "pool: integer division result too large for a float")
     result = run_pool_scenario(pool(WITHDRAWN))  # exact shares keep alice's dust in the supply

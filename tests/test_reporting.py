@@ -9,7 +9,7 @@ import pytest
 from cryptoyield import reporting
 from cryptoyield.core import Columns
 from cryptoyield.errors import CryptoYieldError
-from cryptoyield.reporting import Report, config_hash, render_value
+from cryptoyield.reporting import Report, Series, config_hash, render_value
 
 
 def reference_csv(columns, rows) -> bytes:
@@ -22,9 +22,9 @@ def reference_csv(columns, rows) -> bytes:
     return buffer.getvalue().encode()
 
 
-def table(rows):
-    """Row dicts as one table of list columns, the shape Report.add_series takes."""
-    return Columns({name: [row[name] for row in rows] for name in rows[0]})
+def table(rows, *columns):
+    """Row dicts as one table of list columns (all of them, or those named), the shape a Series holds."""
+    return Columns({name: [row[name] for row in rows] for name in columns or rows[0]})
 
 
 def mixed_rows(n):
@@ -66,8 +66,8 @@ class TestRendering:
 
 class TestReportWrite:
     def make_report(self):
-        report = Report(command="demo", summary={"answer": 42})
-        report.add_series("numbers", ("i", "x"), table([{"i": 1, "x": 0.5}, {"i": 2, "x": 0.25}]))
+        report = Report(command="demo", summary={"answer": 42},
+                        series=[Series("numbers", table([{"i": 1, "x": 0.5}, {"i": 2, "x": 0.25}]))])
         report.finalize_provenance({"command": "demo"}, input_paths=(), seed=7)
         return report
 
@@ -87,22 +87,20 @@ class TestReportWrite:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_partial_outputs_removed_on_failure(self, tmp_path):
-        report = Report(command="demo", summary={})
-        report.add_series("good", ("i",), table([{"i": 1}]))
-        report.add_series("bad", ("i", "missing"), table([{"i": 1}]))  # KeyError mid-write
+        ragged = Series("bad", Columns({"i": [1], "x": [1, 2]}))  # ValueError mid-write
+        report = Report(command="demo", summary={}, series=[Series("good", table([{"i": 1}])), ragged])
         out = tmp_path / "out"
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             report.write(out)
         assert not out.exists()
 
     def test_failed_write_keeps_existing_directory(self, tmp_path):
-        report = Report(command="demo", summary={})
-        report.add_series("bad", ("i", "missing"), table([{"i": 1}]))
+        report = Report(command="demo", summary={}, series=[Series("bad", Columns({"i": [1], "x": [1, 2]}))])
         (tmp_path / "keep.txt").write_text("x")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             report.write(tmp_path / "new" / "out")
         assert not (tmp_path / "new").exists()
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             report.write(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
 
@@ -125,10 +123,11 @@ class TestStagedWrite:
     def test_bytes_equal_csv_writer_with_render_value(self, tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
         rows = mixed_rows(5000 if chunk_rows > 7 else 90)
-        report = Report(command="demo", summary={})
-        report.add_series("mixed", self.COLUMNS, table(rows))
-        report.add_series("numbers", ("i", "x"), table(rows))  # chunks with no quoting
-        report.add_series("lone", ("maybe",), table(rows))  # a lone empty cell is quoted
+        report = Report(command="demo", summary={}, series=[
+            Series("mixed", table(rows, *self.COLUMNS)),
+            Series("numbers", table(rows, "i", "x")),  # chunks with no quoting
+            Series("lone", table(rows, "maybe")),  # a lone empty cell is quoted
+        ])
         report.write(tmp_path / "out")
         for name, columns in (("mixed", self.COLUMNS), ("numbers", ("i", "x")), ("lone", ("maybe",))):
             assert (tmp_path / "out" / f"{name}.csv").read_bytes() == reference_csv(columns, rows)
@@ -137,10 +136,8 @@ class TestStagedWrite:
     def nan_after_first_chunk(column="x", bad=float("nan")):
         rows = mixed_rows(reporting._CHUNK_ROWS + 10)
         rows[reporting._CHUNK_ROWS + 5][column] = bad
-        report = Report(command="demo", summary={"answer": 1})
-        report.add_series("good", ("i",), table(rows))
-        report.add_series("numbers", ("i", column), table(rows))
-        return report
+        series = [Series("good", table(rows, "i")), Series("numbers", table(rows, "i", column))]
+        return Report(command="demo", summary={"answer": 1}, series=series)
 
     # A float column, a float-or-None column and a float-subclass column.
     @pytest.mark.parametrize("column, bad", [("x", float("nan")), ("maybe", float("inf")), ("np", np.float64("nan"))])
@@ -198,23 +195,21 @@ class TestColumnarSeries:
         lists = Columns({name: column.tolist() for name, column in arrays.columns.items()})
         rows = [dict(zip(arrays.columns, row)) for row in lists.rows()]
         for name, table in (("arrays", arrays), ("lists", lists)):
-            report = Report(command="demo", summary={})
-            report.add_series("s", tuple(table.columns), table)
-            report.write(tmp_path / name)
+            Report(command="demo", summary={}, series=[Series("s", table)]).write(tmp_path / name)
             assert (tmp_path / name / "s.csv").read_bytes() == reference_csv(tuple(table.columns), rows)
 
     def test_non_finite_in_array_after_first_chunk(self, tmp_path):
         table = self.arrays(reporting._CHUNK_ROWS + 10)
         table["x"][reporting._CHUNK_ROWS + 3] = np.inf
-        report = Report(command="demo", summary={})
-        report.add_series("numbers", ("i", "x"), table)
+        numbers = Columns({"i": table["i"], "x": table["x"]})
+        report = Report(command="demo", summary={}, series=[Series("numbers", numbers)])
         with pytest.raises(CryptoYieldError, match=r"numbers\.csv: column 'x'"):
             report.write(tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
     def test_columns_of_unequal_length_refused(self, tmp_path):
-        report = Report(command="demo", summary={})
-        report.add_series("ragged", ("a", "b"), Columns({"a": [1, 2], "b": np.zeros(3)}))
+        ragged = Columns({"a": [1, 2], "b": np.zeros(3)})
+        report = Report(command="demo", summary={}, series=[Series("ragged", ragged)])
         with pytest.raises(ValueError, match="column 'b' has 3 rows, not 2"):
             report.write(tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
