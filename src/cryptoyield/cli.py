@@ -352,8 +352,8 @@ def _check_config(config):
     if command is None:
         return None, {}, [f"config must be a JSON object with a command in {sorted(COMMANDS)}"]
     problems = []
-    values = _check_keys(command.keys, config, "", problems)
-    _check_keys((OUT_DIR,), config, "", problems)
+    values = _check_keys((*command.keys, OUT_DIR), config, "", problems, known=("command",))
+    del values[OUT_DIR.name]  # for run_command, not the handler
     return command, values, problems
 
 

@@ -509,7 +509,13 @@ def _rational(value):
 
 
 def _integer(value):
-    return int(value if isinstance(value, str) else _number(value))
+    """An integral number (2000 or 2000.0); text parses as an int."""
+    if isinstance(value, str):
+        return int(value)
+    number = _number(value)
+    if number != int(number):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
 
 
 def _numbers(value, sep=","):
@@ -565,16 +571,21 @@ Key = namedtuple("Key", "name kind default required flag help keys load check it
                  defaults=(None, None, False, None, None, (), None, None, (), None))
 
 
-def _check_keys(keys, config, prefix, problems):
-    """Coerced values with defaults filled in; each missing or bad key adds a problem."""
-    values = {}
+def _check_keys(keys, config, prefix, problems, known=()):
+    """Coerced values with defaults filled in; each missing, bad or unknown key adds a problem.
+
+    A name that neither the table nor ``known`` lists is an unknown key.
+    """
+    values, given = {}, 0
     for key in keys:
         value = config.get(key.name)
         values[key.name] = key.default
         if value is None:
             if key.required is True or (key.required and values[key.required[0]] == key.required[1]):
                 problems.append(f"{prefix}{key.name}: required")
-        elif key.kind:
+            continue
+        given += 1
+        if key.kind:
             try:
                 values[key.name] = key.kind(value)
             except (TypeError, ValueError, ArithmeticError) as exc:
@@ -583,6 +594,9 @@ def _check_keys(keys, config, prefix, problems):
             values[key.name] = _check_list(key, value, prefix + key.name, problems)
         else:
             values[key.name] = _check_object(key.keys, value, prefix + key.name, problems)
+    if len(config) > given:  # names the table lacks, or only nulls and known names
+        names = {key.name for key in keys}.union(known)
+        problems.extend(f"{prefix}{name}: unknown key" for name in config if name not in names)
     return values
 
 
@@ -606,6 +620,10 @@ def _check_list(key, value, path, problems):
         keys = key.items
         if key.tag:
             name = item.get(key.tag) if isinstance(item, dict) else None
-            keys = variants[name] if isinstance(name, str) and name in variants else (tag,)
+            if isinstance(name, str) and name in variants:
+                keys = variants[name]
+            else:  # no variant to check against: the tag alone
+                keys = (tag,)
+                item = {key.tag: name} if isinstance(item, dict) else item
         checked.append(_check_object(keys, item, f"{path}[{i}]", problems))
     return checked

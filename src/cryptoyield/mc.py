@@ -10,11 +10,20 @@ generated in fixed-size blocks, each from its own stream, and block partials
 combine in block order, so estimates are bit-identical for a given spec and
 seed no matter how blocks would be scheduled across workers. numpy pins the
 Philox bit stream across releases.
+
+The first-passage oracle draws each block in row chunks from the block's one
+generator, which yields the same bits as drawing the block at once. One
+helper thread draws the next chunk into a second buffer while the kernel
+walks the current one, so drawing and stepping overlap on two cores; values
+still combine in block and row order. The kernel evaluates the bridge
+exponentials without numpy's slow path for tiny results (``_exp_nonpositive``)
+and returns the same bits as ``np.exp``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +34,22 @@ from .errors import DomainError
 # shrinks the block so block_pairs * steps stays within ~2M doubles.
 _TERMINAL_BLOCK = 1 << 16
 _PATH_BLOCK_BUDGET = 1 << 21
-# Most doubles in the slab of upcoming normals that the first-passage kernel
-# copies out for its live paths. A block is path-major, so reading one step
-# for every path touches a cache line per path; a slab reads each line once
-# for several steps (32 steps for 512-step paths) and fits a 2 MB cache.
-_SLAB_DOUBLES = 1 << 18
+# Longest path: one row of normals fits half the block budget, so the two
+# draw buffers never exceed one block plus one row.
+MAX_STEPS = 1 << 20
+# Most doubles in one row chunk of normals (1024 rows of 512 steps). The
+# first-passage oracle holds two chunks, the one the kernel walks and the
+# one being drawn, in place of a whole block.
+_DRAW_DOUBLES = 1 << 19
+# Most doubles in one (steps x live paths) matrix of the first-passage
+# kernel. A chunk of normals is path-major, so the kernel copies each live
+# path's next few steps out once (a slab) and walks them step-major; the
+# matrices of one kernel chunk stay within a 2 MB cache.
+_SLAB_DOUBLES = 1 << 15
+# np.exp takes a slow path once its result leaves the normal range
+# (arguments below about -708), and returns +0.0 below about -745.13.
+_EXP_FAST = -700.0
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -54,6 +74,9 @@ class GbmSpec:
     antithetic: bool = True
 
     def __post_init__(self):
+        values = (self.s0_a, self.s0_b, self.sigma_a, self.sigma_b, self.drift_a, self.drift_b, self.T)
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError("initial values, volatilities, drifts and horizon must be finite")
         if self.s0_a <= 0 or self.s0_b <= 0:
             raise DomainError("initial values must be > 0")
         if self.sigma_a < 0 or self.sigma_b < 0:
@@ -64,6 +87,8 @@ class GbmSpec:
             raise DomainError(f"horizon must be > 0, got {self.T}")
         if self.steps < 1 or self.paths < 1:
             raise DomainError("steps and paths must be >= 1")
+        if self.steps > MAX_STEPS:
+            raise DomainError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if self.antithetic and self.paths % 2 != 0:
             raise DomainError("antithetic sampling needs an even path count")
 
@@ -138,7 +163,9 @@ def simulate_terminal(spec: GbmSpec):
 
 
 def _estimate_from_values(values: list, discount: float, paths: int) -> McEstimate:
+    """Mean and standard error over the concatenated values; empties ``values``."""
     v = np.concatenate(values)
+    values.clear()  # free the parts before np.std makes its temporaries
     mean = float(np.mean(v))
     if v.size > 1:
         se = float(np.std(v, ddof=1)) / math.sqrt(v.size)
@@ -165,8 +192,27 @@ def price_payoff(spec: GbmSpec, payoff, discount_rate: float = 0.0) -> McEstimat
     return _estimate_from_values(values, discount, spec.paths)
 
 
+def _exp_nonpositive(e):
+    """np.exp(min(e, 0)) bit for bit, for a contiguous array ``e``.
+
+    np.exp costs ~1-3 ns an element on [_EXP_FAST, 0] but ~20-170 ns on
+    arguments from about -708 down past the underflow to +0.0. So every
+    argument is clipped into [_EXP_FAST, 0] first; then the results below
+    _EXP_ZERO are set to +0.0, and np.exp itself redoes the few in the band
+    between. np.exp gives an element the same bits wherever it sits in the
+    array, so this is exact.
+    """
+    out = np.exp(np.clip(e, _EXP_FAST, 0.0))
+    nonzero = e >= _EXP_ZERO
+    out *= nonzero
+    band = np.flatnonzero(nonzero & (e < _EXP_FAST))
+    if band.size:
+        out.reshape(-1)[band] = np.exp(e.reshape(-1)[band])
+    return out
+
+
 def _hit_contributions(spec: GbmSpec, barrier: float, discount_rate: float, bridge: bool, z):
-    """Per-path discounted first-hit weights for one block of normals.
+    """Per-path discounted first-hit weights for one chunk of normals.
 
     Walks the log of the a-leg on the time grid keeping, per path, the
     survival probability and the accumulated discounted crossing weight.
@@ -177,16 +223,19 @@ def _hit_contributions(spec: GbmSpec, barrier: float, discount_rate: float, brid
 
     With antithetic sampling the mirrored paths (normals -z) are walked in
     the same arrays as the plain ones; the result holds the plain paths'
-    weights, then the mirrored ones'. Each step does arithmetic only on the
-    live paths, those not yet at or below the barrier on the grid. Stepping
-    every path to maturity, a breach pays the path's remaining survival and
-    sets it to zero, so every later term of its sum is +0.0; dropping the
-    path changes no bit as long as the discount factor exp(-r t) is finite.
+    weights, then the mirrored ones'. The walk goes a few steps at a time:
+    for the paths live at the start of those steps it builds the
+    (steps + 1, live) matrix of log-prices, finds each path's first grid
+    breach, and sums survival and weights row by row in step order. The
+    exponentials are capped at 1, which is what a breach step gets. A breach
+    pays the path's remaining survival and sets it to zero, so every later
+    term of its sum is +0.0; the path is dropped at the end of the steps,
+    which changes no bit as long as the discount factor exp(-r t) is finite.
     """
     m, steps = z.shape
     dt = spec.T / steps
     sigma = spec.sigma_a
-    nu = spec.drift_a - 0.5 * sigma**2
+    nu_dt = (spec.drift_a - 0.5 * sigma**2) * dt
     b_log = math.log(barrier / spec.s0_a)
     vol_step = sigma * math.sqrt(dt)
     bridged = bridge and sigma > 0.0
@@ -196,57 +245,121 @@ def _hit_contributions(spec: GbmSpec, barrier: float, discount_rate: float, brid
 
     paths = 2 * m if spec.antithetic else m
     contrib = np.zeros(paths)
-    # Slot j holds live path pos[j], in no particular order; its normals are
-    # row pos[j] % m of z, and vol[j] carries the antithetic sign.
+    # Lane j holds live path pos[j]; its normals are row pos[j] % m of z,
+    # and vol[j] carries the antithetic sign.
     pos = np.arange(paths)
+    row = pos % m
     vol = np.where(pos < m, vol_step, -vol_step)
     x = np.zeros(paths)
     survival = np.ones(paths)
     acc = np.zeros(paths)
-    width = max(1, _SLAB_DOUBLES // paths)
-    with np.errstate(over="ignore"):
-        for i in range(steps):
-            k = i % width
-            if k == 0:
-                slab = z[pos % m, i : i + width]
-            x_next = x + nu * dt
-            x_next += slab[:, k] * vol
-            hit = x_next <= b_log
-            dead = hit.nonzero()[0]
-            if bridged:
-                p_cross = np.exp(-2.0 * (x - b_log) * (x_next - b_log) / (sigma**2 * dt))
-                # A live path starts the step above the barrier, so unless it
-                # breaches its exponent is <= 0 and no cap at 1 is needed.
-                p_cross[dead] = 1.0
-                weight = survival * p_cross
-                if discounted:
-                    weight *= mid_discount[i]
-                    if dead.size:
-                        x_hit = x[dead]
-                        frac = np.clip(
-                            (x_hit - b_log) / np.maximum(x_hit - x_next[dead], 1e-300), 0.0, 1.0
-                        )
-                        weight[dead] = survival[dead] * np.exp(-discount_rate * ((i + frac) * dt))
-                acc += weight
-                survival *= 1.0 - p_cross
-            else:
-                # Survival stays exactly 1 until the grid breach, which pays in full.
-                acc[dead] += np.exp(-discount_rate * ((i + 1.0) * dt))
-            x = x_next
-            if dead.size:
-                contrib[pos[dead]] = acc[dead]
-                live = x.size - dead.size
-                if not live:
-                    return contrib
-                # Move the live paths beyond the new end into the freed slots.
-                fill = dead[dead < live]
-                src = live + (~hit[live:]).nonzero()[0]
-                for a in (x, survival, acc, pos, vol, slab):
-                    a[fill] = a[src]
-                x, survival, acc = x[:live], survival[:live], acc[:live]
-                pos, vol, slab = pos[:live], vol[:live], slab[:live]
+    i = 0
+    while i < steps:
+        live = pos.size
+        w = min(steps - i, max(1, _SLAB_DOUBLES // live))
+        slab = np.take(z[:, i : i + w], row, axis=0)
+        step = np.multiply(slab.T, vol, out=np.empty((w, live)))
+        xs = np.empty((w + 1, live))
+        xs[0] = x
+        for j in range(w):
+            np.add(xs[j], nu_dt, out=xs[j + 1])
+            xs[j + 1] += step[j]
+        d = np.subtract(xs, b_log)
+        hit = d[1:] <= 0.0
+        breached = hit.any(axis=0)
+        dead = breached.nonzero()[0]
+        at = hit[:, dead].argmax(axis=0)  # each breached path's first breach
+        if bridged:
+            p_cross = np.multiply(d[:-1], -2.0)
+            p_cross *= d[1:]
+            p_cross /= sigma**2 * dt
+            # A breach starts above the barrier and ends at or below it, so
+            # its exponent is >= 0 and its crossing probability exactly 1.
+            p_cross = _exp_nonpositive(p_cross)
+            s = np.empty((w + 1, live))
+            s[0] = survival
+            keep = np.subtract(1.0, p_cross)
+            for j in range(w):
+                np.multiply(s[j], keep[j], out=s[j + 1])
+            weight = np.multiply(s[:-1], p_cross, out=keep)
+            if discounted:
+                weight *= mid_discount[i : i + w, None]
+                if dead.size:
+                    frac = np.clip(d[at, dead] / np.maximum(xs[at, dead] - xs[at + 1, dead], 1e-300), 0.0, 1.0)
+                    weight[at, dead] = s[at, dead] * np.exp(-discount_rate * ((i + at + frac) * dt))
+            for j in range(w):
+                acc += weight[j]
+            survival = s[w]
+        else:
+            # Survival stays exactly 1 until the grid breach, which pays in full.
+            acc[dead] += np.exp(-discount_rate * ((i + at + 1.0) * dt))
+        x = xs[w]
+        i += w
+        if dead.size:
+            contrib[pos[dead]] = acc[dead]
+            alive = ~breached
+            if not alive.any():
+                return contrib
+            x, survival, acc = x[alive], survival[alive], acc[alive]
+            pos, row, vol = pos[alive], row[alive], vol[alive]
     contrib[pos] = acc
     return contrib
+
+
+def _fill(generator, out, failures):
+    """Draw normals into ``out``; the helper thread's target, so it records a failure."""
+    try:
+        generator.standard_normal(out=out)
+    except Exception as exc:  # re-raised on the main thread
+        failures.append(exc)
+
+
+def _row_chunks(seed: int, total: int, block_pairs: int, rows: int):
+    """(block generator, row count) of every row chunk, in block and row order."""
+    for block, m in _pair_blocks(total, block_pairs):
+        generator = _block_generator(seed, block)
+        for start in range(0, m, rows):
+            yield generator, min(rows, m - start)
+
+
+def _normal_chunks(seed: int, total: int, block_pairs: int, steps: int):
+    """Yield every block's normals as (rows, steps) chunks, in block and row order.
+
+    A block's chunks come from the block's one generator, so together they
+    hold the bits of drawing the block at once. A chunk is a view of one of
+    two buffers and is valid until the next one is asked for: while the
+    caller works on it, one helper thread draws the next chunk into the
+    other buffer. The helper allocates nothing; closing the generator waits
+    for it.
+    """
+    rows = min(block_pairs, max(1, _DRAW_DOUBLES // steps))
+    buffers = (np.empty((rows, steps)), np.empty((rows, steps)))
+    draws = _row_chunks(seed, total, block_pairs, rows)
+    failures = []
+    generator, r = next(draws)
+    _fill(generator, buffers[0][:r], failures)
+    helper = None
+    k = 0
+    try:
+        while True:
+            if failures:
+                raise failures[0]
+            chunk = buffers[k % 2][:r]
+            k += 1
+            following = next(draws, None)
+            if following is not None:
+                generator, r = following
+                thread = threading.Thread(target=_fill, args=(generator, buffers[k % 2][:r], failures))
+                thread.start()
+                helper = thread
+            yield chunk
+            if helper is None:
+                return
+            helper.join()
+            helper = None
+    finally:
+        if helper is not None:
+            helper.join()
 
 
 def first_passage_value(
@@ -269,12 +382,13 @@ def first_passage_value(
     block_pairs = max(1, _PATH_BLOCK_BUDGET // spec.steps)
     total = spec.paths // 2 if spec.antithetic else spec.paths
     values = []
-    for block, m in _pair_blocks(total, block_pairs):
-        z = _block_generator(spec.seed, block).standard_normal((m, spec.steps))
-        c = _hit_contributions(spec, barrier, discount_rate, bridge, z)
-        # Free this block's normals before the next block draws its own, so
-        # one block's worth is resident at a time, not two.
-        del z
-        values.append(0.5 * (c[:m] + c[m:]) if spec.antithetic else c)
+    chunks = _normal_chunks(spec.seed, total, block_pairs, spec.steps)
+    try:
+        for z in chunks:
+            c = _hit_contributions(spec, barrier, discount_rate, bridge, z)
+            m = z.shape[0]
+            values.append(0.5 * (c[:m] + c[m:]) if spec.antithetic else c)
+    finally:
+        chunks.close()
     est = _estimate_from_values(values, 1.0, spec.paths)
     return McEstimate(mean=payout * est.mean, std_error=abs(payout) * est.std_error, paths=spec.paths)

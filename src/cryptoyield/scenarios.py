@@ -8,6 +8,7 @@ produces the same rows (acceptance requires byte-identical reruns).
 The `Key` tables `POOL_SCENARIO` and `SWAP_SCENARIO` are the one description
 of both files: the validators report what their check finds, by key path
 (`events[3].amount`), and the runners replay only the values it returns.
+A key that a table lacks is refused as `path: unknown key`.
 Model ranges (fee, margins, threshold) are left to `amm` and `xccy`.
 
 Pool scenario schema::

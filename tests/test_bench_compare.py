@@ -1,0 +1,30 @@
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_compare.py"
+spec = importlib.util.spec_from_file_location("bench_compare", SCRIPT)
+bench_compare = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_compare)
+
+
+def result(wall, rss, work):
+    units = {"setup_s": "s", "wall_s": "s", "work_per_s": "1/s", "peak_rss_mb": "MB"}
+    values = {"setup_s": 0.3, "wall_s": wall, "work_per_s": work, "peak_rss_mb": rss}
+    return {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
+
+
+def test_summary_counts_better_pairs_in_each_metric_direction():
+    walls = [(1.0, 0.6), (1.2, 0.7), (1.1, 1.3), (1.3, 0.65), (1.05, 0.62)]
+    pairs = [{"parent": result(p, 60.0, 10 / p), "change": result(c, 59.0, 10 / c)} for p, c in walls]
+    summary = bench_compare.summarise(pairs)
+    wall = summary["wall_s"]
+    assert wall["parent"]["median"] == 1.1 and wall["change"]["median"] == 0.65
+    assert wall["change_better_pairs"] == 4 and summary["work_per_s"]["change_better_pairs"] == 4
+    assert summary["peak_rss_mb"]["change_better_pairs"] == 5
+    assert wall["median_gap_over_parent_iqr"] == pytest.approx(0.45 / (wall["parent"]["q3"] - wall["parent"]["q1"]))
+    # Equal runs leave the gap undefined rather than infinite.
+    assert summary["setup_s"]["median_gap_over_parent_iqr"] is None
+    assert summary["setup_s"]["change_better_pairs"] == 0

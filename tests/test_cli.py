@@ -231,6 +231,15 @@ class TestOracleAndKelly:
         summary = read_report(out)["summary"]
         assert abs(summary["estimate"] - 0.06871372271014692) < 4 * summary["std_error"]
 
+    def test_oracle_too_many_steps_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        argv = ["oracle", "price", "--payoff", "one_touch", "--barrier", "1.2", "--s0-a", "1.5",
+                "--steps", str(2**20 + 1), "--paths", "2", "--out", str(out)]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert "steps must be <= 1048576" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_kelly_singular_exit_3(self, tmp_path):
         code = cli_main(
             [
@@ -384,6 +393,20 @@ DRIFT_CASES = {
         {"command": "oracle", "spec": {"paths": 1000, "antithetic": "no"}}, None, "spec.antithetic"
     ),
     "pool-text-exact": (scenario_config("amm", POOL, "false", "pool", "exact"), None, "pool.exact"),
+    # Integer keys refuse a fractional number rather than truncate it.
+    "oracle-fractional-paths": ({"command": "oracle", "spec": {"paths": 2000.7, "seed": 3}}, None, "spec.paths"),
+    "oracle-fractional-seed": ({"command": "oracle", "spec": {"paths": 2000, "seed": 3.9}}, None, "spec.seed"),
+    # A misspelt key would otherwise be dropped and its default used.
+    "oracle-unknown-key": (
+        {"command": "oracle", "spec": {"paths": 1000}, "discount": 0.05}, None, "discount: unknown key"
+    ),
+    "oracle-unknown-spec-key": (
+        {"command": "oracle", "spec": {"paths": 1000, "antithetc": False}}, None, "spec.antithetc: unknown key"
+    ),
+    "pool-unknown-key": (scenario_config("amm", POOL, 5, "pool", "gas"), None, "pool.gas: unknown key"),
+    "pool-unknown-event-key": (
+        scenario_config("amm", POOL, 10, "events", 1, "amout"), None, "events[1].amout: unknown key"
+    ),
     "stake-bad-day": (
         {"command": "stake", "balances": str(DEMO / "validators.csv"), "day": "nope"}, None, "day"
     ),

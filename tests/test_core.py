@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cryptoyield.core import (
+    Key,
     PriceSeries,
     RateConvention,
     ReturnStats,
@@ -18,6 +19,8 @@ from cryptoyield.core import (
     read_csv_rows,
     realized_vol,
     sharpe_ratio,
+    _check_keys,
+    _integer,
 )
 from cryptoyield.errors import (
     DomainError,
@@ -354,3 +357,41 @@ class TestCsvRowSemantics:
     def test_embedded_newline_names_the_record_last_line(self, tmp_path):
         with pytest.raises(InputError, match=r"p\.csv:4: could not convert string to float"):
             self.load(tmp_path, 'timestamp,price\n0,100\n86400,"1\n2"\n')
+
+
+class TestKeys:
+    """The config key check: integers, unknown names and tagged lists."""
+
+    TABLE = (
+        Key("n", _integer, 1),
+        Key("events", tag="kind", items={"a": (Key("x", _integer, required=True),)}),
+    )
+
+    def check(self, config, known=()):
+        problems = []
+        values = _check_keys(self.TABLE, config, "", problems, known)
+        return values, problems
+
+    @pytest.mark.parametrize("value, want", [(3, 3), (3.0, 3), ("3", 3), (-2e3, -2000)])
+    def test_integral_numbers_pass(self, value, want):
+        values, problems = self.check({"n": value})
+        assert (values["n"], problems) == (want, [])
+        assert type(values["n"]) is int
+
+    @pytest.mark.parametrize("value", [2000.7, 3.9, "2.5", float("nan"), True])
+    def test_fractional_or_non_numbers_refused(self, value):
+        _, problems = self.check({"n": value})
+        assert len(problems) == 1 and problems[0].startswith("n: ")
+
+    def test_unknown_names_at_each_level(self):
+        config = {"n": 1, "m": 2, "events": [{"kind": "a", "x": 1, "y": 0}], "command": "c"}
+        _, problems = self.check(config, known=("command",))
+        assert problems == ["events[0].y: unknown key", "m: unknown key"]
+
+    def test_explicit_null_is_not_unknown(self):
+        _, problems = self.check({"n": None, "events": [{"kind": "a", "x": 1}]})
+        assert problems == []
+
+    def test_item_without_a_variant_checks_its_tag_alone(self):
+        _, problems = self.check({"events": [{"kind": "b", "x": 1, "y": 0}]})
+        assert problems == ["events[0].kind: expected one of a, got 'b'"]

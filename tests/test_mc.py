@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,18 @@ class TestTerminalSampling:
             GbmSpec(s0_a=1.0, rho=1.5)
         with pytest.raises(DomainError):
             GbmSpec(s0_a=1.0, paths=101, antithetic=True)
+
+    @pytest.mark.parametrize("field", ["s0_a", "s0_b", "sigma_a", "sigma_b", "drift_a", "drift_b", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_refused(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            GbmSpec(**{"s0_a": 1.0, field: value})
+
+    def test_steps_limited_to_half_the_block_budget(self):
+        assert 2 * mc.MAX_STEPS == mc._PATH_BLOCK_BUDGET
+        GbmSpec(s0_a=1.0, steps=mc.MAX_STEPS)
+        with pytest.raises(DomainError, match="steps must be <= 1048576"):
+            GbmSpec(s0_a=1.0, steps=mc.MAX_STEPS + 1)
 
 
 class TestPricePayoff:
@@ -224,7 +237,89 @@ def test_kernel_stops_once_every_path_breached():
     assert (mc._hit_contributions(spec, barrier, 0.0, False, z) == 1.0).all()
 
 
-# 1025 steps make a block 2046 pairs, so each spec ends on a partial block.
+# Slab sizes that make the kernel walk one step at a time, a few steps that
+# do not divide the path (5 at first, more as paths breach), or all at once.
+@pytest.mark.parametrize("slab", ["one-step", "five-steps", "whole-path"])
+@pytest.mark.parametrize("discount_rate", [0.0, 0.05])
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("case", ["base", "up-drift-plain", "slabs", "at-spot"])
+def test_kernel_chunk_widths_match_reference_bit_for_bit(case, bridge, discount_rate, slab, monkeypatch):
+    spec, barrier = KERNEL_CASES[case]
+    m = spec.paths // 2 if spec.antithetic else spec.paths
+    doubles = {"one-step": 1, "five-steps": 5 * spec.paths + 4, "whole-path": spec.paths * spec.steps}[slab]
+    monkeypatch.setattr(mc, "_SLAB_DOUBLES", doubles)
+    z = np.random.default_rng(37).standard_normal((m, spec.steps))
+    want = reference_hit_contributions(spec, barrier, discount_rate, bridge, z)
+    if spec.antithetic:
+        want = np.concatenate([want, reference_hit_contributions(spec, barrier, discount_rate, bridge, -z)])
+    got = mc._hit_contributions(spec, barrier, discount_rate, bridge, z)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_exp_helper_matches_numpy_bit_for_bit():
+    e = np.concatenate([
+        np.linspace(-1e4, 0.0, 200_001),
+        np.linspace(-760.0, -690.0, 200_001),  # the slow band and the underflow to zero
+        [-0.0, mc._EXP_FAST, mc._EXP_ZERO, -745.1332191019411, -745.1332191019412, -708.3964185322641],
+    ])
+    assert mc._exp_nonpositive(e).tobytes() == np.exp(e).tobytes()
+    square = e[: 400 * 1000].reshape(400, 1000)  # the kernel passes (steps, paths) matrices
+    assert mc._exp_nonpositive(square).tobytes() == np.exp(square).tobytes()
+    assert (mc._exp_nonpositive(np.array([1e-300, 0.5, 700.0])) == 1.0).all()
+
+
+def test_row_chunks_hold_the_bits_of_whole_blocks():
+    # 365 steps: a block is 5745 pairs and a chunk 1436 rows, so each block
+    # ends on a 1-row chunk; the second block is a partial one.
+    steps, block_pairs, total = 365, mc._PATH_BLOCK_BUDGET // 365, 5745 + 10
+    got = np.concatenate([c.copy() for c in mc._normal_chunks(7, total, block_pairs, steps)])
+    want = np.concatenate([
+        mc._block_generator(7, block).standard_normal((m, steps)) for block, m in mc._pair_blocks(total, block_pairs)
+    ])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_failure_on_second_chunk_propagates_and_stops_the_helper(monkeypatch):
+    spec = GbmSpec(s0_a=1.5, sigma_a=0.8, steps=512, paths=2 * 3000, seed=3)  # three 1024-row chunks
+    kernel, calls = mc._hit_contributions, []
+
+    def fail_second(*args):
+        calls.append(args[-1].shape)
+        if len(calls) == 2:
+            raise RuntimeError("kernel failed")
+        return kernel(*args)
+
+    monkeypatch.setattr(mc, "_hit_contributions", fail_second)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        first_passage_value(spec, 1.2, 0.08)
+    assert threading.active_count() == threads
+    assert calls == [(1024, 512), (1024, 512)]
+
+
+def test_draw_failure_in_the_helper_is_raised_on_the_main_thread(monkeypatch):
+    make = mc._block_generator
+
+    class Failing:
+        def __init__(self, seed, block):
+            self.inner, self.draws = make(seed, block), 0
+
+        def standard_normal(self, out):
+            self.draws += 1
+            if self.draws == 2:  # the first chunk is drawn in place, the second by the helper
+                raise MemoryError("draw failed")
+            return self.inner.standard_normal(out=out)
+
+    monkeypatch.setattr(mc, "_block_generator", Failing)
+    threads = threading.active_count()
+    spec = GbmSpec(s0_a=1.5, sigma_a=0.8, steps=512, paths=2 * 3000, seed=3)
+    with pytest.raises(MemoryError, match="draw failed"):
+        first_passage_value(spec, 1.2, 0.08)
+    assert threading.active_count() == threads
+
+
+# 1025 steps make a block 2046 pairs, drawn as chunks of 511 rows with a
+# 2-row chunk last, so each spec ends on a partial block.
 @pytest.mark.parametrize(
     "antithetic, bridge, discount_rate",
     [(True, True, 0.0), (True, False, 0.03), (False, True, -0.02)],
@@ -232,6 +327,20 @@ def test_kernel_stops_once_every_path_breached():
 def test_first_passage_matches_reference_bit_for_bit(antithetic, bridge, discount_rate):
     paths = 2 * 2049 if antithetic else 2051
     spec = GbmSpec(s0_a=1.5, sigma_a=0.8, drift_a=0.1, steps=1025, paths=paths, seed=5, antithetic=antithetic)
+    est = first_passage_value(spec, 1.2, 0.08, discount_rate=discount_rate, bridge=bridge)
+    want = reference_first_passage(spec, 1.2, 0.08, discount_rate, bridge)
+    assert np.array([est.mean, est.std_error]).tobytes() == np.array(want).tobytes()
+
+
+# 365 steps make a block 5745 pairs, drawn as chunks of 1436 rows with a
+# 1-row chunk last; the second block is a partial one of 3 pairs.
+@pytest.mark.parametrize("antithetic, bridge, discount_rate", [(True, True, 0.04), (False, False, 0.0)])
+def test_first_passage_over_uneven_row_chunks_matches_reference(antithetic, bridge, discount_rate):
+    pairs = mc._PATH_BLOCK_BUDGET // 365 + 3
+    spec = GbmSpec(
+        s0_a=1.5, sigma_a=0.8, drift_a=0.1, steps=365, paths=2 * pairs if antithetic else pairs, seed=9,
+        antithetic=antithetic,
+    )
     est = first_passage_value(spec, 1.2, 0.08, discount_rate=discount_rate, bridge=bridge)
     want = reference_first_passage(spec, 1.2, 0.08, discount_rate, bridge)
     assert np.array([est.mean, est.std_error]).tobytes() == np.array(want).tobytes()
