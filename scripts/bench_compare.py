@@ -101,7 +101,6 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=1001)
     parser.add_argument("--machine-note", default="one benchmark worker at a time",
                         help="appended to the machine line, e.g. the threads a run starts")
-    parser.add_argument("--out", help="output file (default BENCH_<workload>.json at the root)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2 for quartiles")
@@ -138,7 +137,7 @@ def main(argv=None) -> int:
         "failed": {side: [p[side]["failed"] for p in pairs] for side in ("parent", "change")},
         "pairs": pairs,
     }
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

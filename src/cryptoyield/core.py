@@ -576,16 +576,14 @@ def _check_keys(keys, config, prefix, problems, known=()):
 
     A name that neither the table nor ``known`` lists is an unknown key.
     """
-    values, given = {}, 0
+    values = {}
     for key in keys:
         value = config.get(key.name)
         values[key.name] = key.default
         if value is None:
             if key.required is True or (key.required and values[key.required[0]] == key.required[1]):
                 problems.append(f"{prefix}{key.name}: required")
-            continue
-        given += 1
-        if key.kind:
+        elif key.kind:
             try:
                 values[key.name] = key.kind(value)
             except (TypeError, ValueError, ArithmeticError) as exc:
@@ -594,9 +592,8 @@ def _check_keys(keys, config, prefix, problems, known=()):
             values[key.name] = _check_list(key, value, prefix + key.name, problems)
         else:
             values[key.name] = _check_object(key.keys, value, prefix + key.name, problems)
-    if len(config) > given:  # names the table lacks, or only nulls and known names
-        names = {key.name for key in keys}.union(known)
-        problems.extend(f"{prefix}{name}: unknown key" for name in config if name not in names)
+    # values has an entry for every name of the table
+    problems.extend(f"{prefix}{name}: unknown key" for name in config if name not in values and name not in known)
     return values
 
 

@@ -254,54 +254,55 @@ def _hit_contributions(spec: GbmSpec, barrier: float, discount_rate: float, brid
     survival = np.ones(paths)
     acc = np.zeros(paths)
     i = 0
-    while i < steps:
-        live = pos.size
-        w = min(steps - i, max(1, _SLAB_DOUBLES // live))
-        slab = np.take(z[:, i : i + w], row, axis=0)
-        step = np.multiply(slab.T, vol, out=np.empty((w, live)))
-        xs = np.empty((w + 1, live))
-        xs[0] = x
-        for j in range(w):
-            np.add(xs[j], nu_dt, out=xs[j + 1])
-            xs[j + 1] += step[j]
-        d = np.subtract(xs, b_log)
-        hit = d[1:] <= 0.0
-        breached = hit.any(axis=0)
-        dead = breached.nonzero()[0]
-        at = hit[:, dead].argmax(axis=0)  # each breached path's first breach
-        if bridged:
-            p_cross = np.multiply(d[:-1], -2.0)
-            p_cross *= d[1:]
-            p_cross /= sigma**2 * dt
-            # A breach starts above the barrier and ends at or below it, so
-            # its exponent is >= 0 and its crossing probability exactly 1.
-            p_cross = _exp_nonpositive(p_cross)
-            s = np.empty((w + 1, live))
-            s[0] = survival
-            keep = np.subtract(1.0, p_cross)
+    with np.errstate(over="ignore"):
+        while i < steps:
+            live = pos.size
+            w = min(steps - i, max(1, _SLAB_DOUBLES // live))
+            slab = np.take(z[:, i : i + w], row, axis=0)
+            step = np.multiply(slab.T, vol, out=np.empty((w, live)))
+            xs = np.empty((w + 1, live))
+            xs[0] = x
             for j in range(w):
-                np.multiply(s[j], keep[j], out=s[j + 1])
-            weight = np.multiply(s[:-1], p_cross, out=keep)
-            if discounted:
-                weight *= mid_discount[i : i + w, None]
-                if dead.size:
-                    frac = np.clip(d[at, dead] / np.maximum(xs[at, dead] - xs[at + 1, dead], 1e-300), 0.0, 1.0)
-                    weight[at, dead] = s[at, dead] * np.exp(-discount_rate * ((i + at + frac) * dt))
-            for j in range(w):
-                acc += weight[j]
-            survival = s[w]
-        else:
-            # Survival stays exactly 1 until the grid breach, which pays in full.
-            acc[dead] += np.exp(-discount_rate * ((i + at + 1.0) * dt))
-        x = xs[w]
-        i += w
-        if dead.size:
-            contrib[pos[dead]] = acc[dead]
-            alive = ~breached
-            if not alive.any():
-                return contrib
-            x, survival, acc = x[alive], survival[alive], acc[alive]
-            pos, row, vol = pos[alive], row[alive], vol[alive]
+                np.add(xs[j], nu_dt, out=xs[j + 1])
+                xs[j + 1] += step[j]
+            d = np.subtract(xs, b_log)
+            hit = d[1:] <= 0.0
+            breached = hit.any(axis=0)
+            dead = breached.nonzero()[0]
+            at = hit[:, dead].argmax(axis=0)  # each breached path's first breach
+            if bridged:
+                p_cross = np.multiply(d[:-1], -2.0)
+                p_cross *= d[1:]
+                p_cross /= sigma**2 * dt
+                # A breach starts above the barrier and ends at or below it, so
+                # its exponent is >= 0 and its crossing probability exactly 1.
+                p_cross = _exp_nonpositive(p_cross)
+                s = np.empty((w + 1, live))
+                s[0] = survival
+                keep = np.subtract(1.0, p_cross)
+                for j in range(w):
+                    np.multiply(s[j], keep[j], out=s[j + 1])
+                weight = np.multiply(s[:-1], p_cross, out=keep)
+                if discounted:
+                    weight *= mid_discount[i : i + w, None]
+                    if dead.size:
+                        frac = np.clip(d[at, dead] / np.maximum(xs[at, dead] - xs[at + 1, dead], 1e-300), 0.0, 1.0)
+                        weight[at, dead] = s[at, dead] * np.exp(-discount_rate * ((i + at + frac) * dt))
+                for j in range(w):
+                    acc += weight[j]
+                survival = s[w]
+            else:
+                # Survival stays exactly 1 until the grid breach, which pays in full.
+                acc[dead] += np.exp(-discount_rate * ((i + at + 1.0) * dt))
+            x = xs[w]
+            i += w
+            if dead.size:
+                contrib[pos[dead]] = acc[dead]
+                alive = ~breached
+                if not alive.any():
+                    return contrib
+                x, survival, acc = x[alive], survival[alive], acc[alive]
+                pos, row, vol = pos[alive], row[alive], vol[alive]
     contrib[pos] = acc
     return contrib
 

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +230,23 @@ def test_kernel_matches_reference_loop_bit_for_bit(case, bridge, discount_rate):
         want = np.concatenate([want, reference_hit_contributions(spec, barrier, discount_rate, bridge, -z)])
     got = mc._hit_contributions(spec, barrier, discount_rate, bridge, z)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("discount_rate", [0.0, 0.05])
+def test_kernel_with_subnormal_variance_step_warns_nothing(discount_rate):
+    # sigma^2 dt is subnormal, so the bridge exponents overflow to -inf.
+    spec = GbmSpec(s0_a=1.5, sigma_a=1e-160, drift_a=-1.0, steps=40, paths=32)
+    barrier = 1.2
+    z = np.random.default_rng(41).standard_normal((spec.paths // 2, spec.steps))
+    want = np.concatenate([
+        reference_hit_contributions(spec, barrier, discount_rate, True, z),
+        reference_hit_contributions(spec, barrier, discount_rate, True, -z),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mc._hit_contributions(spec, barrier, discount_rate, True, z)
+    assert got.tobytes() == want.tobytes()
+    assert (want > 0).any()
 
 
 def test_kernel_stops_once_every_path_breached():
