@@ -22,8 +22,9 @@ Pool scenario schema::
         {"action": "swap_y_for_x", "amount": 10},
         {"action": "external_price", "price": 1.05}]}
 
-`exact` is a JSON boolean: true replays in exact rationals, and each row
-must still fit a float. An external_price event arbitrages the pool to the
+`exact` is a JSON boolean: true replays in exact rationals, each row must
+still fit a float, and each reserve's numerator and denominator must fit in
+`MAX_EXACT_BITS` bits. An external_price event arbitrages the pool to the
 quoted price and sets the numeraire price of token x for PnL rows (token y
 is the numeraire, price 1). A remove of "all" by the last open position
 withdraws the whole share supply, so float rounding leaves no shares that
@@ -66,6 +67,13 @@ from .xccy import ALPHA, BETA, PARTIES, Leg, OracleTick, SwapAgreement, to_fract
 # Refused at validation: legs whose schedules to maturity would together hold
 # more accrual periods than this (replay costs ~40 us a period).
 MAX_ACCRUAL_PERIODS = 100_000
+
+# An exact pool replay fails at the event whose reserves need more bits than
+# this in a numerator or denominator. A swap sets y' = x*y / (x + dx), so the
+# bit lengths grow like a Fibonacci sequence and each event costs more than
+# the last: float amounts reach the budget within ~20 events (hundredths of a
+# second), where five more events would take seconds.
+MAX_EXACT_BITS = 16_384
 
 _PRIORITY = {"replenish": 0, "accrue": 1, "tick": 2, "terminate": 3, "mature": 4}
 
@@ -195,6 +203,10 @@ def run_pool_scenario(config) -> dict:
             pool.product, pool.cumulative_fees_x, pool.cumulative_fees_y, price_x,
         )
         if exact:
+            reserves = (pool.reserve_x, pool.reserve_y)
+            bits = max(max(r.numerator.bit_length(), r.denominator.bit_length()) for r in reserves)
+            if bits > MAX_EXACT_BITS:
+                raise DomainError(f"exact reserves need {bits} bits, past the {MAX_EXACT_BITS}-bit budget")
             tuple(map(float, state))  # a value past float range fails at its own event
         moved = action in ("create", "add", "remove")  # the only events that move shares, supply or liveness
         if moved:

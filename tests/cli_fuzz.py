@@ -18,15 +18,24 @@ the year 1, text or a byte that is not UTF-8 into a numeric cell, truncates
 the file mid-line, prepends a byte-order mark, or leaves the header alone or
 nothing at all.
 
-`check_scenario` and `check_csv` run the result in-process through
-`cli.main` and assert the contract:
+`configs()` draws one of the demo command configs, with its input paths
+made absolute and its scenario file inline, and mutates it once: it renames
+a key by one character, adds an unknown key to an object at any nesting
+level (`object_paths()` lists them all), retypes a value, or puts nan or inf
+into a number.
+
+`check_scenario`, `check_csv` and `check_config` run the result in-process
+through `cli.main` and assert the contract:
 
   exit codes     `run` exits 0, 2 or 3 and no exception escapes `main`;
   no debris      a failed run leaves no report directory;
   finite output  every number in report.json and in each CSV is finite;
   agreement      when `validate` exits 2, `run` exits 2 as well (not the
                  converse: replay-time errors such as an unknown position
-                 exit 2 without `validate` seeing them).
+                 exit 2 without `validate` seeing them);
+  named keys     a renamed or added key makes both exit 2 and both name
+                 its path as `path: unknown key` (a renamed variant tag:
+                 its old path as `path: required`).
 """
 
 import contextlib
@@ -36,6 +45,7 @@ import io
 import json
 import math
 import pathlib
+import string
 
 from hypothesis import strategies as st
 
@@ -61,12 +71,35 @@ CSV_CELLS = (
     "0001-01-01T00:00:00Z", "x", "1,5", "4\udcff0",  # the lone surrogate writes byte 0xff: not UTF-8
 )
 RETYPED = ("text", None, True, [], {})
+# No key name holds an upper-case letter, so a typo made with one is never
+# another valid name.
+TYPOS = string.ascii_uppercase
+UNKNOWN_KEY = "unlisted"
+NON_FINITE = (math.nan, math.inf, -math.inf)
 # Keys scaled together by the perturb mutation, so a deposit keeps the pool ratio.
 SCALED_TOGETHER = ({"dx", "dy"}, {"reserve_x", "reserve_y"})
 # Listed first and three times over, the two mutations that keep the schema
 # valid (perturb, pair) take most draws, so most pool draws reach the replay.
 MUTATIONS = (*("perturb", "pair") * 3, "drop", "retype", "number", "duplicate", "reorder", "truncate")
 NUMBERS = (math.nan, math.inf, 1e308, "negative", "1e999999999", "-1e-999999999")
+
+
+def _demo_config(path):
+    """A demo command config with absolute input paths and its scenario inline."""
+    config = json.loads(path.read_text())
+    for key, value in config.items():
+        if key == "scenario":
+            config[key] = json.loads((DEMO / value).read_text())
+        elif isinstance(value, str) and (DEMO / value).is_file():
+            config[key] = str(DEMO / value)
+    return config
+
+
+CONFIGS = {
+    path.stem: _demo_config(path)
+    for path in sorted(DEMO.glob("*.json"))
+    if "command" in json.loads(path.read_text())
+}
 
 
 def _paths(node, prefix=()):
@@ -77,10 +110,14 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _parent(scenario, path):
-    for step in path[:-1]:
-        scenario = scenario[step]
-    return scenario
+def _value(node, path):
+    for step in path:
+        node = node[step]
+    return node
+
+
+def _parent(node, path):
+    return _value(node, path[:-1])
 
 
 def _is_number(value):
@@ -146,6 +183,50 @@ def _insert_pair(draw, scenario, events):
     events.insert(add, {"action": "add", "dx": dx, "dy": dx * ratio, "position": name})
 
 
+def object_paths():
+    """(demo config name, path) of every object in every demo config, the top level included."""
+    return [
+        (name, path)
+        for name, config in CONFIGS.items()
+        for path in [(), *_paths(config)]
+        if isinstance(_value(config, path), dict)
+    ]
+
+
+def with_unknown_key(name, path):
+    """(demo config `name` with an unknown key added to the object at `path`, (the new key's path,))."""
+    config = copy.deepcopy(CONFIGS[name])
+    _value(config, path)[UNKNOWN_KEY] = 1
+    return config, (path + (UNKNOWN_KEY,),)
+
+
+@st.composite
+def configs(draw):
+    """(mutated demo command config, (new path, old path) of a renamed key,
+    (path,) of an added one, or None)."""
+    name = draw(st.sampled_from(sorted(CONFIGS)))
+    config = copy.deepcopy(CONFIGS[name])
+    paths = [p for p in _paths(config) if p != ("command",)]  # without a command no key table applies
+    mutation = draw(st.sampled_from(("rename", "unknown", "retype", "number")))
+    if mutation == "unknown":
+        return with_unknown_key(name, draw(st.sampled_from([p for n, p in object_paths() if n == name])))
+    if mutation == "rename":
+        path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        parent, key = _parent(config, path), path[-1]
+        i = draw(st.integers(0, len(key) - 1))
+        typo = key[:i] + draw(st.sampled_from(TYPOS)) + key[i + 1:]
+        parent[typo] = parent.pop(key)
+        return config, (path[:-1] + (typo,), path)
+    numbers = [p for p in paths if _is_number(_value(config, p))]
+    if mutation == "number" and numbers:
+        path = draw(st.sampled_from(numbers))
+        _parent(config, path)[path[-1]] = draw(st.sampled_from(NON_FINITE))
+    else:  # retype, or a config without numbers
+        path = draw(st.sampled_from(paths))
+        _parent(config, path)[path[-1]] = copy.copy(draw(st.sampled_from(RETYPED)))
+    return config, None
+
+
 @st.composite
 def csv_files(draw):
     """(command, mutated CSV text)."""
@@ -206,7 +287,7 @@ def _assert_finite_report(out):
 
 def check_scenario(command, scenario, workdir) -> int:
     """Run and validate one scenario under `workdir`; returns `run`'s exit code."""
-    return _check_config({"command": command, "scenario": scenario}, workdir)
+    return check_config({"command": command, "scenario": scenario}, workdir)
 
 
 def check_csv(command, text, workdir) -> int:
@@ -214,16 +295,42 @@ def check_csv(command, text, workdir) -> int:
     key, name = CSV_INPUTS[command]
     path = pathlib.Path(workdir) / name
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    return _check_config({"command": command, key: str(path)}, workdir)
+    return check_config({"command": command, key: str(path)}, workdir)
 
 
-def _check_config(command_config, workdir) -> int:
+def _key_path(path):
+    """`events[3].amount` for ("events", 3, "amount"); an inline scenario's
+    paths start inside it, as its checker names them."""
+    if path[0] == "scenario":
+        path = path[1:]
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path).lstrip(".")
+
+
+def _cli(argv):
+    """(exit code, stdout and stderr) of one in-process `cli.main` call."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli_main(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+def check_config(command_config, workdir, named=None) -> int:
+    """Run and validate one command config under `workdir`; returns `run`'s exit code.
+
+    `named` holds the new (and old) path of a renamed or added key, as
+    `configs()` draws it. Both must name the new path as an unknown key or,
+    when a list item's variant tag was renamed, the old path as required:
+    an item without a variant is checked for its tag alone.
+    """
     workdir = pathlib.Path(workdir)
     config, out = workdir / "cfg.json", workdir / "report"
     config.write_text(json.dumps(command_config))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        run = cli_main(["run", "--config", str(config), "--out", str(out)])
-        valid = cli_main(["validate", "--config", str(config)])
+    run, run_said = _cli(["run", "--config", str(config), "--out", str(out)])
+    valid, valid_said = _cli(["validate", "--config", str(config)])
+    if named:
+        problems = [f"{_key_path(named[0])}: unknown key", *(f"{_key_path(p)}: required" for p in named[1:])]
+        assert (run, valid) == (2, 2), f"{problems[0]}: run exited {run}, validate {valid}"
+        for said in (run_said, valid_said):
+            assert any(p in said for p in problems), f"none of {problems} in:\n{said}"
     assert run in (0, 2, 3), f"run exited {run}"
     if run:
         assert not out.exists(), "a failed run left a report directory"

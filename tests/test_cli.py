@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import tempfile
 import time
 
@@ -546,6 +547,24 @@ def test_accrual_schedule_bound_exit_2(verb, legs, name, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exact_pool_replay_bound_exit_3(tmp_path, capsys):
+    # Float amounts, as a market feed gives them: exact reserves pass the bit
+    # budget within about 20 events; unbounded, these 40 do not finish in 30 s.
+    rng = random.Random(12)
+    events = [{"action": rng.choice(["swap_x_for_y", "swap_y_for_x"]), "amount": round(rng.uniform(100, 5000), 6)}
+              for _ in range(40)]
+    scenario = {"pool": {"reserve_x": 1e6, "reserve_y": 1e6, "fee": 0.003, "exact": True}, "events": events}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "amm", "scenario": scenario}))
+    out = tmp_path / "r"
+    start = time.perf_counter()
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "bit budget" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_input_cell_exit_2(tmp_path, capsys):
     # The demo funding quotes with a nan mark on line 3.
     lines = (DEMO / "funding_quotes.csv").read_text().splitlines()
@@ -605,6 +624,24 @@ def test_scenario_fuzz_keeps_the_cli_contract(case):
     command, scenario = case
     with tempfile.TemporaryDirectory() as workdir:
         cli_fuzz.check_scenario(command, scenario, workdir)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(cli_fuzz.configs())
+def test_config_fuzz_keeps_the_cli_contract(case):
+    config, named = case
+    with tempfile.TemporaryDirectory() as workdir:
+        cli_fuzz.check_config(config, workdir, named)
+
+
+OBJECT_PATHS = cli_fuzz.object_paths()
+OBJECT_IDS = [f"{name}-{'.'.join(map(str, path)) or 'top'}" for name, path in OBJECT_PATHS]
+
+
+@pytest.mark.parametrize("name, path", OBJECT_PATHS, ids=OBJECT_IDS)
+def test_unknown_key_at_every_level_exits_2(name, path, tmp_path):
+    config, named = cli_fuzz.with_unknown_key(name, path)
+    assert cli_fuzz.check_config(config, tmp_path, named) == 2
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

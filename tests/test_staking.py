@@ -100,6 +100,36 @@ class TestDailyReturn:
             ValidatorRecord(id="v", balances=[(T0, 32.0), (float("nan"), 32.0)])
 
 
+class TestRecordStorage:
+    SNAPSHOTS = [(T0, 32.0), (T1, 32.5)]
+
+    def record(self, balances, vid="v"):
+        return ValidatorRecord(id=vid, balances=balances, state_intervals=[(T0, T1, "Active")])
+
+    def test_list_tuple_and_array_records_are_equal(self):
+        records = [self.record(form(self.SNAPSHOTS)) for form in (list, tuple, np.array)]
+        assert records[0] == records[1] == records[2]
+        assert len({hash(r) for r in records}) == 1
+
+    def test_balances_are_read_only_and_copied(self):
+        source = np.array(self.SNAPSHOTS)
+        v = self.record(source)
+        with pytest.raises(ValueError):
+            v.balances[1, 1] = 40.0
+        source[1, 1] = 40.0
+        assert v == self.record(self.SNAPSHOTS)
+
+    def test_different_records_are_unequal(self):
+        v = self.record(self.SNAPSHOTS)
+        assert v != self.record([(T0, 32.0), (T1, 32.6)])
+        assert v != self.record([(T0, 32.0)])
+        assert v != self.record(self.SNAPSHOTS, vid="w")
+        assert v != self.SNAPSHOTS
+
+    def test_rows_iterate_as_pairs(self):
+        assert [(ts, b) for ts, b in self.record(self.SNAPSHOTS).balances] == self.SNAPSHOTS
+
+
 class TestSlashCost:
     def test_one_third_of_network_loses_everything(self):
         assert slash_cost(100.0 / 3.0) == 100.0
@@ -228,6 +258,18 @@ def random_validator(rng, vid, days=12):
     return ValidatorRecord(id=vid, balances=balances, state_intervals=intervals)
 
 
+def cohort_validator(rates, vid):
+    """Daily midnight snapshots from T0, starting at 40 tokens and earning
+    rates[k] over the window that ends k + 1 days after D0; Active over
+    exactly the windows whose rate is not None."""
+    balances = [40.0]
+    for rate in rates:
+        balances.append(balances[-1] * (1.0 + (rate or 0.0) / 365.0))
+    stamps = [T0 + k * DAY for k in range(len(balances))]
+    intervals = [(stamps[k], stamps[k + 1], "Active") for k, rate in enumerate(rates) if rate is not None]
+    return ValidatorRecord(id=vid, balances=list(zip(stamps, balances)), state_intervals=intervals)
+
+
 def random_cohort(seed, size):
     rng = random.Random(seed)
     return [random_validator(rng, f"v{i}") for i in range(size)]
@@ -285,6 +327,25 @@ class TestEngineAgainstScans:
             percentile_bands(cohort, D1, [50, level])
         with pytest.raises(DomainError, match="percentile level"):
             daily_bands(cohort, [D0, D1], [level])
+
+    def test_daily_bands_on_chosen_cohorts(self):
+        # Day 1: tied rates; days 2 and 3: exactly 1 and 2 eligible; day 4: 240 validators.
+        rng = random.Random(21)
+        rates = [[rng.gauss(0.05, 0.02) for _ in range(4)] for _ in range(240)]
+        ties = [0.05] * 5 + [0.02] * 3 + [0.08] * 2
+        for i, row in enumerate(rates):
+            row[0] = ties[i] if i < len(ties) else None
+            row[1] = row[1] if i < 1 else None
+            row[2] = row[2] if i < 2 else None
+        cohort = [cohort_validator(row, f"v{i}") for i, row in enumerate(rates)]
+        days = [D0 + timedelta(days=k) for k in range(1, 5)]
+        # 12.5 of 10 ranks falls between ranks 1 and 2, 33.3 just below rank 3;
+        # 66.7 and 80.1 take numpy's second lerp form, whose bits differ here.
+        levels = [0, 100, 33.3, 50, 50, 12.5, 99.9, 66.7, 80.1]
+        sizes = [sum(reference_daily_return(v, day)[0] == ELIGIBLE for v in cohort) for day in days]
+        assert sizes == [10, 1, 2, 240]
+        for day, got in zip(days, daily_bands(cohort, days, levels)):
+            assert got == reference_percentile_bands(cohort, day, levels)
 
     def test_bad_level_without_cohort_is_empty_cohort(self):
         assert daily_bands([validator([(T0, 31.0), (T1, 32.0)])], [D1], [150]) == [None]
