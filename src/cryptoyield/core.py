@@ -612,6 +612,7 @@ def _check_list(key, value, path, problems):
     if key.tag:  # each variant's keys, led by the tag itself
         tag = Key(key.tag, _one_of(*key.items), required=True)
         variants = {name: (tag, *keys) for name, keys in key.items.items()}
+        listed = {k.name for keys in key.items.values() for k in keys}
     checked = []
     for i, item in enumerate(value):
         keys = key.items
@@ -619,8 +620,8 @@ def _check_list(key, value, path, problems):
             name = item.get(key.tag) if isinstance(item, dict) else None
             if isinstance(name, str) and name in variants:
                 keys = variants[name]
-            else:  # no variant to check against: the tag alone
+            else:  # no variant to check against: the tag, and the names that no variant lists
                 keys = (tag,)
-                item = {key.tag: name} if isinstance(item, dict) else item
+                item = {k: v for k, v in item.items() if k not in listed} if isinstance(item, dict) else item
         checked.append(_check_object(keys, item, f"{path}[{i}]", problems))
     return checked

@@ -17,9 +17,15 @@ files. A target that is a directory is refused before the first move; the
 moves themselves go one file at a time, so an OS error among them (a
 permission, a full disk) can leave the files moved before it. The staging
 directory is removed on return and on any exception, but a process killed
-mid-write leaves it behind as a hidden `.report-*` directory. Series render
-in chunks of rows, so the write holds at most one chunk of cells besides
-the columns themselves.
+mid-write leaves it behind as a hidden `.report-*` directory.
+
+Series render in chunks of rows, column by column: each column of a chunk
+becomes a list of cell texts, the texts of a row are joined with "," and the
+chunk is written as one string, so the write holds at most one chunk of
+texts besides the columns themselves. A float array column renders each
+distinct value of the chunk once; text cells are quoted by csv.writer, once
+per distinct text. The bytes are those of csv.writer writing every cell
+through `render_value`.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from __future__ import annotations
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -39,13 +47,15 @@ import numpy as np
 from . import __version__
 from .errors import CryptoYieldError, InputError
 
-# Rows of a series rendered and written at a time. 4096 rows of a 10-column
-# float series raised a pool replay's peak RSS by ~1 MB; 256 adds nothing
-# measurable and writes as fast.
-_CHUNK_ROWS = 256
+# Rows of a series rendered and written at a time. Rendering the seed-1
+# benchmark series takes the same time at 512 to 4096 rows, and the peak RSS
+# of its pool and swap replays reads 71.8-72.0 MB at 256, 1024 and 4096 rows
+# alike: the replay's own tables set it.
+_CHUNK_ROWS = 1024
 
-# Cell types that csv.writer renders exactly as render_value does.
-_CSV_NATIVE = {float, int, str, type(None)}
+# A text cell that csv.writer might quote: one holding its delimiter, its
+# quote character or a line break. Any other text it writes as it is.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 
 
 def render_value(value):
@@ -115,6 +125,7 @@ class Report:
         Files render into a staging directory, made in out_dir or its
         nearest existing ancestor and removed on return, and are moved into
         out_dir once all of them have rendered and no target is a directory.
+        Every file is UTF-8, whatever the locale.
         """
         payload = {
             "command": self.command,
@@ -132,9 +143,9 @@ class Report:
         stage = tempfile.mkdtemp(prefix=".report-", dir=home)
         try:
             for series in self.series:
-                with open(os.path.join(stage, f"{series.name}.csv"), "w", newline="") as fh:
+                with open(os.path.join(stage, f"{series.name}.csv"), "w", newline="", encoding="utf-8") as fh:
                     _write_series(fh, series)
-            with open(os.path.join(stage, "report.json"), "w") as fh:
+            with open(os.path.join(stage, "report.json"), "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             written = [os.path.join(out_dir, name) for name in payload["series_files"] + ["report.json"]]
             for path in written:  # os.replace cannot put a file over a directory
@@ -151,27 +162,52 @@ class Report:
 def _write_series(fh, series):
     """Header plus rows of one series; a non-finite float cell raises CryptoYieldError.
 
-    An array column renders from the Python values it holds (`tolist`).
-    csv.writer renders cells of exactly the _CSV_NATIVE types as
-    render_value does (repr for floats, "" for None, str otherwise), so only
-    a column holding any other type, such as bool or a numpy scalar, goes
-    through render_value.
+    Each chunk of rows renders column by column into cell texts (`_texts`),
+    which are joined with "," into rows and written as one string.
+    csv.writer writes the header and quotes each distinct text cell that
+    needs it, so its rules are the only quoting rules.
     """
     columns, rows = series.rows.columns, len(series.rows)
     for column, values in columns.items():
         if len(values) != rows:
             raise ValueError(f"{series.name}.csv: column {column!r} has {len(values)} rows, not {rows}")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
+    csv.writer(fh, lineterminator="\n").writerow(columns)
+    lone = len(columns) == 1  # csv.writer quotes a row's lone empty field
     for start in range(0, rows, _CHUNK_ROWS):
-        cells = []
-        for column, values in columns.items():
-            values = values[start:start + _CHUNK_ROWS]
-            values = values.tolist() if isinstance(values, np.ndarray) else values
-            types = set(map(type, values))
-            if any(issubclass(t, (float, np.floating)) for t in types):
-                floats = values if types == {float} else [v for v in values if isinstance(v, (float, np.floating))]
-                if not all(map(math.isfinite, floats)):
-                    raise CryptoYieldError(f"{series.name}.csv: column {column!r} holds a non-finite number")
-            cells.append(values if types <= _CSV_NATIVE else list(map(render_value, values)))
-        writer.writerows(zip(*cells))
+        cells = [_texts(values[start:start + _CHUNK_ROWS], lone, series.name, column)
+                 for column, values in columns.items()]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _texts(values, lone, name, column):
+    """The cells of one chunk of a column as csv.writer writes render_value's texts."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:  # each distinct bit pattern, -0.0 apart from 0.0, renders once
+            if not np.isfinite(values).all():
+                raise _non_finite(name, column)
+            bits, where = np.unique(values.view(np.int64), return_inverse=True)
+            return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
+        values = values.tolist()
+    types = set(map(type, values))
+    if types == {float}:
+        if not all(map(math.isfinite, values)):
+            raise _non_finite(name, column)
+        return list(map(repr, values))
+    if types == {int}:
+        return list(map(str, values))
+    if not all(math.isfinite(v) for v in values if isinstance(v, (float, np.floating))):
+        raise _non_finite(name, column)
+    texts = values if types == {str} else list(map(render_value, values))
+    quoted = {text: _quoted(text) for text in set(texts) if _NEEDS_QUOTES(text) or (lone and not text)}
+    return [quoted.get(text, text) for text in texts] if quoted else texts
+
+
+def _quoted(text):
+    """`text` as csv.writer writes it as the only field of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
+
+
+def _non_finite(name, column):
+    return CryptoYieldError(f"{name}.csv: column {column!r} holds a non-finite number")

@@ -34,8 +34,8 @@ through `cli.main` and assert the contract:
                  converse: replay-time errors such as an unknown position
                  exit 2 without `validate` seeing them);
   named keys     a renamed or added key makes both exit 2 and both name
-                 its path as `path: unknown key` (a renamed variant tag:
-                 its old path as `path: required`).
+                 its path as `path: unknown key`, a renamed variant tag
+                 included.
 """
 
 import contextlib
@@ -317,9 +317,7 @@ def check_config(command_config, workdir, named=None) -> int:
     """Run and validate one command config under `workdir`; returns `run`'s exit code.
 
     `named` holds the new (and old) path of a renamed or added key, as
-    `configs()` draws it. Both must name the new path as an unknown key or,
-    when a list item's variant tag was renamed, the old path as required:
-    an item without a variant is checked for its tag alone.
+    `configs()` draws it. Both must name the new path as an unknown key.
     """
     workdir = pathlib.Path(workdir)
     config, out = workdir / "cfg.json", workdir / "report"
@@ -327,10 +325,10 @@ def check_config(command_config, workdir, named=None) -> int:
     run, run_said = _cli(["run", "--config", str(config), "--out", str(out)])
     valid, valid_said = _cli(["validate", "--config", str(config)])
     if named:
-        problems = [f"{_key_path(named[0])}: unknown key", *(f"{_key_path(p)}: required" for p in named[1:])]
-        assert (run, valid) == (2, 2), f"{problems[0]}: run exited {run}, validate {valid}"
+        unknown = f"{_key_path(named[0])}: unknown key"
+        assert (run, valid) == (2, 2), f"{unknown}: run exited {run}, validate {valid}"
         for said in (run_said, valid_said):
-            assert any(p in said for p in problems), f"none of {problems} in:\n{said}"
+            assert unknown in said, f"no {unknown!r} in:\n{said}"
     assert run in (0, 2, 3), f"run exited {run}"
     if run:
         assert not out.exists(), "a failed run left a report directory"

@@ -1,6 +1,10 @@
+import copy
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -606,6 +610,38 @@ def test_unwritable_out_exits_2_naming_it(out, tmp_path, capsys):
     assert (tmp_path / "taken").read_text() == "keep"
 
 
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_config_that_is_not_utf8_exit_2(verb, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"command": "kelly", "means": "\xff"}')
+    out = tmp_path / "r"
+    assert cli_main([verb, "--config", str(cfg)] + (["--out", str(out)] if verb == "run" else [])) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {cfg}: not UTF-8 text: ")
+    assert not out.exists()
+
+
+def test_reports_are_utf8_whatever_the_locale(tmp_path):
+    scenario = json.loads((DEMO / "pool_scenario.json").read_text())
+    for event in scenario["events"]:
+        if event.get("position") == "alice":
+            event["position"] = "Jos\u00e9"
+    (tmp_path / "pool.json").write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(json.dumps({"command": "amm", "scenario": "pool.json"}))
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIOENCODING"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    locales = {"ascii": {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+               "utf8": {"PYTHONUTF8": "1"}}
+    reports = {}
+    for name, overrides in locales.items():
+        argv = [sys.executable, "-m", "cryptoyield.cli", "run", "--config", str(tmp_path / "cfg.json"),
+                "--out", str(tmp_path / name)]
+        done = subprocess.run(argv, env={**env, **overrides}, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        reports[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert reports["ascii"] == reports["utf8"]
+    assert "Jos\u00e9,".encode() in reports["ascii"]["positions.csv"]
+
+
 def test_non_finite_csv_cell_exit_3(tmp_path, capsys):
     # A 1e308 swap drives the pool's reserves past float range: pnl would be written as inf.
     scenario = {"pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003},
@@ -642,6 +678,14 @@ OBJECT_IDS = [f"{name}-{'.'.join(map(str, path)) or 'top'}" for name, path in OB
 def test_unknown_key_at_every_level_exits_2(name, path, tmp_path):
     config, named = cli_fuzz.with_unknown_key(name, path)
     assert cli_fuzz.check_config(config, tmp_path, named) == 2
+
+
+def test_renamed_variant_tag_is_named_unknown(tmp_path):
+    config = copy.deepcopy(cli_fuzz.CONFIGS["amm"])
+    event = config["scenario"]["events"][1]
+    event["Action"] = event.pop("action")
+    path = ("scenario", "events", 1)
+    assert cli_fuzz.check_config(config, tmp_path, (path + ("Action",), path + ("action",))) == 2
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

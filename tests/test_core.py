@@ -393,5 +393,8 @@ class TestKeys:
         assert problems == []
 
     def test_item_without_a_variant_checks_its_tag_alone(self):
+        # With no variant to check against, only the names that no variant lists are known to be wrong.
         _, problems = self.check({"events": [{"kind": "b", "x": 1, "y": 0}]})
-        assert problems == ["events[0].kind: expected one of a, got 'b'"]
+        assert problems == ["events[0].kind: expected one of a, got 'b'", "events[0].y: unknown key"]
+        _, problems = self.check({"events": [{"Kind": "a", "x": 1, "y": 0}]})
+        assert problems == ["events[0].kind: required", "events[0].Kind: unknown key", "events[0].y: unknown key"]

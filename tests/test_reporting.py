@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cryptoyield import reporting
 from cryptoyield.core import Columns
@@ -213,3 +217,71 @@ class TestColumnarSeries:
         with pytest.raises(ValueError, match="column 'b' has 3 rows, not 2"):
             report.write(tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
+
+
+# Cells repeat, so that each distinct value and text is rendered once for many rows.
+FLOAT_POOL = (0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, 1e308, -1e308, 1 / 3, -2.5, 123456789.125)
+TEXT = st.text(st.sampled_from(",\"\r\n\0 aZ\u00e9\u20ac\u65e5"), max_size=6)  # quoting characters, NUL, spaces, non-ASCII
+MIXED = st.one_of(
+    st.integers(-5, 5), st.booleans(), st.none(), st.sampled_from(FLOAT_POOL), TEXT,
+    st.integers(2 ** 63, 2 ** 70), st.integers(-(2 ** 70), -(2 ** 63)),
+    st.sampled_from(FLOAT_POOL).map(np.float64), st.integers(-9, 9).map(np.int64), st.booleans().map(np.bool_),
+    st.sampled_from((0.5, -0.0, 1e-30)).map(np.float32),
+)
+BASES = {
+    "float64": (st.sampled_from(FLOAT_POOL), np.float64),
+    "float32": (st.sampled_from([v for v in FLOAT_POOL if abs(v) < 1e38]), np.float32),
+    "int64": (st.integers(-(2 ** 63), 2 ** 63 - 1), np.int64),
+    "uint64": (st.integers(0, 2 ** 64 - 1), np.uint64),
+    "bool": (st.booleans(), bool),
+    "object": (MIXED, object),
+    "float list": (st.sampled_from(FLOAT_POOL), None),
+    "int list": (st.integers(-(2 ** 70), 2 ** 70), None),
+    "text list": (TEXT, None),
+    "mixed list": (MIXED, None),
+}
+
+
+@st.composite
+def tables(draw):
+    """(chunk rows, table): row counts at chunk edges, columns of every kind the writer renders.
+
+    Each column cycles through a few drawn cells in a drawn order, so values repeat across chunks.
+    """
+    chunk = draw(st.sampled_from((1, 7, reporting._CHUNK_ROWS)))
+    rows = max(0, chunk * draw(st.integers(0, 2)) + draw(st.integers(-1, 1)))
+    lone = draw(st.booleans())
+    kinds = ["lone"] if lone else draw(st.lists(st.sampled_from(sorted(BASES)), min_size=2, max_size=5))
+    order = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        cells, dtype = (st.sampled_from(("", None, "x", "a,b")), None) if kind == "lone" else BASES[kind]
+        base = draw(st.lists(cells, min_size=1, max_size=8))
+        picked = [base[j] for j in order.integers(0, len(base), rows)]
+        columns[f"c{i}"] = picked if dtype is None else np.array(picked, dtype=dtype)
+    return chunk, Columns(columns)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(tables())
+@example((7, Columns({"zero": np.array([0.0, -0.0, 5e-324, -0.0] * 5), "text": ["", "-0.0"] * 10})))
+def test_rendered_bytes_equal_csv_writer_with_render_value(case):
+    chunk, table = case
+    rows = [dict(zip(table.columns, row)) for row in table.rows()]
+    with mock.patch.object(reporting, "_CHUNK_ROWS", chunk), tempfile.TemporaryDirectory() as out:
+        Report(command="demo", summary={}, series=[Series("s", table)]).write(out)
+        with open(os.path.join(out, "s.csv"), "rb") as fh:
+            assert fh.read() == reference_csv(tuple(table.columns), rows)
+
+
+@pytest.mark.parametrize("b", [np.array, list], ids=["array", "list"])
+def test_first_non_finite_chunk_names_its_column(tmp_path, b):
+    # Column a comes first, but its inf lies in a later chunk than b's NaN; c's NaN shares b's chunk.
+    rows = reporting._CHUNK_ROWS + 5
+    a, nan_b, c = np.zeros(rows), [0.5] * rows, [1.5] * rows
+    a[reporting._CHUNK_ROWS + 1], nan_b[2], c[0] = np.inf, np.nan, np.nan
+    table = Columns({"a": a, "b": b(nan_b), "c": c})
+    report = Report(command="demo", summary={}, series=[Series("numbers", table)])
+    with pytest.raises(CryptoYieldError, match=r"numbers\.csv: column 'b' holds a non-finite number"):
+        report.write(tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
