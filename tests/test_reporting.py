@@ -123,7 +123,7 @@ class TestStagedWrite:
 
     COLUMNS = ("i", "x", "zero", "flag", "maybe", "text", "drift", "np")
 
-    @pytest.mark.parametrize("chunk_rows", [reporting._CHUNK_ROWS, 7, 1])
+    @pytest.mark.parametrize("chunk_rows", sorted({256, reporting._CHUNK_ROWS, 7, 1}, reverse=True))
     def test_bytes_equal_csv_writer_with_render_value(self, tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
         rows = mixed_rows(5000 if chunk_rows > 7 else 90)
@@ -192,7 +192,7 @@ class TestColumnarSeries:
         assert len(Columns({"a": [1, 2, 3], "b": np.zeros(3)})) == 3
         assert len(Columns({})) == 0
 
-    @pytest.mark.parametrize("chunk_rows", [reporting._CHUNK_ROWS, 7])
+    @pytest.mark.parametrize("chunk_rows", sorted({256, reporting._CHUNK_ROWS, 7}, reverse=True))
     def test_array_columns_write_like_list_columns(self, tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
         arrays = self.arrays(600)
