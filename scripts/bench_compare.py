@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark a parent commit against the working tree and write BENCH_<workload>.json.
+"""Benchmark a parent commit against the working tree and write BENCH_<workload>.json or --out.
 
 Usage (from anywhere in a checkout):
 
@@ -13,7 +13,9 @@ ones. The end-to-end metrics of every run, their medians and quartiles
 (`statistics.quantiles(n=4)`, as `perfbench/run.py` reports them), the
 ratio of the medians, the pairs in which the change did better and the
 median gap over the parent's interquartile range go to BENCH_<workload>.json
-at the root of the checkout. The exported tree is removed at the end.
+at the root of the checkout, or to the file that --out names (so that a
+check which should not replace the committed record writes elsewhere). The
+exported tree is removed at the end.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=1001)
     parser.add_argument("--machine-note", default="one benchmark worker at a time",
                         help="appended to the machine line, e.g. the threads a run starts")
+    parser.add_argument("--out", help="file to write the record to (default: BENCH_<workload>.json at the root)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2 for quartiles")
@@ -137,7 +140,7 @@ def main(argv=None) -> int:
         "failed": {side: [p[side]["failed"] for p in pairs] for side in ("parent", "change")},
         "pairs": pairs,
     }
-    out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

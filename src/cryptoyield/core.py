@@ -605,17 +605,23 @@ def _check_object(keys, value, path, problems):
 
 
 def _check_list(key, value, path, problems):
-    """Checked objects of a list key; a bad item stays in place as None."""
+    """Checked objects of a list key; a bad item stays in place as None.
+
+    The items of a tagged list that `_kept_items` finds are their own checked
+    values. Every other item is checked on its own, in list order, so the
+    problems and values are those of checking each item in turn.
+    """
     if not isinstance(value, list):
         problems.append(f"{path}: expected a list, got {value!r}")
         return None
+    checked, rest = list(value), range(len(value))
     if key.tag:  # each variant's keys, led by the tag itself
         tag = Key(key.tag, _one_of(*key.items), required=True)
         variants = {name: (tag, *keys) for name, keys in key.items.items()}
         listed = {k.name for keys in key.items.values() for k in keys}
-    checked = []
-    for i, item in enumerate(value):
-        keys = key.items
+        rest = np.flatnonzero(~_kept_items(key, value)).tolist()
+    for i in rest:
+        item, keys = value[i], key.items
         if key.tag:
             name = item.get(key.tag) if isinstance(item, dict) else None
             if isinstance(name, str) and name in variants:
@@ -623,5 +629,49 @@ def _check_list(key, value, path, problems):
             else:  # no variant to check against: the tag, and the names that no variant lists
                 keys = (tag,)
                 item = {k: v for k, v in item.items() if k not in listed} if isinstance(item, dict) else item
-        checked.append(_check_object(keys, item, f"{path}[{i}]", problems))
+        checked[i] = _check_object(keys, item, f"{path}[{i}]", problems)
     return checked
+
+
+def _kept_items(key, items):
+    """Per item of a tagged list, whether checking it would return it as it is.
+
+    That holds for a dict whose names are exactly its variant's (the tag
+    included) and whose every value is what its key's kind returns unchanged,
+    which is judged per variant and per key as one column.
+    """
+    kept = np.zeros(len(items), bool)
+    groups = {name: [] for name in key.items}
+    for i, item in enumerate(items):
+        name = item.get(key.tag) if isinstance(item, dict) else None
+        if isinstance(name, str) and name in groups:
+            groups[name].append(i)
+    for name, keys in key.items.items():
+        names = {key.tag, *(k.name for k in keys)}
+        rows = [i for i in groups[name] if items[i].keys() == names]
+        if not rows or not all(k.kind for k in keys):  # a nested key is checked per item
+            continue
+        ok = np.ones(len(rows), bool)
+        for k in keys:
+            ok &= _kept_cells(k.kind, [items[i][k.name] for i in rows])
+        kept[np.array(rows)[ok]] = True
+    return kept
+
+
+def _kept_cells(kind, cells):
+    """Per cell, whether it is not None and `kind(cell) is cell`, so that a check keeps it as given."""
+    if kind is _rational and set(map(type, cells)) <= {int, float}:  # a bool's type is bool
+        try:
+            return np.isfinite(np.array(cells, float))
+        except OverflowError:  # an int past float range, which _rational refuses
+            pass
+    if kind is str:
+        return np.array([type(cell) is str for cell in cells], bool)
+    return np.array([cell is not None and _keeps(kind, cell) for cell in cells], bool)
+
+
+def _keeps(kind, value):
+    try:
+        return kind(value) is value
+    except (TypeError, ValueError, ArithmeticError):
+        return False

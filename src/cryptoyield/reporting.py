@@ -11,10 +11,12 @@ Identical config and inputs therefore produce byte-identical files.
 All series are computed before anything is written. `Report.write` then
 renders every file into a staging directory, refusing a non-finite cell as
 it renders, and moves the files into the report directory only once all of
-them have rendered. A write that fails while rendering therefore leaves
-nothing behind, and a report directory that already existed keeps its other
-files. A target that is a directory is refused before the first move; the
-moves themselves go one file at a time, so an OS error among them (a
+them have rendered. A report directory that does not exist yet is staged
+whole (with any missing parents) and renamed into place in one step, so a
+write that fails leaves no report directory. Into a report directory that
+already exists the files move one at a time, once all of them have
+rendered and no target is a directory: a write that fails while rendering
+leaves its other files as they were, but an OS error among the moves (a
 permission, a full disk) can leave the files moved before it. The staging
 directory is removed on return and on any exception, but a process killed
 mid-write leaves it behind as a hidden `.report-*` directory.
@@ -123,8 +125,9 @@ class Report:
         report.json is strict JSON and every CSV float cell is finite: a
         non-finite number raises CryptoYieldError, and out_dir gains nothing.
         Files render into a staging directory, made in out_dir or its
-        nearest existing ancestor and removed on return, and are moved into
-        out_dir once all of them have rendered and no target is a directory.
+        nearest existing ancestor and removed on return. A new out_dir is
+        then renamed into place whole; into an existing one the files move
+        once all of them have rendered and no target is a directory.
         Every file is UTF-8, whatever the locale.
         """
         payload = {
@@ -137,23 +140,31 @@ class Report:
             text = json.dumps(payload, sort_keys=True, indent=2, default=str, allow_nan=False)
         except ValueError as exc:
             raise CryptoYieldError(f"report for {self.command!r} holds a non-finite number: {exc}") from exc
-        home = os.path.abspath(out_dir)
+        home, top = os.path.abspath(out_dir), None
         while not os.path.isdir(home):  # os.replace needs the stage on out_dir's file system
-            home = os.path.dirname(home)
+            home, top = os.path.dirname(home), home  # top: the outermost directory still missing
         stage = tempfile.mkdtemp(prefix=".report-", dir=home)
         try:
+            # A new out_dir is staged as the tree from `top` down, made by
+            # os.makedirs (so with its modes, not mkdtemp's 0o700), and
+            # renamed into place whole.
+            tree = os.path.join(stage, "tree")
+            files = stage if top is None else os.path.normpath(os.path.join(tree, os.path.relpath(out_dir, top)))
+            os.makedirs(files, exist_ok=True)
             for series in self.series:
-                with open(os.path.join(stage, f"{series.name}.csv"), "w", newline="", encoding="utf-8") as fh:
+                with open(os.path.join(files, f"{series.name}.csv"), "w", newline="", encoding="utf-8") as fh:
                     _write_series(fh, series)
-            with open(os.path.join(stage, "report.json"), "w", encoding="utf-8") as fh:
+            with open(os.path.join(files, "report.json"), "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             written = [os.path.join(out_dir, name) for name in payload["series_files"] + ["report.json"]]
-            for path in written:  # os.replace cannot put a file over a directory
-                if os.path.isdir(path):
-                    raise IsADirectoryError(errno.EISDIR, "is a directory", path)
-            os.makedirs(out_dir, exist_ok=True)
-            for path in written:
-                os.replace(os.path.join(stage, os.path.basename(path)), path)
+            if top is not None:
+                os.rename(tree, top)
+            else:
+                for path in written:  # os.replace cannot put a file over a directory
+                    if os.path.isdir(path):
+                        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+                for path in written:
+                    os.replace(os.path.join(stage, os.path.basename(path)), path)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
         return written

@@ -46,9 +46,13 @@ event as `event N (action): ...`. Swap scenario schema::
                 {"time": 30, "type": "terminate", "party": "A"}]}
 
 Leg accruals are generated from frequency_days up to maturity; maturity
-fires automatically when maturity_time is set. Same-time events apply as
+fires automatically when maturity_time is set. Events replay in order of
+their exact time (text such as "1/3" is exact, a float is the decimal of its
+repr), whatever their order in the file. Same-time events apply as
 replenish, then accruals, then the tick (so a same-step top-up prevents
-termination), then terminations.
+termination), then terminations, then maturity; events of one kind at one
+time keep their order in the file. `_schedule` sorts on float times and
+sorts again, on exact times, only the runs of events whose float times tie.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import numpy as np
 from .amm import SHARES_EXCEED_SUPPLY, LpPosition, claim_pnl, create_pool, genesis_position
 from .core import Columns, Key, _boolean, _check_keys, _one_of, _rational
 from .errors import CryptoYieldError, DomainError, InputError
-from .xccy import ALPHA, BETA, PARTIES, Leg, OracleTick, SwapAgreement, to_fraction
+from .xccy import ALPHA, BETA, PARTIES, Leg, SwapAgreement, to_fraction
 
 # Refused at validation: legs whose schedules to maturity would together hold
 # more accrual periods than this (replay costs ~40 us a period).
@@ -345,8 +349,14 @@ def validate_swap_scenario(config) -> list:
 
 
 def _schedule(agreement: SwapAgreement, events) -> list:
-    """(exact time, event) pairs: the checked scenario events merged with
-    generated accruals and maturity, in replay order."""
+    """The checked scenario events merged with generated accruals and
+    maturity, in replay order: by exact time, then `_PRIORITY`, then position.
+
+    The events sort on float times first. A checked time converts to the
+    nearest float, and that rounding is monotone (x < y gives float(x) <=
+    float(y)), so events whose float times differ are already in exact
+    order; only each run of equal float times sorts again on exact times.
+    """
     events = list(events)
     if agreement.maturity_time is not None:
         for i, leg in enumerate(agreement.legs):
@@ -358,8 +368,17 @@ def _schedule(agreement: SwapAgreement, events) -> list:
                 events.append({"type": "accrue", "time": end, "start": start, "end": end, "leg": i})
                 start = end
         events.append({"type": "mature", "time": agreement.maturity_time})
-    keyed = sorted((to_fraction(e["time"]), _PRIORITY[e["type"]], i, e) for i, e in enumerate(events))
-    return [(time, event) for time, _, _, event in keyed]
+    times = np.fromiter((float(e["time"]) for e in events), float, len(events))
+    order = np.lexsort((np.fromiter((_PRIORITY[e["type"]] for e in events), int, len(events)), times))
+    times = times[order]
+    order = order.tolist()
+    # Each maximal run of equal float times: its first and last position.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], times[1:] == times[:-1], [0])))).tolist()
+    for first, last in zip(edges[::2], edges[1::2]):
+        order[first:last + 1] = sorted(
+            order[first:last + 1], key=lambda i: (to_fraction(events[i]["time"]), _PRIORITY[events[i]["type"]], i)
+        )
+    return [events[i] for i in order]
 
 
 def run_swap_scenario(config) -> dict:
@@ -377,13 +396,13 @@ def run_swap_scenario(config) -> dict:
     settlement = None
     skipped = 0
     accrued = {}  # leg index -> periods already paid (merged multi-leg accrual)
-    for time, event in _schedule(agreement, values["events"]):
+    for event in _schedule(agreement, values["events"]):
         if agreement.state != "active":
             skipped += 1
             continue
-        etype = event["type"]
+        etype, time = event["type"], event["time"]
         if etype == "tick":
-            result = agreement.check_and_terminate(OracleTick(time, event["rate"]))
+            result = agreement.check_and_terminate((time, event["rate"]))
             if result is not None:
                 settlement = result
         elif etype == "replenish":

@@ -28,11 +28,24 @@ safe approximation: its edges are exact rationals, the rates at which a
 residual margin fraction equals the threshold (not a breach), so it holds
 exactly the rates that the full mark calls quiet. Every other tick takes the
 full mark, which keeps A's priority and the settlement as they were.
+
+In front of the exact band sits a float prefilter that builds no Fraction.
+The band caches its edges as floats, and a tick whose float rate lies
+strictly between them, at a float time strictly after the float of the last
+time, is quiet. This is exact too: every number here converts to its
+correctly rounded float (a float converts to itself, and its exact value is
+its repr, which rounds back to it), and rounding is monotone, x < y gives
+float(x) <= float(y). So float(low) < float(rate) < float(high) gives
+low < rate < high, and float(last) < float(time) gives last < time. A tick
+on an edge's float, at the last time's float, outside the band or at a rate
+<= 0 takes the exact test and its messages. A quiet tick keeps its time and
+rate as given; `last_time` and `last_rate` make them exact when read.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -53,6 +66,9 @@ MATURED = "matured"
 TERMINATED_BREACH = "terminated_breach"
 TERMINATED_VOLUNTARY = "terminated_voluntary"
 TERMINAL_STATES = (MATURED, TERMINATED_BREACH, TERMINATED_VOLUNTARY)
+
+# Ledger keys of the margins the contract holds for A and for B.
+_MARGIN_A, _MARGIN_B = ("contract", ALPHA), ("contract", BETA)
 
 
 def to_fraction(value) -> Fraction:
@@ -247,12 +263,36 @@ class SwapAgreement:
         self.last_time = None
         self.last_rate = self.x0
         self._band_margins = None  # contract margins the cached quiet band was computed for
-        self._band = None
+        self._band = self._band_floats = None
         self.ledger = Ledger()
         self.ledger.deposit("A", ALPHA, self.notional_a + self.margin_a_initial)
         self.ledger.deposit("B", BETA, self.notional_b + self.margin_b_initial)
 
     # -- helpers -------------------------------------------------------------
+
+    # A quiet tick stores its time and rate as given; they become exact on
+    # the first read.
+    @property
+    def last_time(self) -> Fraction | None:
+        """Time of the latest tick, termination or maturity (initiation before any)."""
+        if self._last_time is not None and type(self._last_time) is not Fraction:
+            self._last_time = to_fraction(self._last_time)
+        return self._last_time
+
+    @last_time.setter
+    def last_time(self, time):
+        self._last_time = time
+
+    @property
+    def last_rate(self) -> Fraction:
+        """Rate of the latest tick (x0 before any): what a termination without a rate, or maturity, settles at."""
+        if type(self._last_rate) is not Fraction:
+            self._last_rate = to_fraction(self._last_rate)
+        return self._last_rate
+
+    @last_rate.setter
+    def last_rate(self, rate):
+        self._last_rate = rate
 
     def _require_state(self, state):
         if self.state != state:
@@ -371,29 +411,51 @@ class SwapAgreement:
         rate < N * x0 / (slack_A + N); B exactly when slack_B < exposure_a,
         which is slack_B < 0 or rate > x0 + slack_B / N. Both edges are exact
         rationals, so low <= rate <= high is the same test as `_view`'s. None
-        when a slack is negative. Cached per pair of contract margins.
+        when a slack is negative. Cached, with the edges as floats in
+        `_band_floats`, per pair of contract margins: a margin changes only
+        by a new Fraction in the ledger, so the cache compares identities.
         """
-        margins = (self.margin("A"), self.margin("B"))
-        if margins != self._band_margins:
+        margins = (self.ledger.balances[_MARGIN_A], self.ledger.balances[_MARGIN_B])
+        cached = self._band_margins
+        if cached is None or margins[0] is not cached[0] or margins[1] is not cached[1]:
             base_a, base_b = self._threshold_bases()
             slack_a = margins[0] - self.threshold * base_a
             slack_b = margins[1] - self.threshold * base_b
             n = self.notional_a
-            quiet = slack_a >= 0 and slack_b >= 0
-            self._band = (n * self.x0 / (slack_a + n), self.x0 + slack_b / n) if quiet else None
+            self._band = self._band_floats = None
+            if slack_a >= 0 and slack_b >= 0:
+                self._band = (n * self.x0 / (slack_a + n), self.x0 + slack_b / n)
+                # An edge past float range reads as inf, which no float rate reaches.
+                self._band_floats = tuple(float(e) if e < sys.float_info.max else math.inf for e in self._band)
             self._band_margins = margins
         return self._band
 
-    def check_and_terminate(self, tick: OracleTick) -> Settlement | None:
+    def check_and_terminate(self, tick) -> Settlement | None:
         """Mark at the tick; terminate on breach not replenished this step.
 
-        Replenishment semantics: a top-up must land before this call within
-        the same tick-step (the scenario runner orders replenish events
-        first); once called, a breach terminates immediately. A tick inside
-        the quiet band only advances the clock.
+        `tick` is an OracleTick or a (time, rate) pair of numbers, which
+        converts to one only if the tick is not quiet. Replenishment
+        semantics: a top-up must land before this call within the same
+        tick-step (the scenario runner orders replenish events first); once
+        called, a breach terminates immediately. A tick inside the quiet band
+        only advances the clock. One strictly inside the band's float edges
+        and strictly after the float of the last time is quiet as given (see
+        the module docstring); any other takes the exact test.
         """
         self._require_state(ACTIVE)
+        time, rate = tick if type(tick) is tuple else (tick.time, tick.rate)
         band = self._quiet_band()
+        if band is not None:
+            low, high = self._band_floats
+            try:
+                quiet = low < float(rate) < high and float(self._last_time) < float(time) < math.inf
+            except (TypeError, ValueError, ArithmeticError):  # text such as "1/3", no last time, past float range
+                quiet = False
+            if quiet:
+                self._last_time, self._last_rate = time, rate
+                return None
+        if type(tick) is tuple:
+            tick = OracleTick(time, rate)
         if band is not None and band[0] <= tick.rate <= band[1]:
             self._advance_clock(tick.time)
             self.last_rate = tick.rate

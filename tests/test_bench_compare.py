@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -28,3 +29,22 @@ def test_summary_counts_better_pairs_in_each_metric_direction():
     # Equal runs leave the gap undefined rather than infinite.
     assert summary["setup_s"]["median_gap_over_parent_iqr"] is None
     assert summary["setup_s"]["change_better_pairs"] == 0
+
+
+def test_out_writes_the_record_there_and_leaves_the_committed_file(tmp_path, monkeypatch):
+    committed = SCRIPT.parent.parent / "BENCH_mc-oracle.json"
+    before = committed.read_bytes()
+    parent_tree = tmp_path / "parent"
+    parent_tree.mkdir()
+    monkeypatch.setattr(bench_compare, "export", lambda rev: ("abc1234", str(parent_tree)))
+    monkeypatch.setattr(bench_compare, "describe_change", lambda: "working tree")
+    walls = iter([1.0, 0.5, 0.6, 1.1, 1.2, 0.7])
+    monkeypatch.setattr(bench_compare, "run_once", lambda *args: result(next(walls), 60.0, 1.0))
+    out = tmp_path / "record.json"
+    argv = ["--parent", "HEAD", "--workload", "mc-oracle", "--pairs", "3", "--seconds", "1", "--out", str(out)]
+    assert bench_compare.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert record["parent"] == "abc1234" and [p["first"] for p in record["pairs"]] == ["parent", "change", "parent"]
+    assert record["summary"]["wall_s"]["change_better_pairs"] == 3
+    assert committed.read_bytes() == before
+    assert not parent_tree.exists()

@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 import pathlib
 
@@ -20,8 +22,12 @@ from cryptoyield.core import (
     realized_vol,
     sharpe_ratio,
     _check_keys,
+    _check_list,
+    _check_object,
     _integer,
+    _one_of,
 )
+from cryptoyield import scenarios
 from cryptoyield.errors import (
     DomainError,
     IllConditionedError,
@@ -398,3 +404,87 @@ class TestKeys:
         assert problems == ["events[0].kind: expected one of a, got 'b'", "events[0].y: unknown key"]
         _, problems = self.check({"events": [{"Kind": "a", "x": 1, "y": 0}]})
         assert problems == ["events[0].kind: required", "events[0].Kind: unknown key", "events[0].y: unknown key"]
+
+
+# -- tagged lists: the columnar check against the item-by-item walk -------------------
+
+
+def walked_list(key, value, path, problems):
+    """`core._check_list` on a tagged list as it stood before the columnar check: every item on its own."""
+    tag = Key(key.tag, _one_of(*key.items), required=True)
+    variants = {name: (tag, *keys) for name, keys in key.items.items()}
+    listed = {k.name for keys in key.items.values() for k in keys}
+    checked = []
+    for i, item in enumerate(value):
+        name = item.get(key.tag) if isinstance(item, dict) else None
+        if isinstance(name, str) and name in variants:
+            keys = variants[name]
+        else:
+            keys = (tag,)
+            item = {k: v for k, v in item.items() if k not in listed} if isinstance(item, dict) else item
+        checked.append(_check_object(keys, item, f"{path}[{i}]", problems))
+    return checked
+
+
+def typed(values):
+    """Checked items with each value's type beside it, so 1 and 1.0 or "1/3" and Fraction(1, 3) differ."""
+    return [{k: (type(v), v) for k, v in item.items()} if isinstance(item, dict) else item for item in values]
+
+
+EVENT_LISTS = {
+    kind: (next(key for key in table if key.name == "events"),
+           json.loads((DEMO / f"{kind}_scenario.json").read_text())["events"])
+    for kind, table in (("pool", scenarios.POOL_SCENARIO), ("swap", scenarios.SWAP_SCENARIO))
+}
+
+
+def mutated(kind, index, mutation):
+    key, events = EVENT_LISTS[kind]
+    events = copy.deepcopy(events * 3)
+    item = events[index]
+    field = next(name for name in item if name not in (key.tag, "position", "party"))
+    if mutation == "non-dict":
+        events[index] = [item]
+    elif mutation == "missing-key":
+        del item[field]
+    elif mutation == "extra-key":
+        item["extra"] = 1
+    elif mutation == "missing-tag":
+        del item[key.tag]
+    elif mutation == "unknown-tag":
+        item[key.tag] = "bogus"
+    elif mutation == "int-position":
+        item["position" if "position" in item else "party"] = 7
+    elif mutation == "all-shares":  # a clean item of another variant, for swaps one without "all"
+        other = {"pool": {"action": "remove", "position": "alice", "shares": "all"},
+                 "swap": {"type": "terminate", "time": 500, "party": "A"}}
+        events[index] = other[kind]
+    else:
+        item[field] = mutation
+    return key, events
+
+
+MUTATIONS = ["non-dict", "missing-key", "extra-key", "missing-tag", "unknown-tag", "int-position", "all-shares",
+             True, False, 10**400, -(10**400), 10**300, "nan", "inf", "1/3", "0.5", "", None, math.nan, math.inf,
+             -0.0, 7, np.float64(1.5), [1.0]]
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_LISTS))
+@pytest.mark.parametrize("index", [0, 4, 17])
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=map(repr, MUTATIONS))
+def test_columnar_list_check_matches_item_walk(kind, index, mutation):
+    key, events = mutated(kind, index, mutation)
+    problems, walked_problems = [], []
+    checked = _check_list(key, events, "events", problems)
+    walked = walked_list(key, events, "events", walked_problems)
+    assert (typed(checked), problems) == (typed(walked), walked_problems)
+
+
+def test_columnar_list_check_matches_item_walk_with_every_mutation_at_once():
+    for kind, (key, events) in EVENT_LISTS.items():
+        events = [item for mutation in MUTATIONS for item in mutated(kind, 3, mutation)[1][:6]]
+        problems, walked_problems = [], []
+        checked = _check_list(key, events, "events", problems)
+        assert (typed(checked), problems) == (typed(walked_list(key, events, "events", walked_problems)),
+                                              walked_problems)
+        assert len(problems) > 10

@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import os
+import stat
 import tempfile
 from unittest import mock
 
@@ -166,6 +168,33 @@ class TestStagedWrite:
         assert sorted(os.listdir(tmp_path)) == ["numbers.csv", "report.json"]
         assert (tmp_path / "numbers.csv").read_bytes() == b"old\n"
         assert os.listdir(tmp_path / "report.json") == []
+
+    @pytest.mark.parametrize("out", ["out", "new/out"], ids=["new-out", "new-parent"])
+    def test_failed_move_into_new_directory_leaves_nothing(self, tmp_path, monkeypatch, out):
+        moved = []
+
+        def disk_full(source, target):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), target)
+
+        def second_move_fails(source, target):
+            if moved:
+                disk_full(source, target)
+            moved.append(target)
+            real_replace(source, target)
+
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", second_move_fails)
+        monkeypatch.setattr(os, "rename", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            TestReportWrite().make_report().write(tmp_path / out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_new_directories_take_the_mode_makedirs_gives(self, tmp_path):
+        TestReportWrite().make_report().write(tmp_path / "new" / "out")
+        os.makedirs(tmp_path / "probe" / "out")
+        for made in ("new", "new/out"):
+            probe = made.replace("new", "probe")
+            assert stat.S_IMODE(os.stat(tmp_path / made).st_mode) == stat.S_IMODE(os.stat(tmp_path / probe).st_mode)
 
     def test_no_staging_directory_left_behind(self, tmp_path):
         written = TestReportWrite().make_report().write(tmp_path / "out")
