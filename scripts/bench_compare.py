@@ -9,13 +9,14 @@ Exports REV with `git archive` into `.perfbench_work/`, then runs
 `perfbench/run.py` once per seed on each side: the exported tree with its
 own harness, and the working tree with its harness. Pair k uses seed
 FIRST_SEED + k, and the parent runs first on even pairs, the change on odd
-ones. The end-to-end metrics of every run, their medians and quartiles
-(`statistics.quantiles(n=4)`, as `perfbench/run.py` reports them), the
-ratio of the medians, the pairs in which the change did better and the
-median gap over the parent's interquartile range go to BENCH_<workload>.json
-at the root of the checkout, or to the file that --out names (so that a
-check which should not replace the committed record writes elsewhere). The
-exported tree is removed at the end.
+ones. For each end-to-end metric that BENCHMARK.json declares, the values
+of every run, their medians and quartiles (`statistics.quantiles(n=4)`, as
+`perfbench/run.py` reports them), the ratio of the medians, the pairs in
+which the change did better, the median gap over the parent's interquartile
+range and whether the change's median is worse than the metric's `bound`
+allows go to BENCH_<workload>.json at the root of the checkout, or to the
+file that --out names (so that a check which should not replace the
+committed record writes elsewhere). The exported tree is removed at the end.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(ROOT, ".perfbench_work")
-# The end-to-end metrics of BENCHMARK.json: name -> whether lower is better.
-LOWER_IS_BETTER = {"setup_s": True, "wall_s": True, "work_per_s": False, "peak_rss_mb": True}
+# The end-to-end metrics that BENCHMARK.json declares, each with its name, unit, better and bound.
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    END_TO_END = json.load(fh)["end_to_end"]
 
 
 def git(*args) -> bytes:
@@ -69,21 +71,30 @@ def quartiles(values) -> dict:
 
 
 def summarise(pairs) -> dict:
+    """Per end-to-end metric: quartiles of each side, better pairs, gap over IQR and whether beyond its bound.
+
+    A metric is beyond its bound when the change's median is worse than the
+    parent's by more than `bound` times the parent's median.
+    """
     summary = {}
-    for name, lower in LOWER_IS_BETTER.items():
+    for metric in END_TO_END:
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
         before, after = quartiles(parent), quartiles(change)
         iqr = before["q3"] - before["q1"]
+        worse_by = (after["median"] - before["median"]) * (1 if lower else -1)
         summary[name] = {
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
-            "better": "lower" if lower else "higher",
+            "better": metric["better"],
             "parent": before,
             "change": after,
             "ratio_of_medians": after["median"] / before["median"],
             "change_better_pairs": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "median_gap_over_parent_iqr": abs(after["median"] - before["median"]) / iqr if iqr else None,
+            "bound": bound,
+            "beyond_bound": worse_by > bound * abs(before["median"]),
         }
     return summary
 
@@ -146,7 +157,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     for name, s in record["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.6g} -> change {s['change']['median']:.6g} "
-              f"({s['ratio_of_medians']:.3f}x, better in {s['change_better_pairs']}/{s['pairs']})")
+              f"({s['ratio_of_medians']:.3f}x, better in {s['change_better_pairs']}/{s['pairs']}, "
+              f"{'beyond' if s['beyond_bound'] else 'within'} the {s['bound']:g} bound)")
     return 0
 
 

@@ -665,8 +665,6 @@ def _kept_cells(kind, cells):
             return np.isfinite(np.array(cells, float))
         except OverflowError:  # an int past float range, which _rational refuses
             pass
-    if kind is str:
-        return np.array([type(cell) is str for cell in cells], bool)
     return np.array([cell is not None and _keeps(kind, cell) for cell in cells], bool)
 
 

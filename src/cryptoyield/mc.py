@@ -136,17 +136,10 @@ def _terminal_from_normals(spec: GbmSpec, z: np.ndarray):
 
 def _terminal_batches(spec: GbmSpec):
     """Yield (a, b) terminal arrays per RNG block; antithetic pairs adjacent halves."""
-    if spec.antithetic:
-        total_pairs = spec.paths // 2
-        for block, m in _pair_blocks(total_pairs, _TERMINAL_BLOCK):
-            z = _block_generator(spec.seed, block).standard_normal((m, 2))
-            a_pos, b_pos = _terminal_from_normals(spec, z)
-            a_neg, b_neg = _terminal_from_normals(spec, -z)
-            yield np.concatenate([a_pos, a_neg]), np.concatenate([b_pos, b_neg])
-    else:
-        for block, m in _pair_blocks(spec.paths, _TERMINAL_BLOCK):
-            z = _block_generator(spec.seed, block).standard_normal((m, 2))
-            yield _terminal_from_normals(spec, z)
+    total = spec.paths // 2 if spec.antithetic else spec.paths
+    for block, m in _pair_blocks(total, _TERMINAL_BLOCK):
+        z = _block_generator(spec.seed, block).standard_normal((m, 2))
+        yield _terminal_from_normals(spec, np.concatenate([z, -z]) if spec.antithetic else z)
 
 
 def simulate_terminal(spec: GbmSpec):

@@ -64,7 +64,7 @@ from itertools import chain
 import numpy as np
 
 from .amm import SHARES_EXCEED_SUPPLY, LpPosition, claim_pnl, create_pool, genesis_position
-from .core import Columns, Key, _boolean, _check_keys, _one_of, _rational
+from .core import Columns, Key, _boolean, _check_keys, _one_of, _rational, _text
 from .errors import CryptoYieldError, DomainError, InputError
 from .xccy import ALPHA, BETA, PARTIES, Leg, SwapAgreement, to_fraction
 
@@ -104,8 +104,8 @@ POOL_SCENARIO = (
         Key("exact", _boolean, False),
     )),
     Key("events", required=True, tag="action", items={
-        "add": (*_required("dx", "dy"), *_required("position", kind=str)),
-        "remove": (*_required("position", kind=str), *_required("shares", kind=_shares)),
+        "add": (*_required("dx", "dy"), *_required("position", kind=_text)),
+        "remove": (*_required("position", kind=_text), *_required("shares", kind=_shares)),
         "swap_x_for_y": _required("amount"),
         "swap_y_for_x": _required("amount"),
         "external_price": _required("price"),

@@ -22,24 +22,21 @@ shortest decimal repr), so conservation checks are exact equalities. Each
 agreement is single-writer; independent agreements are independent.
 
 Between margin changes the breach test is two bounds on the tick rate, so
-`check_and_terminate` caches that quiet band per pair of contract margins
-and lets a tick inside it only advance the clock. The band is exact, not a
-safe approximation: its edges are exact rationals, the rates at which a
-residual margin fraction equals the threshold (not a breach), so it holds
-exactly the rates that the full mark calls quiet. Every other tick takes the
-full mark, which keeps A's priority and the settlement as they were.
-
-In front of the exact band sits a float prefilter that builds no Fraction.
-The band caches its edges as floats, and a tick whose float rate lies
-strictly between them, at a float time strictly after the float of the last
-time, is quiet. This is exact too: every number here converts to its
-correctly rounded float (a float converts to itself, and its exact value is
-its repr, which rounds back to it), and rounding is monotone, x < y gives
-float(x) <= float(y). So float(low) < float(rate) < float(high) gives
-low < rate < high, and float(last) < float(time) gives last < time. A tick
-on an edge's float, at the last time's float, outside the band or at a rate
-<= 0 takes the exact test and its messages. A quiet tick keeps its time and
-rate as given; `last_time` and `last_rate` make them exact when read.
+`check_and_terminate` caches that quiet band per pair of contract margins.
+Its edges are exact rationals, the rates at which a residual margin fraction
+equals the threshold (not a breach), so the band holds exactly the rates
+that the full mark calls quiet. The band also keeps its edges as floats, and
+a tick whose float rate lies strictly between them, at a float time strictly
+after the float of the last time, is quiet with no Fraction built. This is
+exact: every number here converts to its correctly rounded float (a float
+converts to itself, and its exact value is its repr, which rounds back to
+it), and rounding is monotone, x < y gives float(x) <= float(y). So
+float(low) < float(rate) < float(high) gives low < rate < high, and
+float(last) < float(time) gives last < time. Every other tick (on an edge's
+float, at the last time's float, outside the band, at a rate <= 0) takes the
+full mark, with its messages, A's priority and the settlement. A quiet tick
+keeps its time and rate as given; `last_time` and `last_rate` make them
+exact when read.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, LifecycleError, MissingFixingError, StaleTickError
@@ -72,19 +68,14 @@ _MARGIN_A, _MARGIN_B = ("contract", ALPHA), ("contract", BETA)
 
 
 def to_fraction(value) -> Fraction:
-    """Exact rational from int/str/Fraction; floats via their decimal repr.
+    """Exact rational from int/str/Fraction; floats via their shortest decimal repr.
 
-    A finite float reads its repr through Decimal, which gives the value
-    Fraction(str(value)) gives in half the time; nan and inf raise
-    Fraction's own ValueError.
+    A float reads as `str(value)`, not `repr`, which for a numpy scalar
+    names its type; nan and inf raise Fraction's own ValueError.
     """
     if type(value) is Fraction:  # an exact type test skips the ABC machinery of isinstance
         return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return Fraction(str(value))  # ValueError: Invalid literal for Fraction
-        return Fraction(*Decimal(str(value)).as_integer_ratio())
-    return Fraction(value)
+    return Fraction(str(value) if isinstance(value, float) else value)
 
 
 @dataclass(frozen=True)
@@ -437,10 +428,10 @@ class SwapAgreement:
         converts to one only if the tick is not quiet. Replenishment
         semantics: a top-up must land before this call within the same
         tick-step (the scenario runner orders replenish events first); once
-        called, a breach terminates immediately. A tick inside the quiet band
-        only advances the clock. One strictly inside the band's float edges
-        and strictly after the float of the last time is quiet as given (see
-        the module docstring); any other takes the exact test.
+        called, a breach terminates immediately. A tick strictly inside the
+        quiet band's float edges and strictly after the float of the last
+        time only advances the clock (see the module docstring); any other
+        takes the full mark.
         """
         self._require_state(ACTIVE)
         time, rate = tick if type(tick) is tuple else (tick.time, tick.rate)
@@ -456,10 +447,6 @@ class SwapAgreement:
                 return None
         if type(tick) is tuple:
             tick = OracleTick(time, rate)
-        if band is not None and band[0] <= tick.rate <= band[1]:
-            self._advance_clock(tick.time)
-            self.last_rate = tick.rate
-            return None
         view = self.mark(tick)
         if view.breaching_party is None:
             return None

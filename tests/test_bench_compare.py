@@ -48,3 +48,42 @@ def test_out_writes_the_record_there_and_leaves_the_committed_file(tmp_path, mon
     assert record["summary"]["wall_s"]["change_better_pairs"] == 3
     assert committed.read_bytes() == before
     assert not parent_tree.exists()
+
+
+
+def test_metrics_and_bounds_come_from_the_benchmark_file(tmp_path, monkeypatch, capsys):
+    declared = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    parent_tree = tmp_path / "parent"
+    parent_tree.mkdir()
+    monkeypatch.setattr(bench_compare, "export", lambda rev: ("abc1234", str(parent_tree)))
+    monkeypatch.setattr(bench_compare, "describe_change", lambda: "working tree")
+    # Parent first, then change, then change first: a 30% slower setup (0.236 -> 0.307 s) is past
+    # the 0.25 bound, a 10% slower wall time within it, and work_per_s falls by exactly its bound.
+    runs = iter([(0.236, 1.0, 60.0, 10.0), (0.307, 1.1, 60.0, 7.4), (0.307, 1.1, 66.1, 7.6), (0.236, 1.0, 60.0, 10.0)])
+
+    def run_once(*args):
+        setup, wall, rss, work = next(runs)
+        run = result(wall, rss, work)
+        run["metrics"]["setup_s"]["value"] = setup
+        return run
+
+    monkeypatch.setattr(bench_compare, "run_once", run_once)
+    out = tmp_path / "record.json"
+    argv = ["--parent", "HEAD", "--workload", "daily-reports", "--pairs", "2", "--seconds", "1", "--out", str(out)]
+    assert bench_compare.main(argv) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert [(name, s["better"], s["bound"]) for name, s in summary.items()] == [
+        (m["name"], m["better"], m["bound"]) for m in declared
+    ]
+    assert {name: s["beyond_bound"] for name, s in summary.items()} == {
+        "setup_s": True, "wall_s": False, "work_per_s": False, "peak_rss_mb": False,
+    }
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("setup_s: ") and printed[0].endswith(", beyond the 0.25 bound)")
+    assert printed[3].startswith("peak_rss_mb: ") and printed[3].endswith(", within the 0.1 bound)")
+
+    # A higher-is-better metric that falls past its bound, and a lower-is-better one that rises past it.
+    pairs = [{"parent": result(1.0, 60.0, 10.0), "change": result(0.1, 66.1, 7.4)} for _ in range(2)]
+    summary = bench_compare.summarise(pairs)
+    assert summary["work_per_s"]["beyond_bound"] and summary["peak_rss_mb"]["beyond_bound"]
+    assert summary["wall_s"]["beyond_bound"] is False  # an improvement, however large

@@ -487,6 +487,22 @@ def test_run_and_validate_agree_on_config_problems(case, tmp_path, capsys):
     assert any(name in p for p in payload["problems"])
 
 
+@pytest.mark.parametrize("event", [0, 2], ids=["add", "remove"])
+@pytest.mark.parametrize("value", [7, [1], {"a": 1}, True, ""], ids=repr)
+def test_pool_position_must_be_non_empty_text(value, event, tmp_path, capsys):
+    # Each of these once replayed as a holder named by its Python text ("7", "[1]", ...).
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scenario_config("amm", POOL, value, "events", event, "position")))
+    problem = f"events[{event}].position: expected a non-empty string, got {value!r}"
+    out = tmp_path / "r"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    run_err = capsys.readouterr().err
+    assert problem in run_err and "Traceback" not in run_err
+    assert not out.exists()
+    assert cli_main(["validate", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().out)["problems"] == [f"scenario: {problem}"]
+
+
 @pytest.mark.parametrize("flag", [["--barrier", "1.2"], ["--penalty", "0.08"]])
 def test_loan_half_given_liquidation_exit_2(flag, tmp_path, capsys):
     out = tmp_path / "r"

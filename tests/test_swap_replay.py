@@ -3,8 +3,8 @@
 `reference_run_swap_scenario` below is `scenarios.run_swap_scenario` as it
 stood before the float prefilters: a schedule sorted on exact
 `(to_fraction(time), priority, index)` keys, and an `OracleTick` built for
-every tick, which an agreement without the float prefilter tests against
-the exact quiet band. The replay must give the same audit cells (by `repr`) and final
+every tick, which an agreement without the float prefilter takes through the
+full mark. The replay must give the same audit cells (by `repr`) and final
 state, or raise the same exception type with the same message, on random
 scenarios whose times and rates are floats, ints and text, and on the edge
 cases below: ticks on the quiet band's float edges and one ulp either side,
@@ -46,7 +46,7 @@ def reference_schedule(agreement, events):
 
 
 class ExactAgreement(SwapAgreement):
-    """A SwapAgreement without the float prefilter: every tick takes the exact band test."""
+    """A SwapAgreement without the float prefilter: every tick takes the full mark."""
 
     def _quiet_band(self):
         band = super()._quiet_band()

@@ -57,7 +57,7 @@ def totals(agreement):
 
 
 class TestToFraction:
-    """to_fraction reads a float's repr through Decimal; Fraction(str(v)) is the route it replaced."""
+    """to_fraction reads a float as Fraction(str(v)), the shortest decimal repr, also for numpy scalars."""
 
     EDGES = (
         0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
