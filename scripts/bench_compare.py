@@ -13,10 +13,11 @@ ones. For each end-to-end metric that BENCHMARK.json declares, the values
 of every run, their medians and quartiles (`statistics.quantiles(n=4)`, as
 `perfbench/run.py` reports them), the ratio of the medians, the pairs in
 which the change did better, the median gap over the parent's interquartile
-range and whether the change's median is worse than the metric's `bound`
-allows go to BENCH_<workload>.json at the root of the checkout, or to the
-file that --out names (so that a check which should not replace the
-committed record writes elsewhere). The exported tree is removed at the end.
+range, whether a gain may be claimed (`claim_met`) and whether the change's
+median is worse than the metric's `bound` allows go to BENCH_<workload>.json
+at the root of the checkout, or to the file that --out names (so that a
+check which should not replace the committed record writes elsewhere). The
+exported tree is removed at the end.
 """
 
 from __future__ import annotations
@@ -71,10 +72,14 @@ def quartiles(values) -> dict:
 
 
 def summarise(pairs) -> dict:
-    """Per end-to-end metric: quartiles of each side, better pairs, gap over IQR and whether beyond its bound.
+    """Per end-to-end metric: quartiles of each side, better pairs, gap over IQR, claim and bound.
 
-    A metric is beyond its bound when the change's median is worse than the
-    parent's by more than `bound` times the parent's median.
+    A gain may be claimed (`claim_met`) when the change did better in at
+    least nine tenths of the pairs, ties counting for neither, and its
+    median is better than the parent's by more than the parent's
+    interquartile range. A metric is beyond its bound when the change's
+    median is worse than the parent's by more than `bound` times the
+    parent's median.
     """
     summary = {}
     for metric in END_TO_END:
@@ -84,15 +89,17 @@ def summarise(pairs) -> dict:
         before, after = quartiles(parent), quartiles(change)
         iqr = before["q3"] - before["q1"]
         worse_by = (after["median"] - before["median"]) * (1 if lower else -1)
+        better_pairs = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         summary[name] = {
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
             "better": metric["better"],
             "parent": before,
             "change": after,
             "ratio_of_medians": after["median"] / before["median"],
-            "change_better_pairs": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+            "change_better_pairs": better_pairs,
             "pairs": len(pairs),
             "median_gap_over_parent_iqr": abs(after["median"] - before["median"]) / iqr if iqr else None,
+            "claim_met": 10 * better_pairs >= 9 * len(pairs) and -worse_by > iqr,
             "bound": bound,
             "beyond_bound": worse_by > bound * abs(before["median"]),
         }
@@ -158,6 +165,7 @@ def main(argv=None) -> int:
     for name, s in record["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.6g} -> change {s['change']['median']:.6g} "
               f"({s['ratio_of_medians']:.3f}x, better in {s['change_better_pairs']}/{s['pairs']}, "
+              f"claim {'met' if s['claim_met'] else 'not met'}, "
               f"{'beyond' if s['beyond_bound'] else 'within'} the {s['bound']:g} bound)")
     return 0
 

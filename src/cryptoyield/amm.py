@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, LifecycleError, RatioError
 
@@ -43,9 +44,8 @@ def _sqrt(value):
     return math.sqrt(value)
 
 
-@dataclass(frozen=True)
-class SwapReceipt:
-    """Execution record of a single swap.
+class SwapReceipt(NamedTuple):
+    """Execution record of a single swap (immutable).
 
     execution_price is the pre-fee average rate (y per x) actually obtained
     on the curve; the fee is reported separately in fee_paid (in the input
@@ -254,7 +254,10 @@ def create_pool(x0, y0, fee, gas_cost=0) -> Pool:
         raise DomainError("initial reserves must be > 0")
     if not 0 <= fee < 1:
         raise DomainError(f"fee must be in [0, 1), got {fee}")
-    return Pool(x0, y0, fee, total_shares=_sqrt(x0 * y0), gas_cost=gas_cost)
+    shares = _sqrt(x0 * y0)
+    if not 0 < shares < math.inf:  # a float product past float range mints 0 or inf
+        raise DomainError(f"initial reserves {x0} and {y0} mint {shares} shares; the supply must be finite and > 0")
+    return Pool(x0, y0, fee, total_shares=shares, gas_cost=gas_cost)
 
 
 def genesis_position(pool: Pool, x0, y0, entry_prices=(None, None)) -> LpPosition:

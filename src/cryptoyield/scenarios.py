@@ -30,7 +30,10 @@ is the numeraire, price 1). A remove of "all" by the last open position
 withdraws the whole share supply, so float rounding leaves no shares that
 nobody holds. A failing event, or a failing position row (shares above a
 live pool's supply, an exact value past float range), raises at its own
-event as `event N (action): ...`. Swap scenario schema::
+event as `event N (action): ...`. The replay records each event's pool
+state as one row of an array sized for every event up front, and fills the
+position rows' shares and PnL in blocks of a few thousand rows, so its
+memory is its input, its output columns and one block. Swap scenario schema::
 
     {"agreement": {"notional_a": 100, "notional_b": 100, "x0": 1.0,
                    "margin_a": 5, "margin_b": 5, "threshold": 0.2,
@@ -194,10 +197,13 @@ def run_pool_scenario(config) -> dict:
     spec = values["pool"]
     exact = spec["exact"]
     conv = to_fraction if exact else float
-    # Per recorded event: the action, the pool state (exact in exact mode),
-    # and (live, index into holders). Holders change only at create, add and
-    # remove, so only those take a sorted snapshot of the open positions.
-    actions, states, recorded, holders = [], [], [], []
+    # Row n of `states` is the pool state after event n (exact values in
+    # exact mode), row n of `recorded` its (live, index into holders).
+    # Holders change only at create, add and remove, so only those take a
+    # sorted snapshot of the open positions.
+    states = np.empty((len(values["events"]) + 1, len(_POOL_STATE)), object if exact else float)
+    recorded = np.empty((len(states), 2), int)
+    actions, holders = [], []
     dead_claim = tuple(map(conv, (0, 0, 1, 0)))  # a withdrawn pool leaves a claim of nothing
 
     def record(action):
@@ -221,9 +227,10 @@ def run_pool_scenario(config) -> dict:
             if exact:  # shares and PnL past float range fail at their own event
                 claim = (pool.reserve_x, pool.reserve_y, pool.total_shares, held.shares) if live else dead_claim
                 float(held.shares), float(claim_pnl(*claim, *held.entry_reserves, price_x, 1))
+        row = len(actions)
+        states[row] = state
+        recorded[row] = live, len(holders) - 1
         actions.append(action)
-        states.append(state)
-        recorded.append((live, len(holders) - 1))
 
     try:
         pool = create_pool(
@@ -296,45 +303,52 @@ def run_pool_scenario(config) -> dict:
     return {"pool_rows": pool_rows, "position_rows": position_rows, "summary": summary}
 
 
-def _matrix(rows, dtype):
-    """Equal-length tuples as the rows of a 2-D array."""
-    width = len(rows[0])
-    return np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width).reshape(len(rows), width)
+# Position rows per block of `_pool_tables`: its gathers and `claim_pnl`
+# temporaries hold this many rows whatever the scenario's length (~0.5 MB in
+# float mode), and a block's ~25 numpy calls stay a small share of its time.
+_BLOCK_ROWS = 1 << 12
 
 
 def _pool_tables(actions, states, recorded, holders, conv):
     """Pool and position columns of the recorded events.
 
-    Each event's position rows are its holder snapshot, laid out by
-    indexing, and their PnL is one array evaluation of `claim_pnl`.
+    `states` holds one row of pool state per event, in float mode the pool
+    columns themselves; `recorded` holds each event's (live, holder
+    snapshot). An event's position rows are its holder snapshot, laid out
+    by indexing. Their shares and PnL fill preallocated float columns in
+    blocks of `_BLOCK_ROWS` rows, each block gathering its own reserves,
+    entries and liveness for one array evaluation of `claim_pnl`, so the
+    peak is the output columns and one block.
     """
-    floats = _matrix(states, float)  # exact values were checked as each event recorded them
-    state = floats if conv is float else _matrix(states, object)
-    live, snapshot = _matrix(recorded, int).T
+    floats = states if conv is float else states.astype(float)  # exact values were checked as recorded
     pool_rows = Columns({"event": np.arange(len(states)), "action": actions, **dict(zip(_POOL_STATE, floats.T))})
 
+    live, snapshot = recorded.T
     sizes = np.array([len(h) for h in holders])
     counts = sizes[snapshot]
     event = np.repeat(np.arange(len(states)), counts)
     first = (np.cumsum(sizes) - sizes)[snapshot] - (np.cumsum(counts) - counts)  # snapshot start less row start
-    take = np.arange(len(event)) + np.repeat(first, counts)
     flat = [holder for snapshot_holders in holders for holder in snapshot_holders]
-    names = np.array([name for name, _ in flat], dtype=object)[take]
-    held = _matrix([(p.shares, *p.entry_reserves) for _, p in flat], state.dtype)
-    shares, entry_x, entry_y = (held[take, i] for i in range(3))
-    del take
-    reserve_x, reserve_y, total_shares, price_x = (state[event, _POOL_STATE.index(c)] for c in (
-        "reserve_x", "reserve_y", "total_shares", "price_x"))
-    live = live[event].astype(bool)
+    flat_names = np.array([name for name, _ in flat], dtype=object)
+    held = np.fromiter(chain.from_iterable((p.shares, *p.entry_reserves) for _, p in flat), states.dtype, 3 * len(flat))
+    held = held.reshape(len(flat), 3)
+    state = [states[:, _POOL_STATE.index(c)] for c in ("reserve_x", "reserve_y", "total_shares", "price_x")]
+    names, shares, pnl = np.empty(len(event), object), np.empty(len(event)), np.empty(len(event))
     with np.errstate(all="ignore"):  # inf and nan stay in the cells, for the writer to refuse
-        # A withdrawn pool leaves no claim, so its rows value a claim of nothing.
-        dead = ~live
-        reserve_x[dead], reserve_y[dead], total_shares[dead] = conv(0), conv(0), conv(1)
-        claimed = np.where(live, shares, conv(0))
-        pnl = claim_pnl(reserve_x, reserve_y, total_shares, claimed, entry_x, entry_y, price_x, 1)
-    position_rows = Columns(
-        {"event": event, "position": names, "shares": shares.astype(float), "pnl": pnl.astype(float)}
-    )
+        for start in range(0, len(event), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = event[block]
+            take = np.arange(start, start + len(rows)) + first[rows]
+            names[block] = flat_names[take]
+            held_shares, entry_x, entry_y = (held[take, i] for i in range(3))
+            reserve_x, reserve_y, total_shares, price_x = (column[rows] for column in state)
+            # A withdrawn pool leaves no claim, so its rows value a claim of nothing.
+            dead = live[rows] == 0
+            reserve_x[dead], reserve_y[dead], total_shares[dead] = conv(0), conv(0), conv(1)
+            claimed = np.where(dead, conv(0), held_shares)
+            pnl[block] = claim_pnl(reserve_x, reserve_y, total_shares, claimed, entry_x, entry_y, price_x, 1)
+            shares[block] = held_shares
+    position_rows = Columns({"event": event, "position": names, "shares": shares, "pnl": pnl})
     return pool_rows, position_rows
 
 

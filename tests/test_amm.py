@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,13 @@ class TestCreatePool:
         pool = create_pool(Fraction(1000), Fraction(1000), Fraction(3, 1000))
         assert isinstance(pool.total_shares, (Fraction, int))
         assert pool.total_shares == 1000
+
+    @pytest.mark.parametrize("reserve, minted", [(1e-200, "0.0"), (1e-300, "0.0"), (1e300, "inf")])
+    def test_rejects_supply_outside_float_range(self, reserve, minted):
+        # The reserve product underflows to 0.0 or overflows to inf, and so does its square root.
+        message = f"initial reserves {reserve} and {reserve} mint {minted} shares"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            create_pool(reserve, reserve, 0.003)
 
 
 class TestLiquidity:
@@ -111,6 +119,11 @@ class TestSwaps:
         pool = create_pool(Fraction(1000), Fraction(1000), Fraction(3, 1000))
         receipt = pool.swap_x_for_y(Fraction(100))
         assert receipt.amount_out == Fraction(997000, 10997)
+
+    def test_receipt_is_immutable(self):
+        receipt = create_pool(1000.0, 1000.0, 0.003).swap_x_for_y(100.0)
+        with pytest.raises(AttributeError):
+            receipt.amount_out = 0.0
 
     def test_fee_free_swap_preserves_product_exactly(self):
         pool = create_pool(Fraction(1000), Fraction(1000), Fraction(0))

@@ -80,6 +80,7 @@ def test_metrics_and_bounds_come_from_the_benchmark_file(tmp_path, monkeypatch, 
     }
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("setup_s: ") and printed[0].endswith(", beyond the 0.25 bound)")
+    assert ", claim not met, " in printed[0]
     assert printed[3].startswith("peak_rss_mb: ") and printed[3].endswith(", within the 0.1 bound)")
 
     # A higher-is-better metric that falls past its bound, and a lower-is-better one that rises past it.
@@ -87,3 +88,30 @@ def test_metrics_and_bounds_come_from_the_benchmark_file(tmp_path, monkeypatch, 
     summary = bench_compare.summarise(pairs)
     assert summary["work_per_s"]["beyond_bound"] and summary["peak_rss_mb"]["beyond_bound"]
     assert summary["wall_s"]["beyond_bound"] is False  # an improvement, however large
+
+
+PARENT_RSS = [70.1, 70.3, 70.4, 70.5, 70.6, 70.2, 70.5, 70.4, 70.7, 70.5]
+
+
+@pytest.mark.parametrize("parent, change, better, met", [
+    # Lower in 10 of 10 pairs, median 59.25 against 70.45 with a parent IQR of 0.25.
+    (PARENT_RSS, [59.1, 59.2, 59.3, 59.4, 59.2, 59.3, 59.1, 59.3, 59.2, 59.4], 10, True),
+    # The same medians, but two pairs tie: lower in 8 of 10.
+    (PARENT_RSS, [59.1, 59.2, 59.3, 59.4, 59.2, 59.3, 59.1, 59.3, 70.7, 70.5], 8, False),
+    # Lower in every pair, by 1 MB, which sits inside the parent's 9 MB IQR.
+    ([60.0, 62.0, 64.0, 66.0, 68.0, 70.0, 72.0, 74.0, 76.0, 78.0],
+     [59.0, 61.0, 63.0, 65.0, 67.0, 69.0, 71.0, 73.0, 75.0, 77.0], 10, False),
+], ids=["met", "8-of-10-pairs", "gap-inside-iqr"])
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_parent_iqr(parent, change, better, met):
+    pairs = [{"parent": result(1.0, p, 10.0), "change": result(1.0, c, 10.0)} for p, c in zip(parent, change)]
+    summary = bench_compare.summarise(pairs)["peak_rss_mb"]
+    assert summary["change_better_pairs"] == better and summary["pairs"] == 10
+    assert summary["change"]["median"] < summary["parent"]["median"]
+    assert summary["claim_met"] is met
+
+
+def test_claim_is_never_met_by_a_change_for_the_worse():
+    # Twice the wall time, half the work rate: a wide gap, in the wrong direction.
+    summary = bench_compare.summarise([{"parent": result(1.0, 60.0, 10.0), "change": result(2.0, 60.0, 5.0)}] * 10)
+    assert not summary["wall_s"]["claim_met"] and not summary["work_per_s"]["claim_met"]
+    assert not summary["peak_rss_mb"]["claim_met"]  # equal runs

@@ -585,6 +585,23 @@ def test_exact_pool_replay_bound_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("reserve, events", [
+    (1e-300, []),
+    (1e-300, [{"action": "swap_x_for_y", "amount": 1e-300}]),
+    (1e300, []),
+], ids=["1e-300", "1e-300-then-swap", "1e300"])
+def test_pool_minting_no_finite_supply_exit_3(reserve, events, tmp_path, capsys):
+    # sqrt(reserve_x * reserve_y) is 0.0 or inf in floats: a pool withdrawn at birth, or infinite shares.
+    scenario = {"pool": {"reserve_x": reserve, "reserve_y": reserve, "fee": 0.003}, "events": events}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "amm", "scenario": scenario}))
+    out = tmp_path / "r"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"initial reserves {reserve} and {reserve} mint " in err and "Traceback" not in err
+    assert not out.exists()
+
 def test_non_finite_input_cell_exit_2(tmp_path, capsys):
     # The demo funding quotes with a nan mark on line 3.
     lines = (DEMO / "funding_quotes.csv").read_text().splitlines()

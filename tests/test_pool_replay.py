@@ -6,15 +6,22 @@ position-row dict per open holder, each with its own
 `absolute_impermanent_pnl` call. The replay must give the same cells (by
 `repr`) and summary, or raise the same exception type with the same message,
 on the demo scenario, on mutated demo scenarios drawn by
-`cli_fuzz.scenarios()`, in exact mode, and on the edge cases below.
+`cli_fuzz.scenarios()`, in exact mode, and on the edge cases below, with the
+default block of position rows and with blocks of a few rows. A long
+scenario checks the replay's peak memory against the tables it returns.
 """
 
 import copy
+import math
+import random
+import tracemalloc
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 
+from cryptoyield import scenarios
 from cryptoyield.amm import LpPosition, absolute_impermanent_pnl, create_pool, genesis_position
 from cryptoyield.errors import CryptoYieldError, DomainError, InputError
 from cryptoyield.scenarios import POOL_SCENARIO, _check, run_pool_scenario
@@ -219,48 +226,149 @@ PNL_THEN_UNKNOWN = [
 ]
 
 
+EDGE_SCENARIOS = [
+    pool(GENESIS_EXIT),
+    pool(DUST_EXIT, reserves=(1261.722901903465, 1642.1884005046647)),
+    pool(WITHDRAWN),
+    pool([{"action": "remove", "position": "genesis", "shares": "all"}]),
+    pool([{"action": "remove", "position": "genesis", "shares": "all"},
+          {"action": "swap_x_for_y", "amount": 1.0}]),
+    pool([{"action": "add", "dx": 0.0, "dy": 0.0, "position": "zero"},
+          {"action": "remove", "position": "zero", "shares": 0.0}]),
+    pool([{"action": "add", "dx": 10.0, "dy": 10.0, "position": "bob"},
+          {"action": "remove", "position": "bob", "shares": 4.0},
+          {"action": "remove", "position": "carol", "shares": 1.0}]),
+    # The 1e308 swap: float reserves overflow to inf, exact ones pass float range.
+    pool([{"action": "add", "dx": 10.0, "dy": 10.0, "position": "bob"},
+          {"action": "swap_x_for_y", "amount": 1e308}]),
+    pool([{"action": "swap_y_for_x", "amount": 1e308}, {"action": "swap_y_for_x", "amount": 1e308}]),
+    # Exact reserves past float range at event 2, after a row that still fits.
+    pool([{"action": "swap_x_for_y", "amount": 1e308}, {"action": "swap_x_for_y", "amount": 1e308}],
+         reserves=(1e308, 1e-300)),
+    pool([], reserves=(1e308, 1e308)),
+    # The pool row fits, but the PnL of a claim valued at 1e300 is past float range (exact)
+    # or the arbitrage leaves no x reserve (float).
+    pool([{"action": "external_price", "price": 1e300}], reserves=(1e300, 1e-300)),
+    # Event 1's PnL past float range (exact) comes before event 2's unknown position.
+    pool(PNL_THEN_UNKNOWN, reserves=(1e300, 1e-300)),
+    # Reserves of inf and nan, then a withdrawal: the withdrawn pool's rows must not read them.
+    pool([{"action": "add", "dx": 1e-14, "dy": 1e-14, "position": "alice"},
+          {"action": "swap_x_for_y", "amount": 1e308}, {"action": "swap_x_for_y", "amount": 1e308},
+          {"action": "remove", "position": "genesis", "shares": "all"}]),
+]
+EDGE_IDS = ["genesis-exit", "dust-exit", "withdrawn-pool", "genesis-all", "swap-on-withdrawn", "zero-add",
+            "unknown-position", "swap-1e308", "two-swaps-1e308", "reserve-past-range", "create-past-range",
+            "pnl-past-range", "pnl-past-range-then-unknown", "withdrawn-after-overflow"]
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-@pytest.mark.parametrize(
-    "scenario",
-    [
-        pool(GENESIS_EXIT),
-        pool(DUST_EXIT, reserves=(1261.722901903465, 1642.1884005046647)),
-        pool(WITHDRAWN),
-        pool([{"action": "remove", "position": "genesis", "shares": "all"}]),
-        pool([{"action": "remove", "position": "genesis", "shares": "all"},
-              {"action": "swap_x_for_y", "amount": 1.0}]),
-        pool([{"action": "add", "dx": 0.0, "dy": 0.0, "position": "zero"},
-              {"action": "remove", "position": "zero", "shares": 0.0}]),
-        pool([{"action": "add", "dx": 10.0, "dy": 10.0, "position": "bob"},
-              {"action": "remove", "position": "bob", "shares": 4.0},
-              {"action": "remove", "position": "carol", "shares": 1.0}]),
-        # The 1e308 swap: float reserves overflow to inf, exact ones pass float range.
-        pool([{"action": "add", "dx": 10.0, "dy": 10.0, "position": "bob"},
-              {"action": "swap_x_for_y", "amount": 1e308}]),
-        pool([{"action": "swap_y_for_x", "amount": 1e308}, {"action": "swap_y_for_x", "amount": 1e308}]),
-        # Exact reserves past float range at event 2, after a row that still fits.
-        pool([{"action": "swap_x_for_y", "amount": 1e308}, {"action": "swap_x_for_y", "amount": 1e308}],
-             reserves=(1e308, 1e-300)),
-        pool([], reserves=(1e308, 1e308)),
-        # The pool row fits, but the PnL of a claim valued at 1e300 is past float range (exact)
-        # or the arbitrage leaves no x reserve (float).
-        pool([{"action": "external_price", "price": 1e300}], reserves=(1e300, 1e-300)),
-        # Event 1's PnL past float range (exact) comes before event 2's unknown position.
-        pool(PNL_THEN_UNKNOWN, reserves=(1e300, 1e-300)),
-        # Reserves of inf and nan, then a withdrawal: the withdrawn pool's rows must not read them.
-        pool([{"action": "add", "dx": 1e-14, "dy": 1e-14, "position": "alice"},
-              {"action": "swap_x_for_y", "amount": 1e308}, {"action": "swap_x_for_y", "amount": 1e308},
-              {"action": "remove", "position": "genesis", "shares": "all"}]),
-    ],
-    ids=["genesis-exit", "dust-exit", "withdrawn-pool", "genesis-all", "swap-on-withdrawn", "zero-add",
-         "unknown-position", "swap-1e308", "two-swaps-1e308", "reserve-past-range", "create-past-range",
-         "pnl-past-range", "pnl-past-range-then-unknown", "withdrawn-after-overflow"],
-)
+@pytest.mark.parametrize("scenario", EDGE_SCENARIOS, ids=EDGE_IDS)
 def test_edge_scenarios(scenario, exact):
     scenario = copy.deepcopy(scenario)
     scenario["pool"]["exact"] = exact
     assert_same_outcome(scenario)
 
+
+
+# -- position rows across block edges -----------------------------------------------
+
+# A block of one row, and one of three that ends inside an event's rows.
+SMALL_BLOCKS = [1, 3]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("block_rows", SMALL_BLOCKS)
+def test_demo_scenario_in_small_blocks(block_rows, exact):
+    scenario = copy.deepcopy(DEMO)
+    scenario["pool"]["exact"] = exact
+    with mock.patch.object(scenarios, "_BLOCK_ROWS", block_rows):
+        assert len(outcome(scenario)[0]["position_rows"][1]) > 3 * block_rows
+        assert_same_outcome(scenario)
+
+
+@pytest.mark.parametrize("block_rows", SMALL_BLOCKS)
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(cli_fuzz.scenarios())
+def test_fuzzed_pool_scenarios_in_small_blocks(block_rows, drawn):
+    command, scenario = drawn
+    assume(command == "amm")
+    with mock.patch.object(scenarios, "_BLOCK_ROWS", block_rows):
+        assert_same_outcome(scenario)
+
+
+@pytest.mark.parametrize("block_rows", SMALL_BLOCKS)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(cli_fuzz.scenarios())
+def test_fuzzed_pool_scenarios_exact_in_small_blocks(block_rows, drawn):
+    command, scenario = drawn
+    assume(command == "amm" and isinstance(scenario.get("pool"), dict))
+    scenario["pool"]["exact"] = True
+    with mock.patch.object(scenarios, "_BLOCK_ROWS", block_rows):
+        assert_same_outcome(scenario)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("scenario", EDGE_SCENARIOS, ids=EDGE_IDS)
+@pytest.mark.parametrize("block_rows", SMALL_BLOCKS)
+def test_edge_scenarios_in_small_blocks(block_rows, scenario, exact):
+    scenario = copy.deepcopy(scenario)
+    scenario["pool"]["exact"] = exact
+    with mock.patch.object(scenarios, "_BLOCK_ROWS", block_rows):
+        assert_same_outcome(scenario)
+
+
+# -- peak memory ----------------------------------------------------------------------
+
+
+def long_scenario(events=8000, holders=8, seed=7):
+    """Swaps, arbitrages, adds and whole removes by `holders` LPs beside genesis."""
+    rng = random.Random(seed)
+    model = create_pool(1e6, 1e6, 0.003)  # the ratio each add must match
+    held, drawn = {}, []
+    for _ in range(events):
+        u = rng.random()
+        if u < 0.3:
+            amount = model.reserve_x * rng.uniform(5e-4, 5e-3)
+            drawn.append({"action": "swap_x_for_y", "amount": amount})
+            model.swap_x_for_y(amount)
+        elif u < 0.6:
+            amount = model.reserve_y * rng.uniform(5e-4, 5e-3)
+            drawn.append({"action": "swap_y_for_x", "amount": amount})
+            model.swap_y_for_x(amount)
+        elif u < 0.85:
+            price = model.spot_price() * math.exp(rng.uniform(-0.02, 0.02))
+            drawn.append({"action": "external_price", "price": price})
+            model.arbitrage_to_price(price)
+        elif u < 0.97 or not held:
+            name = f"lp{rng.randrange(holders)}"
+            dx = model.reserve_x * rng.uniform(1e-3, 1e-2)
+            dy = dx * model.reserve_y / model.reserve_x
+            drawn.append({"action": "add", "dx": dx, "dy": dy, "position": name})
+            held[name] = held.get(name, 0.0) + model.add_liquidity(dx, dy).shares
+        else:
+            name = rng.choice(sorted(held))
+            drawn.append({"action": "remove", "position": name, "shares": "all"})
+            model.remove_liquidity(held.pop(name))
+    return pool(drawn, reserves=(1e6, 1e6))
+
+
+def test_peak_memory_is_bounded_by_the_returned_tables():
+    # Beside its input the replay holds its output columns, the state rows and
+    # one block of position rows: the peak above the input stays within 2.5x
+    # what the returned tables retain. Lists of per-event state tuples and
+    # full-length PnL temporaries read 4.4-4.7x.
+    scenario = long_scenario()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run_pool_scenario(scenario)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result["position_rows"]) > 2 * scenarios._BLOCK_ROWS
+    assert result["summary"]["open_positions"] > 3
+    assert peak - before <= 2.5 * (retained - before)
 
 def test_edge_scenarios_reach_their_paths():
     # The comparisons are only as strong as the paths they reach.
@@ -287,8 +395,6 @@ def test_withdrawn_pool_pnl_is_positive_zero():
 
 def test_shares_above_supply_is_domain_error(monkeypatch):
     # The replay keeps holders within the supply, so only an inflated holding reaches this check.
-    from cryptoyield import scenarios
-
     def inflated(shares, entry_reserves, *rest):
         return LpPosition(shares * 1000 if entry_reserves == (10.0, 10.0) else shares, entry_reserves, *rest)
 
