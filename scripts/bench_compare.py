@@ -106,6 +106,15 @@ def summarise(pairs) -> dict:
     return summary
 
 
+def describe_pair(pair) -> str:
+    """Every end-to-end metric of one pair, parent then change, so that a check stopped early keeps them all."""
+    values = []
+    for metric in END_TO_END:
+        parent, change = (pair[side]["metrics"][metric["name"]] for side in ("parent", "change"))
+        values.append(f"{metric['name']} parent {parent['value']:.6g}, change {change['value']:.6g} {change['unit']}")
+    return "; ".join(values)
+
+
 def describe_change() -> str:
     head = git("rev-parse", "--short", "HEAD").decode().strip()
     dirty = git("status", "--porcelain", "--", "src", "perfbench").strip()
@@ -138,9 +147,7 @@ def main(argv=None) -> int:
                 tree = parent_tree if side == "parent" else ROOT
                 pair[side] = run_once(tree, args.workload, seed, args.seconds)
             pairs.append(pair)
-            wall = {side: pair[side]["metrics"]["wall_s"]["value"] for side in ("parent", "change")}
-            print(f"pair {k} seed {seed}: wall_s parent {wall['parent']:.4f} s, change {wall['change']:.4f} s",
-                  file=sys.stderr)
+            print(f"pair {k} seed {seed}: {describe_pair(pair)}", file=sys.stderr)
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
 

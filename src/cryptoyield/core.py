@@ -251,6 +251,10 @@ def percentile(values, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Characters of CSV text parsed at a time; each block runs on to the end of its line.
+_BLOCK_CHARS = 1 << 16
+
+
 class Columns:
     """A table of named, equal-length columns, each a list or a 1-D numpy array.
 
@@ -290,14 +294,16 @@ def read_csv_rows(path, schema, check=None) -> Columns:
     that breaks it. A UTF-8 byte-order mark, as spreadsheet exports write, is
     dropped before the header.
 
-    A clean file is read once, as columns. Any other file is read again row
-    by row, and its first problem in file order raises an InputError naming
-    the file and line: the header, then an empty cell in any row, then per
-    row the first bad cell (timestamp columns first, then the others, each in
-    schema order) or the row `check` names, whichever comes first. Rows
-    follow `csv.DictReader`: a blank line is skipped, extra fields are
-    ignored, a repeated header name means its last column, and a row's line
-    is the last physical line of its record.
+    A clean file is read once and parsed as columns, in blocks of lines (see
+    `_clean_columns`), so that its peak memory is the text, one block and
+    the columns; each distinct cell of a TEXT column is one shared `str`.
+    Any other file is read again row by row, and its first problem in file
+    order raises an InputError naming the file and line: the header, then an
+    empty cell in any row, then per row the first bad cell (timestamp columns
+    first, then the others, each in schema order) or the row `check` names,
+    whichever comes first. Rows follow `csv.DictReader`: a blank line is
+    skipped, extra fields are ignored, a repeated header name means its last
+    column, and a row's line is the last physical line of its record.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -315,36 +321,61 @@ def _clean_columns(text, schema):
 
     Clean means no quote and no NUL, so every record is one line and
     splitting it at commas is what `csv.reader` does; every row has the same
-    number of fields; no cell is empty and every number is finite.
+    number of fields; no cell is empty and every number is finite. The text
+    is parsed in blocks of about `_BLOCK_CHARS` characters, each cut after a
+    newline, so that only one block's lines and cells are alive at a time
+    beside the columns. Each distinct cell of a TEXT column is one shared
+    `str`.
     """
-    text = text.replace("\r\n", "\n").replace("\r", "\n")  # line ends as `csv.reader` sees them
     if '"' in text or "\0" in text:
         return None
-    header, *body = text.split("\n")
-    if body and not body[-1]:
-        body.pop()  # the newline that ends the last record
-    lines = list(range(2, len(body) + 2))
-    if "" in body:  # a blank line is skipped but counted
-        lines = [n for n, line in zip(lines, body) if line]
-        body = list(filter(None, body))
-    if not body or max(map(len, body)) > csv.field_size_limit():
-        return None
-    index = {name: i for i, name in enumerate(header.split(","))}  # a repeated name keeps its last column
-    width = body[0].count(",") + 1
-    # Every row as wide as the first, and that wide enough for every column.
-    if set(map(str.count, body, repeat(","))) != {width - 1} or not all(index.get(c, width) < width for c in schema):
-        return None
-    cells = ",".join(body).split(",")
-    columns = {}
-    for name, kind in schema.items():
-        column = cells[index[name] :: width]
-        if "" in column:
+    index = width = None
+    lines, line = [], 1  # the line numbers of the rows kept, and of the last line read
+    columns = {name: [] for name in schema}  # a TEXT column's cells, else its blocks of floats
+    memos = {name: {} for name in schema if schema[name] is TEXT}
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        block = text[start:end].replace("\r\n", "\n").replace("\r", "\n")  # line ends as `csv.reader` sees them
+        body = block.split("\n")
+        start = end
+        if not body[-1]:
+            body.pop()  # the newline that ends the block's last record
+        if index is None:  # the header; a repeated name keeps its last column
+            index = {name: i for i, name in enumerate(body.pop(0).split(","))}
+        numbers = range(line + 1, line + 1 + len(body))
+        line += len(body)
+        if "" in body:  # a blank line is skipped but counted
+            numbers = [n for n, row in zip(numbers, body) if row]
+            body = list(filter(None, body))
+        if not body:
+            continue
+        if max(map(len, body)) > csv.field_size_limit():
             return None
-        if kind is not TEXT:
+        if width is None:
+            width = body[0].count(",") + 1
+            if not all(index.get(c, width) < width for c in schema):  # wide enough for every column
+                return None
+        if set(map(str.count, body, repeat(","))) != {width - 1}:  # every row as wide as the first
+            return None
+        lines.extend(numbers)
+        cells = ",".join(body).split(",")
+        for name, kind in schema.items():
+            column = cells[index[name] :: width]
+            if "" in column:
+                return None
+            if kind is TEXT:
+                columns[name].extend(map(memos[name].setdefault, column, column))
+                continue
             column = _parsed_column(kind, column)
             if not np.isfinite(column).all():
                 return None
-        columns[name] = column
+            columns[name].append(column)
+    if width is None:
+        return None
+    for name, kind in schema.items():
+        if kind is not TEXT:
+            columns[name] = np.concatenate(columns[name])
     return Columns(columns, lines)
 
 

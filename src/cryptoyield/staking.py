@@ -174,10 +174,13 @@ def daily_bands(validators, days, percentiles) -> list:
     """Per-day {percentile: annualized return} across each day's eligible cohort.
 
     One entry per day in `days`: None when no validator is eligible that day.
-    A percentile level outside [0, 100] is a DomainError once a day has a
-    cohort. Each level is numpy's `linear` percentile of the day's eligible
+    A percentile level outside [0, 100] is a DomainError, whether or not any
+    day has a cohort. Each level is numpy's `linear` percentile of the day's eligible
     rates, with the bits of calling `np.percentile` on them.
     """
+    bad = [p for p in percentiles if not 0.0 <= p <= 100.0]
+    if bad:
+        raise DomainError(f"percentile level must be in [0, 100], got {bad[0]}")
     validators = list(validators)
     t1s = [midnight_utc(d) for d in days]
     rates = np.empty((len(validators), len(t1s)))
@@ -189,9 +192,6 @@ def daily_bands(validators, days, percentiles) -> list:
     cols = np.flatnonzero(cohort)
     if not cols.size:
         return bands
-    bad = [p for p in percentiles if not 0.0 <= p <= 100.0]
-    if bad:
-        raise DomainError(f"percentile level must be in [0, 100], got {bad[0]}")
     # Ineligible rates are NaN and eligible ones never are (both balances are
     # at least the minimum), so after one sort, which puts NaN last, each
     # day's first cohort[j] rows are its eligible rates in order.

@@ -50,6 +50,29 @@ def test_out_writes_the_record_there_and_leaves_the_committed_file(tmp_path, mon
     assert not parent_tree.exists()
 
 
+def test_each_pair_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
+    declared = [m["name"] for m in json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]]
+    parent_tree = tmp_path / "parent"
+    parent_tree.mkdir()
+    monkeypatch.setattr(bench_compare, "export", lambda rev: ("abc1234", str(parent_tree)))
+    monkeypatch.setattr(bench_compare, "describe_change", lambda: "working tree")
+    # Parent first in pair 0, change first in pair 1.
+    runs = iter([result(1.0, 60.25, 10.0), result(0.5, 48.5, 20.0), result(0.6, 48.75, 16.5), result(1.1, 59.5, 9.0)])
+    monkeypatch.setattr(bench_compare, "run_once", lambda *args: next(runs))
+    argv = ["--parent", "HEAD", "--workload", "daily-reports", "--pairs", "2", "--seconds", "1",
+            "--out", str(tmp_path / "record.json")]
+    assert bench_compare.main(argv) == 0
+    printed = capsys.readouterr().err.splitlines()
+    assert printed == [
+        "pair 0 seed 1001: setup_s parent 0.3, change 0.3 s; wall_s parent 1, change 0.5 s; "
+        "work_per_s parent 10, change 20 1/s; peak_rss_mb parent 60.25, change 48.5 MB",
+        "pair 1 seed 1002: setup_s parent 0.3, change 0.3 s; wall_s parent 1.1, change 0.6 s; "
+        "work_per_s parent 9, change 16.5 1/s; peak_rss_mb parent 59.5, change 48.75 MB",
+    ]
+    for line in printed:
+        assert [part.split(" parent ")[0] for part in line.split(": ", 1)[1].split("; ")] == declared
+
+
 
 def test_metrics_and_bounds_come_from_the_benchmark_file(tmp_path, monkeypatch, capsys):
     declared = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]

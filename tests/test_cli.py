@@ -602,6 +602,19 @@ def test_pool_minting_no_finite_supply_exit_3(reserve, events, tmp_path, capsys)
     assert f"initial reserves {reserve} and {reserve} mint " in err and "Traceback" not in err
     assert not out.exists()
 
+def test_stake_percentile_out_of_range_without_cohort_exit_3(tmp_path, capsys):
+    # Every balance is below the 32 minimum, so no day has a cohort: the level is refused all the same.
+    balances = tmp_path / "validators.csv"
+    balances.write_text("validator_id,timestamp,balance,state\n"
+                        "v1,2021-06-01T00:00:00Z,31.0,Active\nv1,2021-06-02T00:00:00Z,31.5,Active\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "stake", "balances": str(balances), "percentiles": [50, 150]}))
+    out = tmp_path / "r"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "percentile level must be in [0, 100], got 150" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_input_cell_exit_2(tmp_path, capsys):
     # The demo funding quotes with a nan mark on line 3.
     lines = (DEMO / "funding_quotes.csv").read_text().splitlines()

@@ -6,12 +6,15 @@ empty cells, then a per-cell parse that stops at the first bad cell, with
 `ValidatorRecord`'s per-snapshot checks as they stood. Every
 loader must return what its reference returns, or raise an `InputError` with
 the same message, on the demo CSVs, on mutated demo CSVs drawn by
-`cli_fuzz.csv_files()`, and on one benchmark-sized generated market year.
+`cli_fuzz.csv_files()`, and on one benchmark-sized generated market year,
+both at the reader's default block size and at blocks of a few characters.
 """
 
 import csv
+import gc
 import importlib.util
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -183,12 +186,21 @@ def outcome(load, path):
         return "error", str(exc)
 
 
+# Block sizes, in characters, beside the reader's default: one line a block, and blocks that end mid-row.
+BLOCK_CHARS = (1, 7, 64)
+
+
 def assert_loads_like_reference(command, path):
+    """The loader's outcome equals its reference's at the default block size and at each of BLOCK_CHARS."""
     load, reference = LOADERS[command]
-    got, want = outcome(load, path), outcome(reference, path)
-    assert got == want
-    if command == "stake" and got[0] == "ok":
-        assert staking.available_days(got[1].values()) == reference_available_days(want[1].values())
+    want = outcome(reference, path)
+    for block_chars in (core._BLOCK_CHARS, *BLOCK_CHARS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_BLOCK_CHARS", block_chars)
+            got = outcome(load, path)
+        assert got == want, f"blocks of {block_chars} characters"
+        if command == "stake" and got[0] == "ok":
+            assert staking.available_days(got[1].values()) == reference_available_days(want[1].values())
     return got[0]
 
 
@@ -236,6 +248,10 @@ EDGE_CASES = {
     "quoted-number-cell": ("stake", BALANCES + 'v1,10,40,Active\nv1,"20",41,Active\n'),
     "empty-text-cell": ("stake", BALANCES + "v1,10,40,Active\nv1,20,41,\n"),
     "oversized-text-field": ("stake", BALANCES + "v" * 200_000 + ",10,40,Active\n"),
+    "oversized-text-field-in-later-row": ("stake", BALANCES + "v1,10,40,Active\n" + "v" * 200_000 + ",20,40,Active\n"),
+    "nul-in-later-row": ("stake", BALANCES + "v1,10,40,Active\nv1,20,41,Act\0ive\n"),
+    "wider-later-row": ("perp-basis", BASIS + "0,1,1,100\n5,1,1,100,7\n"),
+    "narrower-later-row": ("perp-basis", BASIS + "0,1,1,100\n5,1,1\n"),
     "padded-timestamps": ("perp-funding", MARKS + " 10 ,1,1\n\x1c20\x1c,1,1\n\t30\u2003,1,1\n"),
     "iso-and-epoch-timestamps": ("perp-funding", MARKS + "10,1,1\n1970-01-01T00:00:20Z,1,1\n1e308,1,1\n"),
     "timestamp-past-calendar": ("perp-funding", MARKS + "10,1,1\n1e308,1,1\n"),
@@ -266,6 +282,28 @@ def test_edge_cases_load_like_reference(tmp_path, case):
     assert_loads_like_reference(command, path)
 
 
+# What makes a file unclean, or takes a second parse, each with an edge case whose
+# text holds it past the first data row: in a later block than the row that sets
+# the width, once blocks are one line.
+LATER_BLOCK_FEATURES = {
+    "blank line": ("blank-lines-before-model-row", "\n\n"),
+    "CRLF pair": ("crlf-lines", "\r\n"),
+    "width change": ("wider-later-row", ",7\n"),
+    "empty cell": ("empty-cell-beats-earlier-rows", ",,"),
+    "quote": ("quoted-number-cell", '"'),
+    "NUL": ("nul-in-later-row", "\0"),
+    "oversized field": ("oversized-text-field-in-later-row", "v" * 200_000),
+    "ISO timestamp": ("iso-and-epoch-timestamps", "T00:00:20Z"),
+    "non-finite number": ("order-before-bad-cell", "nan"),
+}
+
+
+@pytest.mark.parametrize("feature", sorted(LATER_BLOCK_FEATURES))
+def test_edge_cases_hold_each_feature_in_a_later_block(feature):
+    case, marker = LATER_BLOCK_FEATURES[feature]
+    assert marker in EDGE_CASES[case][1].split("\n", 2)[2]
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(cli_fuzz.csv_files())
 def test_mutated_csvs_load_like_reference(tmp_path_factory, case):
@@ -285,9 +323,35 @@ def _generator():
     return module
 
 
-def test_benchmark_market_year_loads_like_reference(tmp_path):
-    _generator().daily_reports(str(tmp_path), 3)
+@pytest.fixture(scope="module")
+def market_year(tmp_path_factory):
+    """The benchmark's generated market year at seed 3, in its own directory."""
+    path = tmp_path_factory.mktemp("market-year")
+    _generator().daily_reports(str(path), 3)
+    return path
+
+
+def test_benchmark_market_year_loads_like_reference(market_year, tmp_path):
     for command, (_, name) in cli_fuzz.CSV_INPUTS.items():
-        assert assert_loads_like_reference(command, tmp_path / name) == "ok"
-    (tmp_path / "prices.csv").write_text(as_prices((tmp_path / "funding_quotes.csv").read_text()))
+        assert assert_loads_like_reference(command, market_year / name) == "ok"
+    (tmp_path / "prices.csv").write_text(as_prices((market_year / "funding_quotes.csv").read_text()))
     assert assert_loads_like_reference("prices", tmp_path / "prices.csv") == "ok"
+
+
+def test_benchmark_validators_read_within_five_times_the_file(market_year):
+    # The text, one block of lines and cells, and the columns: the whole file read
+    # as lines and as cells at once took about twelve times its size.
+    path = market_year / "validators.csv"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        columns = core.read_csv_rows(path, staking.VALIDATOR_CSV)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(columns) > 10_000
+    assert peak <= 5 * path.stat().st_size
+    for name, kind in staking.VALIDATOR_CSV.items():
+        if kind is core.TEXT:  # one shared str per distinct cell
+            assert len(set(map(id, columns[name]))) == len(set(columns[name]))

@@ -347,8 +347,16 @@ class TestEngineAgainstScans:
         for day, got in zip(days, daily_bands(cohort, days, levels)):
             assert got == reference_percentile_bands(cohort, day, levels)
 
-    def test_bad_level_without_cohort_is_empty_cohort(self):
-        assert daily_bands([validator([(T0, 31.0), (T1, 32.0)])], [D1], [150]) == [None]
+    def test_bad_level_without_cohort_is_domain_error(self):
+        # The level is checked before any window is judged: no day here has a cohort.
+        below = [validator([(T0, 31.0), (T1, 31.5)])]
+        assert daily_bands(below, [D1], [50]) == [None]
+        with pytest.raises(DomainError, match="percentile level must be in \\[0, 100\\], got 150"):
+            daily_bands(below, [D1], [50, 150])
+        with pytest.raises(DomainError, match="percentile level"):
+            daily_bands([], [], [150])
+        with pytest.raises(DomainError, match="percentile level"):
+            percentile_bands(below, D1, [150])
 
 
 class TestCsvLoading:
