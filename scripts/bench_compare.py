@@ -13,8 +13,9 @@ ones. For each end-to-end metric that BENCHMARK.json declares, the values
 of every run, their medians and quartiles (`statistics.quantiles(n=4)`, as
 `perfbench/run.py` reports them), the ratio of the medians, the pairs in
 which the change did better, the median gap over the parent's interquartile
-range, whether a gain may be claimed (`claim_met`) and whether the change's
-median is worse than the metric's `bound` allows go to BENCH_<workload>.json
+range, whether a gain may be claimed (`claim_met`), whether the change's
+median is worse than the metric's `bound` allows, and the quartiles of the
+per-pair change/parent ratio with a no-change verdict go to BENCH_<workload>.json
 at the root of the checkout, or to the file that --out names (so that a
 check which should not replace the committed record writes elsewhere). The
 exported tree is removed at the end.
@@ -80,6 +81,11 @@ def summarise(pairs) -> dict:
     interquartile range. A metric is beyond its bound when the change's
     median is worse than the parent's by more than `bound` times the
     parent's median.
+
+    Pairing cancels the host's drift between pairs, so each pair's
+    change/parent ratio spreads less than either side's runs. A metric reads
+    "unchanged" when that ratio's q1-q3 lies inside 1 +- bound, and
+    "unresolved" otherwise.
     """
     summary = {}
     for metric in END_TO_END:
@@ -90,6 +96,7 @@ def summarise(pairs) -> dict:
         iqr = before["q3"] - before["q1"]
         worse_by = (after["median"] - before["median"]) * (1 if lower else -1)
         better_pairs = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        ratio = quartiles([c / p for p, c in zip(parent, change)])
         summary[name] = {
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
             "better": metric["better"],
@@ -102,6 +109,8 @@ def summarise(pairs) -> dict:
             "claim_met": 10 * better_pairs >= 9 * len(pairs) and -worse_by > iqr,
             "bound": bound,
             "beyond_bound": worse_by > bound * abs(before["median"]),
+            "pair_ratio": ratio,
+            "no_change": "unchanged" if 1 - bound <= ratio["q1"] and ratio["q3"] <= 1 + bound else "unresolved",
         }
     return summary
 
@@ -171,7 +180,9 @@ def main(argv=None) -> int:
         fh.write("\n")
     for name, s in record["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.6g} -> change {s['change']['median']:.6g} "
-              f"({s['ratio_of_medians']:.3f}x, better in {s['change_better_pairs']}/{s['pairs']}, "
+              f"({s['ratio_of_medians']:.3f}x, pair ratio {s['pair_ratio']['median']:.3f} "
+              f"({s['pair_ratio']['q1']:.3f}-{s['pair_ratio']['q3']:.3f}), {s['no_change']}, "
+              f"better in {s['change_better_pairs']}/{s['pairs']}, "
               f"claim {'met' if s['claim_met'] else 'not met'}, "
               f"{'beyond' if s['beyond_bound'] else 'within'} the {s['bound']:g} bound)")
     return 0

@@ -1,8 +1,9 @@
-"""Shared numeric conventions, time-series statistics and portfolio utilities.
+"""Shared numeric conventions, portfolio statistics, CSV ingest and config keys.
 
 Everything downstream (pool yields, loan pricing, funding, implied rates)
-quotes rates per 365 days by default and estimates volatility from log
-returns of a price series.
+quotes rates per 365 days by default (`RateConvention`). The CSV reader
+behind every loader and the key table behind every command config live
+here too.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -22,16 +24,10 @@ from .errors import (
     DomainError,
     IllConditionedError,
     InputError,
-    InsufficientDataError,
-    SpacingError,
     UndefinedRatioError,
 )
 
 SECONDS_PER_DAY = 86_400.0
-
-# Relative spread of observation spacing tolerated before refusing to
-# annualize; irregular series must be resampled by the caller instead.
-SPACING_TOLERANCE = 0.01
 
 # Condition number above which the Kelly solve is refused.
 KELLY_CONDITION_LIMIT = 1e12
@@ -58,20 +54,6 @@ class RateConvention:
         """Convert a duration in seconds to years under this convention."""
         return seconds / (SECONDS_PER_DAY * self.days_per_year)
 
-    def rate_from_growth(self, growth: float, tenor_years: float) -> float:
-        """Annualized rate implied by a gross growth factor over ``tenor_years``.
-
-        growth = price_end / price_start; continuous: r = ln(growth)/t,
-        simple: r = (growth - 1)/t.
-        """
-        if tenor_years <= 0:
-            raise DomainError(f"tenor must be > 0, got {tenor_years}")
-        if growth <= 0:
-            raise DomainError(f"growth factor must be > 0, got {growth}")
-        if self.compounding == "continuous":
-            return math.log(growth) / tenor_years
-        return (growth - 1.0) / tenor_years
-
     def rate_from_simple_return(self, net_return: float, tenor_years: float) -> float:
         """Annualized rate from a net return over ``tenor_years``.
 
@@ -85,50 +67,6 @@ class RateConvention:
         if self.compounding == "continuous":
             return math.log1p(net_return) / tenor_years
         return net_return / tenor_years
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Timestamped prices of one token in numeraire units.
-
-    observations: sequence of (timestamp in UTC epoch seconds, price > 0),
-    strictly increasing in time.
-    """
-
-    observations: tuple
-
-    def __init__(self, observations):
-        obs = tuple((float(t), float(p)) for t, p in observations)
-        for i, (t, p) in enumerate(obs):
-            if p <= 0:
-                raise DomainError(f"price at index {i} must be > 0, got {p}")
-            if i > 0 and t <= obs[i - 1][0]:
-                raise DomainError(f"timestamps must be strictly increasing at index {i}")
-        object.__setattr__(self, "observations", obs)
-
-    def __len__(self) -> int:
-        return len(self.observations)
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return np.array([t for t, _ in self.observations])
-
-    @property
-    def prices(self) -> np.ndarray:
-        return np.array([p for _, p in self.observations])
-
-    @classmethod
-    def from_csv(cls, path) -> "PriceSeries":
-        """Load a ``timestamp,price`` CSV.
-
-        Timestamps may be ISO-8601 (assumed UTC when naive) or integer epoch
-        seconds; prices use ``.`` as the decimal separator.
-        """
-        rows = read_csv_rows(path, {"timestamp": TIMESTAMP, "price": NUMBER}).rows()
-        try:
-            return cls(rows)
-        except DomainError as exc:
-            raise InputError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -156,50 +94,6 @@ class ReturnStats:
     @property
     def annualized_vol(self) -> float:
         return self.vol * math.sqrt(self.periods_per_year)
-
-    @classmethod
-    def from_series(cls, series: PriceSeries, convention: RateConvention = RateConvention()):
-        """Estimate per-period stats from log returns of a uniformly spaced series."""
-        returns = log_returns(series)
-        if len(returns) < 2:
-            raise InsufficientDataError("need at least 3 observations for return stats")
-        spacing = _uniform_spacing(series)
-        periods_per_year = convention.days_per_year * SECONDS_PER_DAY / spacing
-        return cls(
-            mean=float(np.mean(returns)),
-            vol=float(np.std(returns, ddof=1)),
-            periods_per_year=periods_per_year,
-        )
-
-
-def log_returns(series: PriceSeries) -> np.ndarray:
-    """Per-interval log returns ln(p[i+1]/p[i]); length is n-1."""
-    if len(series) < 2:
-        raise InsufficientDataError("need at least 2 observations for returns")
-    prices = series.prices
-    return np.log(prices[1:] / prices[:-1])
-
-
-def _uniform_spacing(series: PriceSeries) -> float:
-    """Mean observation spacing in seconds; rejects irregular series."""
-    dts = np.diff(series.timestamps)
-    mean_dt = float(np.mean(dts))
-    if np.max(np.abs(dts - mean_dt)) > SPACING_TOLERANCE * mean_dt:
-        raise SpacingError(
-            "observation spacing varies by more than "
-            f"{SPACING_TOLERANCE:.0%}; resample before estimating volatility"
-        )
-    return mean_dt
-
-
-def realized_vol(series: PriceSeries, convention: RateConvention = RateConvention()) -> float:
-    """Annualized volatility: sample std of log returns times sqrt(periods/year)."""
-    if len(series) < 3:
-        raise InsufficientDataError("need at least 3 observations for realized vol")
-    spacing = _uniform_spacing(series)
-    returns = log_returns(series)
-    periods_per_year = convention.days_per_year * SECONDS_PER_DAY / spacing
-    return float(np.std(returns, ddof=1)) * math.sqrt(periods_per_year)
 
 
 def sharpe_ratio(stats: ReturnStats, riskless_rate: float) -> float:
@@ -259,10 +153,14 @@ class Columns:
     """A table of named, equal-length columns, each a list or a 1-D numpy array.
 
     Its length is the row count. A table read from a CSV also keeps the file
-    line of each row in `lines`; any other table has `lines` None.
+    line of each row in `lines`, an int array, or a range when the lines run
+    on without a gap (so equal lines compare equal); any other table has
+    `lines` None.
     """
 
     def __init__(self, columns, lines=None):
+        if lines and lines[-1] - lines[0] == len(lines) - 1:  # increasing, so consecutive
+            lines = range(lines[0], lines[-1] + 1)
         self.columns, self.lines = columns, lines
 
     def __len__(self) -> int:
@@ -330,7 +228,7 @@ def _clean_columns(text, schema):
     if '"' in text or "\0" in text:
         return None
     index = width = None
-    lines, line = [], 1  # the line numbers of the rows kept, and of the last line read
+    lines, line = array("q"), 1  # the line numbers of the rows kept, and of the last line read
     columns = {name: [] for name in schema}  # a TEXT column's cells, else its blocks of floats
     memos = {name: {} for name in schema if schema[name] is TEXT}
     start = 0
@@ -394,7 +292,7 @@ def _scanned_columns(path, schema, check):
     if not rows:
         raise InputError(f"{path}: no data rows")
     order = sorted(schema, key=lambda name: schema[name] is not TIMESTAMP)
-    lines, parsed = [], {name: [] for name in schema}
+    lines, parsed = array("q"), {name: [] for name in schema}
     for lineno, row in rows:
         try:
             cells = [cell_number(row, c) if schema[c] is NUMBER else schema[c](row[c]) for c in order]

@@ -13,14 +13,6 @@ class DomainError(CryptoYieldError, ValueError):
     """A parameter is outside its mathematical domain."""
 
 
-class InsufficientDataError(CryptoYieldError):
-    """Too few observations for the requested statistic."""
-
-
-class SpacingError(CryptoYieldError):
-    """Time series spacing is too irregular to annualize safely."""
-
-
 class UndefinedRatioError(CryptoYieldError):
     """A ratio statistic (e.g. Sharpe) is undefined for the inputs."""
 

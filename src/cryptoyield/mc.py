@@ -18,6 +18,11 @@ walks the current one, so drawing and stepping overlap on two cores; values
 still combine in block and row order. The kernel evaluates the bridge
 exponentials without numpy's slow path for tiny results (``_exp_nonpositive``)
 and returns the same bits as ``np.exp``.
+
+Both oracles write each block's values (pair means with antithetic
+sampling) into one preallocated array, and the standard error repeats
+``np.std``'s steps in place in it: the bits of ``np.std`` over the joined
+blocks, holding one double per pair beside the current block.
 """
 
 from __future__ import annotations
@@ -121,25 +126,29 @@ def _pair_blocks(total_pairs: int, block_pairs: int):
 
 
 def _terminal_from_normals(spec: GbmSpec, z: np.ndarray):
-    """Exact lognormal terminal values from (m, 2) standard normals."""
+    """Exact lognormal terminal values from (m, 2) standard normals, each leg computed in place."""
     t = spec.T
-    za = z[:, 0]
-    zb = spec.rho * z[:, 0] + math.sqrt(1.0 - spec.rho**2) * z[:, 1]
-    a = spec.s0_a * np.exp(
-        (spec.drift_a - 0.5 * spec.sigma_a**2) * t + spec.sigma_a * math.sqrt(t) * za
-    )
-    b = spec.s0_b * np.exp(
-        (spec.drift_b - 0.5 * spec.sigma_b**2) * t + spec.sigma_b * math.sqrt(t) * zb
-    )
+    a = np.multiply(z[:, 0], spec.sigma_a * math.sqrt(t))
+    a += (spec.drift_a - 0.5 * spec.sigma_a**2) * t
+    np.exp(a, out=a)
+    a *= spec.s0_a
+    b = np.multiply(z[:, 1], math.sqrt(1.0 - spec.rho**2))
+    b += spec.rho * z[:, 0]
+    b *= spec.sigma_b * math.sqrt(t)
+    b += (spec.drift_b - 0.5 * spec.sigma_b**2) * t
+    np.exp(b, out=b)
+    b *= spec.s0_b
     return a, b
 
 
 def _terminal_batches(spec: GbmSpec):
-    """Yield (a, b) terminal arrays per RNG block; antithetic pairs adjacent halves."""
+    """Yield (a, b) terminal arrays per RNG block; with antithetic sampling the block's mirrored paths follow."""
     total = spec.paths // 2 if spec.antithetic else spec.paths
     for block, m in _pair_blocks(total, _TERMINAL_BLOCK):
         z = _block_generator(spec.seed, block).standard_normal((m, 2))
-        yield _terminal_from_normals(spec, np.concatenate([z, -z]) if spec.antithetic else z)
+        yield _terminal_from_normals(spec, z)
+        if spec.antithetic:
+            yield _terminal_from_normals(spec, np.negative(z, out=z))
 
 
 def simulate_terminal(spec: GbmSpec):
@@ -155,15 +164,20 @@ def simulate_terminal(spec: GbmSpec):
     return np.concatenate(parts_a), np.concatenate(parts_b)
 
 
-def _estimate_from_values(values: list, discount: float, paths: int) -> McEstimate:
-    """Mean and standard error over the concatenated values; empties ``values``."""
-    v = np.concatenate(values)
-    values.clear()  # free the parts before np.std makes its temporaries
+def _estimate_from_values(v: np.ndarray, discount: float, paths: int) -> McEstimate:
+    """Mean and standard error of the values ``v``, which it overwrites.
+
+    The mean is np.mean's; the standard error takes np.std(ddof=1)'s own
+    steps in place in ``v``, so it has np.std's bits and no temporaries.
+    """
     mean = float(np.mean(v))
+    se = 0.0
     if v.size > 1:
-        se = float(np.std(v, ddof=1)) / math.sqrt(v.size)
-    else:
-        se = 0.0
+        centre = np.sum(v, keepdims=True)
+        np.true_divide(centre, v.size, out=centre)
+        np.subtract(v, centre, out=v)
+        np.square(v, out=v)
+        se = math.sqrt(np.sum(v) / (v.size - 1)) / math.sqrt(v.size)
     return McEstimate(mean=discount * mean, std_error=discount * se, paths=paths)
 
 
@@ -175,13 +189,17 @@ def price_payoff(spec: GbmSpec, payoff, discount_rate: float = 0.0) -> McEstimat
     computed over pair means, never over raw paths.
     """
     discount = math.exp(-discount_rate * spec.T)
-    values = []
-    for a, b in _terminal_batches(spec):
-        p = np.asarray(payoff(a, b), dtype=float)
-        if spec.antithetic:
-            m = p.size // 2
-            p = 0.5 * (p[:m] + p[m:])
-        values.append(p)
+    values = np.empty(spec.paths // 2 if spec.antithetic else spec.paths)
+    batches = _terminal_batches(spec)
+    start = 0
+    for a, b in batches:
+        out = values[start : start + a.size]
+        start += a.size
+        out[...] = payoff(a, b)
+        if spec.antithetic:  # the pair mean (p + q) / 2, q over the mirrored paths
+            del a, b  # free the plain legs before the mirrored ones are made
+            out += payoff(*next(batches))
+            out *= 0.5
     return _estimate_from_values(values, discount, spec.paths)
 
 
@@ -375,13 +393,19 @@ def first_passage_value(
 
     block_pairs = max(1, _PATH_BLOCK_BUDGET // spec.steps)
     total = spec.paths // 2 if spec.antithetic else spec.paths
-    values = []
+    values = np.empty(total)
+    start = 0
     chunks = _normal_chunks(spec.seed, total, block_pairs, spec.steps)
     try:
         for z in chunks:
             c = _hit_contributions(spec, barrier, discount_rate, bridge, z)
             m = z.shape[0]
-            values.append(0.5 * (c[:m] + c[m:]) if spec.antithetic else c)
+            out = values[start : start + m]
+            start += m
+            out[...] = c[:m]
+            if spec.antithetic:  # the pair mean, the mirrored paths' weights being c[m:]
+                out += c[m:]
+                out *= 0.5
     finally:
         chunks.close()
     est = _estimate_from_values(values, 1.0, spec.paths)

@@ -206,7 +206,7 @@ def _texts(values, lone, name, column):
         return list(map(repr, values))
     if types == {int}:
         return list(map(str, values))
-    if not all(math.isfinite(v) for v in values if isinstance(v, (float, np.floating))):
+    if types != {str} and not all(math.isfinite(v) for v in values if isinstance(v, (float, np.floating))):
         raise _non_finite(name, column)
     texts = values if types == {str} else list(map(render_value, values))
     quoted = {text: _quoted(text) for text in set(texts) if _NEEDS_QUOTES(text) or (lone and not text)}

@@ -138,3 +138,27 @@ def test_claim_is_never_met_by_a_change_for_the_worse():
     summary = bench_compare.summarise([{"parent": result(1.0, 60.0, 10.0), "change": result(2.0, 60.0, 5.0)}] * 10)
     assert not summary["wall_s"]["claim_met"] and not summary["work_per_s"]["claim_met"]
     assert not summary["peak_rss_mb"]["claim_met"]  # equal runs
+
+
+# Parent wall times that drift 2.5x across the pairs, or hold steady.
+DRIFTING = [0.6, 0.9, 1.5, 0.7, 1.2, 0.65, 1.4, 0.8, 1.1, 1.0]
+STEADY = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+
+
+@pytest.mark.parametrize("parent, ratios, verdict", [
+    # Every pair 5% slower: the ratio holds through the drift that hides it from the unpaired medians.
+    (DRIFTING, [1.05] * 10, "unchanged"),
+    (DRIFTING, [0.9, 1.1, 1.0, 0.95, 1.05, 1.2, 0.8, 1.0, 1.1, 0.9], "unchanged"),
+    # Steady parents, but the change scatters by +-40% from pair to pair.
+    (STEADY, [0.6, 1.4, 0.7, 1.3, 0.6, 1.4, 0.7, 1.3, 1.0, 1.0], "unresolved"),
+    # Every pair 30% slower, past the 0.25 bound.
+    (STEADY, [1.3] * 10, "unresolved"),
+], ids=["steady-ratio", "ratio-iqr-inside-bound", "scattered-ratio", "steady-ratio-past-bound"])
+def test_no_change_verdict_reads_the_per_pair_ratio(parent, ratios, verdict):
+    pairs = [{"parent": result(p, 60.0, 10.0), "change": result(p * r, 60.0, 10.0)} for p, r in zip(parent, ratios)]
+    wall = bench_compare.summarise(pairs)["wall_s"]
+    assert wall["pair_ratio"]["median"] == pytest.approx(sorted(ratios)[4] / 2 + sorted(ratios)[5] / 2)
+    assert wall["pair_ratio"]["q1"] <= wall["pair_ratio"]["median"] <= wall["pair_ratio"]["q3"]
+    assert wall["no_change"] == verdict
+    if parent is DRIFTING:  # unpaired, the parent's own spread is past the bound
+        assert wall["parent"]["q3"] - wall["parent"]["q1"] > wall["bound"] * wall["parent"]["median"]

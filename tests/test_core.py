@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cryptoyield.core import (
+    NUMBER,
+    TIMESTAMP,
     Key,
-    PriceSeries,
     RateConvention,
     ReturnStats,
     kelly_weights,
-    log_returns,
     parse_timestamp,
     percentile,
     read_csv_rows,
-    realized_vol,
     sharpe_ratio,
     _check_keys,
     _check_list,
@@ -27,148 +26,17 @@ from cryptoyield.core import (
     _integer,
     _one_of,
 )
-from cryptoyield import scenarios
+from cryptoyield import core, scenarios
 from cryptoyield.errors import (
     DomainError,
     IllConditionedError,
     InputError,
-    InsufficientDataError,
-    SpacingError,
     UndefinedRatioError,
 )
 from cryptoyield.staking import VALIDATOR_CSV
 
 DAY = 86_400.0
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "demo"
-
-# ln(1.1) evaluated to 30 digits with mpmath, frozen here.
-LN_1_1 = 0.09531017980432486
-
-
-def daily_series(prices):
-    return PriceSeries([(i * DAY, p) for i, p in enumerate(prices)])
-
-
-class TestPriceSeries:
-    def test_rejects_nonpositive_price(self):
-        with pytest.raises(DomainError):
-            daily_series([100.0, 0.0])
-
-    def test_rejects_unordered_timestamps(self):
-        with pytest.raises(DomainError):
-            PriceSeries([(10.0, 1.0), (10.0, 2.0)])
-
-    def test_from_csv(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text("timestamp,price\n2021-06-01T00:00:00Z,100\n1622592000,110\n")
-        series = PriceSeries.from_csv(f)
-        assert len(series) == 2
-        assert series.prices[1] == 110.0
-
-    def test_from_csv_bad_header(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text("time,price\n0,100\n")
-        with pytest.raises(InputError, match="timestamp"):
-            PriceSeries.from_csv(f)
-
-    def test_from_csv_bad_row_names_line(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text("timestamp,price\n0,100\nnot-a-time,110\n")
-        with pytest.raises(InputError, match=r"p\.csv:3"):
-            PriceSeries.from_csv(f)
-
-    @pytest.mark.parametrize("row", ["86400,nan", "86400,inf", "86400,-Infinity", "nan,110", "inf,110"])
-    def test_from_csv_refuses_non_finite_cell(self, tmp_path, row):
-        f = tmp_path / "p.csv"
-        f.write_text(f"timestamp,price\n0,100\n{row}\n")
-        with pytest.raises(InputError, match=r"p\.csv:3: .*non-finite"):
-            PriceSeries.from_csv(f)
-
-
-class TestLogReturns:
-    def test_constant_series(self):
-        assert_allclose(log_returns(daily_series([100, 100, 100])), [0.0, 0.0])
-
-    def test_single_step(self):
-        assert_allclose(log_returns(daily_series([100, 110])), [LN_1_1], rtol=1e-15)
-
-    def test_round_trip_power_of_two_is_exact(self):
-        r = log_returns(daily_series([100, 50, 100]))
-        assert r[0] == -r[1]
-        assert math.fsum(r) == 0.0
-
-    @given(
-        st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=2, max_size=20),
-    )
-    def test_round_trip_telescopes(self, prices):
-        path = prices + prices[-2::-1]  # out and back
-        r = log_returns(daily_series_unique(path))
-        assert abs(math.fsum(r)) < 1e-9
-
-    def test_too_short(self):
-        with pytest.raises(InsufficientDataError):
-            log_returns(daily_series([100]))
-
-
-def daily_series_unique(prices):
-    return PriceSeries([(i * DAY, p) for i, p in enumerate(prices)])
-
-
-class TestRealizedVol:
-    def test_constant_prices(self):
-        assert realized_vol(daily_series([100] * 10)) == 0.0
-
-    def test_alternating_daily_returns_matches_brute_force(self):
-        # Brute-force oracle: sample sd of the return list, then sqrt(365).
-        n = 364
-        prices = [100.0]
-        for i in range(n):
-            prices.append(prices[-1] * (1.1 if i % 2 == 0 else 1 / 1.1))
-        returns = [math.log(prices[i + 1] / prices[i]) for i in range(n)]
-        mean = sum(returns) / n
-        sd = math.sqrt(sum((r - mean) ** 2 for r in returns) / (n - 1))
-        expected = sd * math.sqrt(365.0)
-        assert_allclose(realized_vol(daily_series(prices)), expected, rtol=1e-12)
-
-    def test_two_observations_insufficient(self):
-        with pytest.raises(InsufficientDataError):
-            realized_vol(daily_series([100, 110]))
-
-    def test_nonuniform_spacing_rejected(self):
-        series = PriceSeries([(0, 100), (DAY, 101), (2.5 * DAY, 102)])
-        with pytest.raises(SpacingError):
-            realized_vol(series)
-
-    def test_spacing_within_tolerance_accepted(self):
-        series = PriceSeries([(0, 100), (DAY, 101), (2.005 * DAY, 102)])
-        realized_vol(series)
-
-    @given(st.floats(min_value=0.1, max_value=1000.0))
-    def test_scale_invariance(self, c):
-        prices = [100, 103, 99, 104, 101, 107]
-        v1 = realized_vol(daily_series(prices))
-        v2 = realized_vol(daily_series([c * p for p in prices]))
-        assert_allclose(v2, v1, rtol=1e-12)
-
-    def test_365_day_convention_default(self):
-        # Hourly spacing: periods/year = 365*24 under the default convention.
-        series = PriceSeries([(i * 3600.0, p) for i, p in enumerate([100, 110, 100, 110])])
-        returns = log_returns(series)
-        expected = float(np.std(returns, ddof=1)) * math.sqrt(365 * 24)
-        assert_allclose(realized_vol(series), expected, rtol=1e-12)
-
-
-class TestReturnStatsFromSeries:
-    def test_consistent_with_realized_vol(self):
-        series = daily_series([100, 103, 99, 104, 101, 107])
-        stats = ReturnStats.from_series(series)
-        assert_allclose(stats.annualized_vol, realized_vol(series), rtol=1e-12)
-        assert stats.periods_per_year == 365.0
-
-    def test_needs_three_observations(self):
-        with pytest.raises(InsufficientDataError):
-            ReturnStats.from_series(daily_series([100, 110]))
-
 
 class TestSharpe:
     def test_documented_case(self):
@@ -272,14 +140,6 @@ class TestConvention:
         conv = RateConvention()
         assert conv.year_fraction(365 * DAY) == 1.0
 
-    def test_rate_from_growth_continuous(self):
-        conv = RateConvention()
-        assert_allclose(conv.rate_from_growth(math.e, 1.0), 1.0, rtol=1e-15)
-
-    def test_rate_from_growth_simple(self):
-        conv = RateConvention(compounding="simple")
-        assert_allclose(conv.rate_from_growth(1.05, 1.0), 0.05, rtol=1e-12)
-
     def test_bad_convention(self):
         with pytest.raises(DomainError):
             RateConvention(days_per_year=0)
@@ -315,12 +175,16 @@ class TestParseTimestamp:
         assert parse_timestamp("9999-12-31T00:00:00Z") == 253402214400.0
 
 
+# A two-column schema for the reader's own tests.
+PRICES = {"timestamp": TIMESTAMP, "price": NUMBER}
+
+
 @pytest.mark.parametrize("cell", [b"1\xff", b"1" * 200_000], ids=["not-utf8", "oversized-field"])
 def test_unreadable_csv_is_input_error(tmp_path, cell):
     path = tmp_path / "prices.csv"
     path.write_bytes(b"timestamp,price\n0,1\n86400," + cell + b"\n")
     with pytest.raises(InputError, match=r"prices\.csv: unreadable CSV"):
-        PriceSeries.from_csv(path)
+        read_csv_rows(path, PRICES)
 
 
 def test_csv_behind_byte_order_mark_reads_like_plain(tmp_path):
@@ -334,29 +198,57 @@ def test_csv_behind_byte_order_mark_reads_like_plain(tmp_path):
         assert np.array_equal(got[name], want[name])
 
 
+@pytest.mark.parametrize("text, lines", [("0,1\n86400,2\n", [2, 3]), ("0,1\n\n86400,2\n", [2, 4])],
+                         ids=["consecutive", "blank-line"])
+def test_clean_and_scanned_reads_hold_equal_lines(tmp_path, monkeypatch, text, lines):
+    path = tmp_path / "p.csv"
+    path.write_text("timestamp,price\n" + text)
+    clean = read_csv_rows(path, PRICES)
+    monkeypatch.setattr(core, "_clean_columns", lambda text, schema: None)
+    scanned = read_csv_rows(path, PRICES)
+    assert clean == scanned and list(clean.lines) == lines
+
+
 class TestCsvRowSemantics:
-    """How a CSV's rows map to cells, pinned through the loaders."""
+    """How a CSV's rows map to cells, pinned through `read_csv_rows` with a two-column schema."""
 
     def load(self, tmp_path, text):
         path = tmp_path / "p.csv"
         path.write_text(text)
-        return PriceSeries.from_csv(path)
+        return read_csv_rows(path, PRICES)
+
+    def test_iso_and_epoch_timestamps_read_as_epoch_seconds(self, tmp_path):
+        columns = self.load(tmp_path, "timestamp,price\n2021-06-01T00:00:00Z,100\n1622592000,110\n")
+        assert columns.rows() == [(1622505600.0, 100.0), (1622592000.0, 110.0)]
+
+    def test_missing_column_is_named(self, tmp_path):
+        with pytest.raises(InputError, match="timestamp"):
+            self.load(tmp_path, "time,price\n0,100\n")
+
+    def test_bad_cell_names_its_line(self, tmp_path):
+        with pytest.raises(InputError, match=r"p\.csv:3"):
+            self.load(tmp_path, "timestamp,price\n0,100\nnot-a-time,110\n")
+
+    @pytest.mark.parametrize("row", ["86400,nan", "86400,inf", "86400,-Infinity", "nan,110", "inf,110"])
+    def test_non_finite_cell_is_refused(self, tmp_path, row):
+        with pytest.raises(InputError, match=r"p\.csv:3: .*non-finite"):
+            self.load(tmp_path, f"timestamp,price\n0,100\n{row}\n")
 
     def test_blank_line_is_skipped_but_counted(self, tmp_path):
-        assert self.load(tmp_path, "timestamp,price\n0,100\n\n86400,110\n").prices.tolist() == [100.0, 110.0]
+        assert self.load(tmp_path, "timestamp,price\n0,100\n\n86400,110\n")["price"].tolist() == [100.0, 110.0]
         with pytest.raises(InputError, match=r"p\.csv:4: "):
             self.load(tmp_path, "timestamp,price\n0,100\n\nx,110\n")
 
     def test_extra_trailing_field_is_ignored(self, tmp_path):
-        series = self.load(tmp_path, "timestamp,price\n0,100,extra\n86400,110,1,2\n")
-        assert series.observations == ((0.0, 100.0), (86400.0, 110.0))
+        columns = self.load(tmp_path, "timestamp,price\n0,100,extra\n86400,110,1,2\n")
+        assert columns.rows() == [(0.0, 100.0), (86400.0, 110.0)]
 
     def test_short_row_is_an_empty_value(self, tmp_path):
         with pytest.raises(InputError, match=r"p\.csv:3: empty value for column\(s\) price$"):
             self.load(tmp_path, "timestamp,price\n0,100\n86400\n")
 
     def test_duplicated_header_name_takes_the_last_column(self, tmp_path):
-        assert self.load(tmp_path, "price,timestamp,price\n1,0,100\n").prices.tolist() == [100.0]
+        assert self.load(tmp_path, "price,timestamp,price\n1,0,100\n")["price"].tolist() == [100.0]
         with pytest.raises(InputError, match=r"p\.csv:2: empty value for column\(s\) price$"):
             self.load(tmp_path, "price,timestamp,price\n1,0\n")
 

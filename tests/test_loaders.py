@@ -14,13 +14,14 @@ import csv
 import gc
 import importlib.util
 import pathlib
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from cryptoyield import core, optrates, perps, staking
-from cryptoyield.core import PriceSeries, cell_number, parse_timestamp
+from cryptoyield.core import cell_number, parse_timestamp
 from cryptoyield.errors import DomainError, InputError
 from cryptoyield.optrates import OptionQuote
 from cryptoyield.staking import StateInterval, ValidatorRecord
@@ -61,20 +62,6 @@ def reference_read_csv_rows(path, required_columns):
     if not rows:
         raise InputError(f"{path}: no data rows")
     return rows
-
-
-def reference_price_series(path):
-    rows = reference_read_csv_rows(path, ["timestamp", "price"])
-    obs = []
-    for lineno, row in rows:
-        try:
-            obs.append((parse_timestamp(row["timestamp"]), cell_number(row, "price")))
-        except (ValueError, DomainError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        return PriceSeries(obs)
-    except DomainError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def reference_load_validators(path):
@@ -174,7 +161,6 @@ LOADERS = {
     "implied-rate": (optrates.load_chain_csv, reference_load_chain_csv),
     "perp-funding": (perps.load_mark_index_csv, reference_load_mark_index_csv),
     "perp-basis": (perps.load_basis_csv, reference_load_basis_csv),
-    "prices": (PriceSeries.from_csv, reference_price_series),
 }
 
 
@@ -204,20 +190,9 @@ def assert_loads_like_reference(command, path):
     return got[0]
 
 
-def as_prices(text):
-    """The funding-quote text with its mark column read as a price series."""
-    return text.replace("timestamp,mark,", "timestamp,price,", 1)
-
-
 @pytest.mark.parametrize("command", sorted(cli_fuzz.CSV_INPUTS))
 def test_demo_csvs_load_like_reference(command):
     assert assert_loads_like_reference(command, DEMO / cli_fuzz.CSV_INPUTS[command][1]) == "ok"
-
-
-def test_demo_quotes_as_prices_load_like_reference(tmp_path):
-    path = tmp_path / "prices.csv"
-    path.write_text(as_prices((DEMO / "funding_quotes.csv").read_text()))
-    assert assert_loads_like_reference("prices", path) == "ok"
 
 
 # Files where the order of the checks decides which error is named first.
@@ -269,8 +244,6 @@ EDGE_CASES = {
     "state-runs": ("stake", BALANCES + "v1,30,40,Active\nv1,10,40,Active\nv1,20,40,Exited\nv2,0,40,Pending\n"),
     "negative-zero-time": ("stake", BALANCES + "v1,-0.0,40,Active\nv1,0,40,Active\n"),
     "day-edge-rounding": ("stake", BALANCES + "v1,86399.9999999,40,Active\nv1,172799.9999999,40,Active\n"),
-    "price-not-positive": ("prices", "timestamp,price\n0,1\n10,0\n5,2\n"),
-    "price-out-of-order": ("prices", "timestamp,price\n0,1\n0,2\n"),
 }
 
 
@@ -311,9 +284,6 @@ def test_mutated_csvs_load_like_reference(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("fuzz") / "input.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert_loads_like_reference(command, path)
-    if command == "perp-funding":
-        path.write_bytes(as_prices(text).encode("utf-8", "surrogateescape"))
-        assert_loads_like_reference("prices", path)
 
 
 def _generator():
@@ -331,11 +301,9 @@ def market_year(tmp_path_factory):
     return path
 
 
-def test_benchmark_market_year_loads_like_reference(market_year, tmp_path):
+def test_benchmark_market_year_loads_like_reference(market_year):
     for command, (_, name) in cli_fuzz.CSV_INPUTS.items():
         assert assert_loads_like_reference(command, market_year / name) == "ok"
-    (tmp_path / "prices.csv").write_text(as_prices((market_year / "funding_quotes.csv").read_text()))
-    assert assert_loads_like_reference("prices", tmp_path / "prices.csv") == "ok"
 
 
 def test_benchmark_validators_read_within_five_times_the_file(market_year):
@@ -352,6 +320,7 @@ def test_benchmark_validators_read_within_five_times_the_file(market_year):
         tracemalloc.stop()
     assert len(columns) > 10_000
     assert peak <= 5 * path.stat().st_size
+    assert sys.getsizeof(columns.lines) < 100  # a range, as no line is blank; a list of ints took 36 bytes a row
     for name, kind in staking.VALIDATOR_CSV.items():
         if kind is core.TEXT:  # one shared str per distinct cell
             assert len(set(map(id, columns[name]))) == len(set(columns[name]))

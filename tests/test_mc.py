@@ -1,5 +1,7 @@
+import gc
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cryptoyield import mc
+from cryptoyield import cli, mc
 from cryptoyield.errors import DomainError
 from cryptoyield.mc import GbmSpec, first_passage_value, price_payoff, simulate_terminal
 
@@ -201,8 +203,32 @@ def reference_first_passage(spec, barrier, payout, discount_rate, bridge):
         if spec.antithetic:
             c = 0.5 * (c + reference_hit_contributions(spec, barrier, discount_rate, bridge, -z))
         values.append(c)
-    est = mc._estimate_from_values(values, 1.0, spec.paths)
-    return payout * est.mean, abs(payout) * est.std_error
+    mean, se = reference_estimate(values)
+    return payout * mean, abs(payout) * se
+
+
+def reference_estimate(values):
+    """(mean, standard error) over the concatenated values, by np.mean and np.std."""
+    v = np.concatenate(values)
+    return float(np.mean(v)), float(np.std(v, ddof=1)) / math.sqrt(v.size) if v.size > 1 else 0.0
+
+
+def reference_price_payoff(spec, payoff, discount_rate):
+    """price_payoff as a list of per-block values joined at the end, each block's two legs in one array."""
+    values = []
+    total = spec.paths // 2 if spec.antithetic else spec.paths
+    for block, m in mc._pair_blocks(total, mc._TERMINAL_BLOCK):
+        z = mc._block_generator(spec.seed, block).standard_normal((m, 2))
+        z = np.concatenate([z, -z]) if spec.antithetic else z
+        t, za = spec.T, z[:, 0]
+        zb = spec.rho * z[:, 0] + math.sqrt(1.0 - spec.rho**2) * z[:, 1]
+        a = spec.s0_a * np.exp((spec.drift_a - 0.5 * spec.sigma_a**2) * t + spec.sigma_a * math.sqrt(t) * za)
+        b = spec.s0_b * np.exp((spec.drift_b - 0.5 * spec.sigma_b**2) * t + spec.sigma_b * math.sqrt(t) * zb)
+        p = np.asarray(payoff(a, b), dtype=float)
+        values.append(0.5 * (p[:m] + p[m:]) if spec.antithetic else p)
+    mean, se = reference_estimate(values)
+    discount = math.exp(-discount_rate * spec.T)
+    return discount * mean, discount * se
 
 
 # (spec, barrier): odd and single step counts, drift of either sign, zero
@@ -362,3 +388,39 @@ def test_first_passage_over_uneven_row_chunks_matches_reference(antithetic, brid
     est = first_passage_value(spec, 1.2, 0.08, discount_rate=discount_rate, bridge=bridge)
     want = reference_first_passage(spec, 1.2, 0.08, discount_rate, bridge)
     assert np.array([est.mean, est.std_error]).tobytes() == np.array(want).tobytes()
+
+
+# Path counts that end on a partial block, with and without the antithetic leg.
+@pytest.mark.parametrize("paths, antithetic", [(2 * (mc._TERMINAL_BLOCK + 5), True), (mc._TERMINAL_BLOCK + 7, False),
+                                               (6, True), (3, False)])
+@pytest.mark.parametrize("payoff", sorted(cli._PAYOFFS))
+def test_price_payoff_matches_reference_bit_for_bit(payoff, paths, antithetic):
+    spec = GbmSpec(s0_a=1.1, s0_b=0.9, sigma_a=0.7, sigma_b=0.3, rho=-0.4, drift_a=0.05, drift_b=-0.02, T=1.5,
+                   paths=paths, seed=13, antithetic=antithetic)
+    est = price_payoff(spec, cli._PAYOFFS[payoff], discount_rate=0.03)
+    want = reference_price_payoff(spec, cli._PAYOFFS[payoff], 0.03)
+    assert np.array([est.mean, est.std_error]).tobytes() == np.array(want).tobytes()
+
+
+def test_estimate_matches_numpy_mean_and_std_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for size in (2, 3, 1000, 123_457, 500_000):
+        v = rng.lognormal(0.0, 2.0, size)
+        want = reference_estimate([v])
+        est = mc._estimate_from_values(v.copy(), 1.0, size)
+        assert np.array([est.mean, est.std_error]).tobytes() == np.array(want).tobytes()
+
+
+def test_price_payoff_holds_its_pair_means_in_one_array():
+    # A million paths: 500 000 pair means (4 MB). Concatenating per-block parts
+    # and np.std's temporaries peaked at about 3.2 times that.
+    spec = GbmSpec(s0_a=1.0, s0_b=1.0, sigma_a=0.8, sigma_b=0.4, rho=0.3, paths=1_000_000, seed=2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        price_payoff(spec, exchange_payoff)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * (spec.paths // 2)

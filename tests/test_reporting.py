@@ -294,6 +294,7 @@ def tables(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(tables())
 @example((7, Columns({"zero": np.array([0.0, -0.0, 5e-324, -0.0] * 5), "text": ["", "-0.0"] * 10})))
+@example((7, Columns({"text": ["", "a,b", 'say "hi"', "x", "two\nlines"] * 4})))  # text alone, so a lone empty cell
 def test_rendered_bytes_equal_csv_writer_with_render_value(case):
     chunk, table = case
     rows = [dict(zip(table.columns, row)) for row in table.rows()]
