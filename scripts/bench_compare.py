@@ -18,7 +18,9 @@ median is worse than the metric's `bound` allows, and the quartiles of the
 per-pair change/parent ratio with a no-change verdict go to BENCH_<workload>.json
 at the root of the checkout, or to the file that --out names (so that a
 check which should not replace the committed record writes elsewhere). The
-exported tree is removed at the end.
+record's machine line names the cores, Python, numpy and the SIMD extensions
+numpy found, because numpy picks its kernels by them. The exported tree is
+removed at the end.
 """
 
 from __future__ import annotations
@@ -130,6 +132,16 @@ def describe_change() -> str:
     return f"working tree on top of {head}" + (" (src/ or perfbench/ modified)" if dirty else "")
 
 
+def simd_extensions() -> str:
+    """The SIMD extensions numpy found on this CPU, which pick its kernels (and so some float bits)."""
+    import numpy as np
+    try:
+        found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])  # absent when all are disabled
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        return "SIMD unknown"
+    return "SIMD " + (" ".join(found) or "none beyond baseline")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -164,7 +176,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED --seconds {args.seconds:g}",
         "machine": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}, "
-                   f"numpy {importlib.metadata.version('numpy')}; {args.machine_note}",
+                   f"numpy {importlib.metadata.version('numpy')} ({simd_extensions()}); {args.machine_note}",
         "parent": sha,
         "change": change,
         "method": f"{args.pairs} interleaved pairs on seeds {args.first_seed}-{args.first_seed + args.pairs - 1}, "

@@ -3,10 +3,12 @@
 A report is a summary dict plus named CSV series. A series is a table of
 named, equal-length columns (`core.Columns`), each a list or a 1-D numpy
 array; its CSV holds every column, in the table's order. Emission is
-strictly reproducible: floats render via repr (shortest round-trip), JSON
-keys are sorted, newlines are fixed, and provenance carries the config
-hash, tool version, seed and input-file digests instead of timestamps.
-Identical config and inputs therefore produce byte-identical files.
+strictly reproducible: CSV floats render as repr writes them (the shortest
+text that reads back as the same double), computed with integer arithmetic
+only so that every CPU gives the same bytes; JSON keys are sorted, newlines
+are fixed, and provenance carries the config hash, tool version, seed and
+input-file digests instead of timestamps. Identical config and inputs
+therefore produce byte-identical files.
 
 All series are computed before anything is written. `Report.write` then
 renders every file into a staging directory, refusing a non-finite cell as
@@ -21,13 +23,18 @@ permission, a full disk) can leave the files moved before it. The staging
 directory is removed on return and on any exception, but a process killed
 mid-write leaves it behind as a hidden `.report-*` directory.
 
-Series render in chunks of rows, column by column: each column of a chunk
-becomes a list of cell texts, the texts of a row are joined with "," and the
-chunk is written as one string, so the write holds at most one chunk of
-texts besides the columns themselves. A float array column renders each
-distinct value of the chunk once; text cells are quoted by csv.writer, once
-per distinct text. The bytes are those of csv.writer writing every cell
-through `render_value`.
+Series render in chunks of rows. Each column of a chunk becomes a uint8
+matrix, one row of UTF-8 bytes per cell padded with `shortest.PAD`; the
+matrices are laid side by side with the separators, and the chunk is
+written with the padding deleted, so no Python object is made per cell of
+a number column. The float columns of a chunk render together through
+`shortest.float_cells`, each distinct bit pattern once; an int64 array
+renders each distinct value once through `shortest.int_cells`; text cells
+are quoted by csv.writer, once per distinct text. A list of floats renders
+as a float64 array, and a list of mixed cells renders numpy scalars as the
+Python values they hold, None as "", booleans as "true" and "false", floats
+through the same kernel and anything else by str. The bytes are those of
+csv.writer writing each cell's text.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ import errno
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import shutil
@@ -46,32 +52,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, shortest
 from .errors import CryptoYieldError, InputError
 
-# Rows of a series rendered and written at a time. Rendering the seed-1
-# benchmark series takes the same time at 512 to 4096 rows, and the peak RSS
-# of its pool and swap replays reads 71.8-72.0 MB at 256, 1024 and 4096 rows
-# alike: the replay's own tables set it.
-_CHUNK_ROWS = 1024
+# Rows and cells of a series rendered and written at a time. The float
+# columns of a chunk render in one kernel call, so even narrow tables hand
+# the kernel thousands of values, and the cell bound keeps the write of a
+# wide table within ~3 MB of tracemalloc peak (2.8 MB for the seed-1 basis
+# table's 7 float columns). Measured on the seed-1 benchmark series: halving
+# either bound slows the 4-column positions table by 20-30%; doubling the
+# cells raises the daily-reports jobs' tracemalloc peak by ~1 MB.
+_CHUNK_ROWS = 4096
+_CHUNK_CELLS = 1 << 14
 
 # A text cell that csv.writer might quote: one holding its delimiter, its
 # quote character or a line break. Any other text it writes as it is.
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 
-
-def render_value(value):
-    """Canonical cell rendering: repr for floats, str otherwise.
-
-    A numpy scalar renders as the Python value it holds.
-    """
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, bool) or value is None:
-        return "" if value is None else str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_PAD = bytes([shortest.PAD])
 
 
 def config_hash(config: dict) -> str:
@@ -152,7 +150,7 @@ class Report:
             files = stage if top is None else os.path.normpath(os.path.join(tree, os.path.relpath(out_dir, top)))
             os.makedirs(files, exist_ok=True)
             for series in self.series:
-                with open(os.path.join(files, f"{series.name}.csv"), "w", newline="", encoding="utf-8") as fh:
+                with open(os.path.join(files, f"{series.name}.csv"), "wb") as fh:
                     _write_series(fh, series)
             with open(os.path.join(files, "report.json"), "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -171,46 +169,99 @@ class Report:
 
 
 def _write_series(fh, series):
-    """Header plus rows of one series; a non-finite float cell raises CryptoYieldError.
+    """Header plus rows of one series, as bytes; a non-finite float cell raises CryptoYieldError.
 
-    Each chunk of rows renders column by column into cell texts (`_texts`),
-    which are joined with "," into rows and written as one string.
-    csv.writer writes the header and quotes each distinct text cell that
-    needs it, so its rules are the only quoting rules.
+    Each chunk of rows renders column by column into rows of bytes padded
+    with shortest.PAD, which are laid side by side with the separators and
+    written with the padding deleted. csv.writer writes the header and quotes each distinct
+    text cell that needs it, so its rules are the only quoting rules.
     """
     columns, rows = series.rows.columns, len(series.rows)
     for column, values in columns.items():
         if len(values) != rows:
             raise ValueError(f"{series.name}.csv: column {column!r} has {len(values)} rows, not {rows}")
-    csv.writer(fh, lineterminator="\n").writerow(columns)
-    lone = len(columns) == 1  # csv.writer quotes a row's lone empty field
-    for start in range(0, rows, _CHUNK_ROWS):
-        cells = [_texts(values[start:start + _CHUNK_ROWS], lone, series.name, column)
-                 for column, values in columns.items()]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(columns)
+    fh.write(header.getvalue().encode())
+    names, lone = list(columns), len(columns) == 1  # csv.writer quotes a row's lone empty field
+    step = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, len(columns))))
+    for start in range(0, rows, step):
+        chunk, bad = zip(*(_column(values[start:start + step]) for values in columns.values()))
+        if any(row is not None for row in bad):  # the earliest bad row, then its first bad column
+            _, column = min((row, column) for column, row in enumerate(bad) if row is not None)
+            raise CryptoYieldError(f"{series.name}.csv: column {names[column]!r} holds a non-finite number")
+        # The float columns render in one kernel call, so that tables with few
+        # rows pay numpy's per-call cost once, and each distinct bit pattern
+        # (-0.0 apart from 0.0) renders once.
+        floats = [values for values in chunk if _is_float(values)]
+        if floats:
+            bits, where = np.unique(np.concatenate(floats).view(np.int64), return_inverse=True)
+            table, where = shortest.float_cells(bits.view(np.float64)), iter(np.split(where, len(floats)))
+        blocks = [(table, next(where)) if _is_float(values) else (_cells(values, lone), None) for values in chunk]
+        matrix = np.empty((len(chunk[0]), sum(cells.shape[1] + 1 for cells, _ in blocks)), dtype=np.uint8)
+        at = 0
+        for cells, picks in blocks:
+            matrix[:, at:at + cells.shape[1]] = cells if picks is None else cells[picks]
+            at += cells.shape[1] + 1
+            matrix[:, at - 1] = ord(",")
+        matrix[:, -1] = ord("\n")
+        fh.write(matrix[matrix != shortest.PAD])
 
 
-def _texts(values, lone, name, column):
-    """The cells of one chunk of a column as csv.writer writes render_value's texts."""
+def _column(values):
+    """(cells, first non-finite row or None) of a chunk of a column.
+
+    The cells are a float64 or int64 array, or the cells' texts.
+    """
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64:  # each distinct bit pattern, -0.0 apart from 0.0, renders once
-            if not np.isfinite(values).all():
-                raise _non_finite(name, column)
-            bits, where = np.unique(values.view(np.int64), return_inverse=True)
-            return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
+        if values.dtype == np.float64:
+            finite = np.isfinite(values)
+            return values, (None if finite.all() else int(np.argmin(finite)))
+        if values.dtype == np.int64:
+            return values, None
         values = values.tolist()
     types = set(map(type, values))
     if types == {float}:
-        if not all(map(math.isfinite, values)):
-            raise _non_finite(name, column)
-        return list(map(repr, values))
+        return _column(np.array(values, dtype=np.float64))
     if types == {int}:
-        return list(map(str, values))
-    if types != {str} and not all(math.isfinite(v) for v in values if isinstance(v, (float, np.floating))):
-        raise _non_finite(name, column)
-    texts = values if types == {str} else list(map(render_value, values))
-    quoted = {text: _quoted(text) for text in set(texts) if _NEEDS_QUOTES(text) or (lone and not text)}
-    return [quoted.get(text, text) for text in texts] if quoted else texts
+        return list(map(str, values)), None
+    if types <= {str}:
+        return values, None
+    # Mixed cells: numpy scalars as their Python values, None as "", booleans
+    # in lower case, floats through the float kernel and anything else by str.
+    values = [value.item() if isinstance(value, np.generic) else value for value in values]
+    at = [i for i, value in enumerate(values) if isinstance(value, float)]
+    floats = np.array([values[i] for i in at], dtype=np.float64)
+    finite = np.isfinite(floats)
+    if not finite.all():
+        return None, at[int(np.argmin(finite))]
+    texts = ["" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
+             for value in values]
+    for i, cell in zip(at, shortest.float_cells(floats)):
+        texts[i] = cell.tobytes().rstrip(_PAD).decode()
+    return texts, None
+
+
+def _is_float(values):
+    return isinstance(values, np.ndarray) and values.dtype == np.float64
+
+
+def _cells(values, lone):
+    """The cells of a chunk of an int64 or text column as rows of UTF-8 bytes, padded with shortest.PAD.
+
+    Each distinct integer renders once; each distinct text is quoted by
+    csv.writer once.
+    """
+    if isinstance(values, np.ndarray):
+        distinct, where = np.unique(values, return_inverse=True)
+        return shortest.int_cells(distinct)[where]
+    codes = dict.fromkeys(values)
+    for code, text in enumerate(codes):
+        codes[text] = code
+    encoded = [(_quoted(text) if _NEEDS_QUOTES(text) or (lone and not text) else text).encode() for text in codes]
+    width = max(map(len, encoded), default=0)
+    table = np.frombuffer(b"".join(text.ljust(width, _PAD) for text in encoded), dtype=np.uint8)
+    return table.reshape(len(encoded), width)[np.fromiter(map(codes.__getitem__, values), np.intp, len(values))]
 
 
 def _quoted(text):
@@ -218,7 +269,3 @@ def _quoted(text):
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([text])
     return buffer.getvalue()[:-1]
-
-
-def _non_finite(name, column):
-    return CryptoYieldError(f"{name}.csv: column {column!r} holds a non-finite number")

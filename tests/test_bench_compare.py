@@ -162,3 +162,21 @@ def test_no_change_verdict_reads_the_per_pair_ratio(parent, ratios, verdict):
     assert wall["no_change"] == verdict
     if parent is DRIFTING:  # unpaired, the parent's own spread is past the bound
         assert wall["parent"]["q3"] - wall["parent"]["q1"] > wall["bound"] * wall["parent"]["median"]
+
+
+def test_machine_line_names_the_simd_extensions_numpy_found(tmp_path, monkeypatch):
+    import numpy as np
+
+    parent_tree = tmp_path / "parent"
+    parent_tree.mkdir()
+    monkeypatch.setattr(bench_compare, "export", lambda rev: ("abc1234", str(parent_tree)))
+    monkeypatch.setattr(bench_compare, "describe_change", lambda: "working tree")
+    monkeypatch.setattr(bench_compare, "run_once", lambda *args: result(1.0, 60.0, 1.0))
+    out = tmp_path / "record.json"
+    argv = ["--parent", "HEAD", "--workload", "mc-oracle", "--pairs", "2", "--seconds", "1", "--out", str(out)]
+    assert bench_compare.main(argv) == 0
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    assert f"({bench_compare.simd_extensions()});" in json.loads(out.read_text())["machine"]
+    assert bench_compare.simd_extensions() == "SIMD " + (" ".join(found) or "none beyond baseline")
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": {})
+    assert bench_compare.simd_extensions() == "SIMD unknown"

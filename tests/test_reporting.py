@@ -15,7 +15,26 @@ from hypothesis import strategies as st
 from cryptoyield import reporting
 from cryptoyield.core import Columns
 from cryptoyield.errors import CryptoYieldError
-from cryptoyield.reporting import Report, Series, config_hash, render_value
+from cryptoyield.reporting import Report, Series, config_hash
+
+
+def render_value(value):
+    """The reference cell text: repr for floats, str otherwise; numpy scalars as their Python values."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool) or value is None:
+        return "" if value is None else str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def written_cells(values):
+    """The cells of a one-column list series as Report.write writes them."""
+    with tempfile.TemporaryDirectory() as out:
+        Report(command="demo", summary={}, series=[Series("s", Columns({"c": list(values)}))]).write(out)
+        with open(os.path.join(out, "s.csv"), newline="", encoding="utf-8") as fh:
+            return [row[0] for row in csv.reader(fh)][1:]
 
 
 def reference_csv(columns, rows) -> bytes:
@@ -53,18 +72,14 @@ def mixed_rows(n):
 
 class TestRendering:
     def test_float_uses_repr(self):
-        assert render_value(0.1) == "0.1"
-        assert render_value(1 / 3) == "0.3333333333333333"
+        assert written_cells([0.1, 1 / 3, 1e16, 1e-5, -0.0]) == ["0.1", "0.3333333333333333", "1e+16", "1e-05", "-0.0"]
 
     def test_none_renders_empty(self):
-        assert render_value(None) == ""
+        assert written_cells([None, 1.5]) == ["", "1.5"]
 
     def test_numpy_scalars_render_as_their_python_values(self):
-        assert render_value(np.float64(1.5)) == "1.5"
-        assert render_value(np.float64(1 / 3)) == "0.3333333333333333"
-        assert render_value(np.int64(7)) == "7"
-        assert render_value(np.bool_(True)) == "true"
-        assert render_value(np.bool_(False)) == "false"
+        cells = [np.float64(1.5), np.float64(1 / 3), np.int64(7), np.bool_(True), np.bool_(False), np.float32(0.1)]
+        assert written_cells(cells) == ["1.5", "0.3333333333333333", "7", "true", "false", repr(float(np.float32(0.1)))]
 
     def test_config_hash_key_order_invariant(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
@@ -125,7 +140,7 @@ class TestStagedWrite:
 
     COLUMNS = ("i", "x", "zero", "flag", "maybe", "text", "drift", "np")
 
-    @pytest.mark.parametrize("chunk_rows", sorted({256, reporting._CHUNK_ROWS, 7, 1}, reverse=True))
+    @pytest.mark.parametrize("chunk_rows", sorted({256, 1024, reporting._CHUNK_ROWS, 7, 1}, reverse=True))
     def test_bytes_equal_csv_writer_with_render_value(self, tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
         rows = mixed_rows(5000 if chunk_rows > 7 else 90)
@@ -221,7 +236,7 @@ class TestColumnarSeries:
         assert len(Columns({"a": [1, 2, 3], "b": np.zeros(3)})) == 3
         assert len(Columns({})) == 0
 
-    @pytest.mark.parametrize("chunk_rows", sorted({256, reporting._CHUNK_ROWS, 7}, reverse=True))
+    @pytest.mark.parametrize("chunk_rows", sorted({256, 1024, reporting._CHUNK_ROWS, 7}, reverse=True))
     def test_array_columns_write_like_list_columns(self, tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
         arrays = self.arrays(600)
@@ -304,14 +319,29 @@ def test_rendered_bytes_equal_csv_writer_with_render_value(case):
             assert fh.read() == reference_csv(tuple(table.columns), rows)
 
 
+# The error names the earliest row holding a non-finite cell, then the first
+# such column in that row, whatever the chunk size.
+@pytest.mark.parametrize("chunk_rows", sorted({1, 7, 256, reporting._CHUNK_ROWS}))
 @pytest.mark.parametrize("b", [np.array, list], ids=["array", "list"])
-def test_first_non_finite_chunk_names_its_column(tmp_path, b):
-    # Column a comes first, but its inf lies in a later chunk than b's NaN; c's NaN shares b's chunk.
+def test_earliest_non_finite_row_names_its_column(tmp_path, monkeypatch, b, chunk_rows):
+    # Column a comes first, but its inf is in the last row; c's NaN (row 3) comes before b's (row 5).
     rows = reporting._CHUNK_ROWS + 5
     a, nan_b, c = np.zeros(rows), [0.5] * rows, [1.5] * rows
-    a[reporting._CHUNK_ROWS + 1], nan_b[2], c[0] = np.inf, np.nan, np.nan
+    a[rows - 1], nan_b[5], c[3] = np.inf, np.nan, np.nan
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
     table = Columns({"a": a, "b": b(nan_b), "c": c})
     report = Report(command="demo", summary={}, series=[Series("numbers", table)])
-    with pytest.raises(CryptoYieldError, match=r"numbers\.csv: column 'b' holds a non-finite number"):
+    with pytest.raises(CryptoYieldError, match=r"numbers\.csv: column 'c' holds a non-finite number"):
         report.write(tmp_path / "out")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("chunk_rows", sorted({1, 7, 256, reporting._CHUNK_ROWS}))
+def test_non_finite_cells_in_one_row_name_the_first_column(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
+    a, b, c = np.zeros(300), [None, 2.5] * 150, ["x"] * 300
+    a[299], b[5], c[5] = np.nan, -np.inf, np.float32("nan")
+    # Row 5 holds the earliest bad cells, in c and then b; a's NaN comes later although a comes first.
+    report = Report(command="demo", summary={}, series=[Series("numbers", Columns({"a": a, "c": c, "b": b}))])
+    with pytest.raises(CryptoYieldError, match=r"numbers\.csv: column 'c' holds a non-finite number"):
+        report.write(tmp_path / "out")
