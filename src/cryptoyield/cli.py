@@ -25,6 +25,7 @@ model failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,25 +71,21 @@ def _scenario_json(value):
 
 
 def _run_stake(config, balances, day, percentiles):
-    days = [day] if day else staking.available_days(balances.values())
-
-    bands_by_day, skipped_days = [], 0
-    for d, bands in zip(days, staking.daily_bands(balances.values(), days, percentiles)):
-        if bands is None:
-            if day:
-                raise EmptyCohortError(f"no eligible validators on {day}")
-            skipped_days += 1
-            continue
-        bands_by_day.append((d.isoformat(), bands))
+    days = [day] if day else staking.available_days(balances)
+    sizes, bands = staking.daily_bands(balances, days, percentiles)
+    if day and not sizes[0]:
+        raise EmptyCohortError(f"no eligible validators on {day}")
+    kept = np.flatnonzero(sizes)
+    names = [days[k].isoformat() for k in kept.tolist()]
     rows = core.Columns({
-        "day": [d for d, _ in bands_by_day for _ in percentiles],
-        "percentile": list(percentiles) * len(bands_by_day),
-        "return_pct": [100.0 * bands[p] for _, bands in bands_by_day for p in percentiles],
+        "day": core.Coded(names, np.repeat(np.arange(len(names)), len(percentiles))),
+        "percentile": list(percentiles) * len(names),
+        "return_pct": 100.0 * bands[kept].ravel(),
     })
     summary = {
-        "validators": len(balances),
-        "days": len(days) - skipped_days,
-        "days_without_cohort": skipped_days,
+        "validators": len(balances.ids),
+        "days": len(names),
+        "days_without_cohort": len(days) - len(names),
         "percentiles": list(percentiles),
     }
     return summary, {"bands": rows}, None
@@ -127,7 +124,7 @@ def _run_loan(config, terms, liquidation):
 
 
 def _funding_summary(rates_pct):
-    values = sorted(rates_pct)
+    values = sorted(rates_pct.tolist())
     return {
         "events": len(values),
         "mean_rate_pct": math.fsum(values) / len(values) if values else 0.0,
@@ -147,17 +144,17 @@ def _run_perp_funding(config, quotes, variant, band, interval_hours, interest_ra
         _FUNDING_VARIANTS[variant], interval_hours=interval_hours, band=band, interest_rate=interest_rate
     )
     events = perps.events_from_quotes(quotes, spec)
-    times, marks, indexes = (list(column) for column in zip(*quotes))  # the loader refuses a CSV without rows
+    rates = events["funding_rate"]
     rows = core.Columns({
-        "time": times,
-        "mark": marks,
-        "index": indexes,
-        "premium": [perps.premium_rate(perps.MarkIndexPair(m, i)) for m, i in zip(marks, indexes)],
-        "funding_rate": [e.funding_rate for e in events],
-        "funding_rate_pct": [100.0 * e.funding_rate for e in events],
-        "time_fraction": [e.time_fraction for e in events],
-        "payer": [e.payer or "" for e in events],
-        "cash_flow_per_notional": [e.cash_flow_per_notional for e in events],
+        "time": quotes["timestamp"],
+        "mark": quotes["mark"],
+        "index": quotes["index"],
+        "premium": events["premium"],
+        "funding_rate": rates,
+        "funding_rate_pct": 100.0 * rates,
+        "time_fraction": events["time_fraction"],
+        "payer": perps.payer(rates),
+        "cash_flow_per_notional": perps.cash_flow_per_notional(events),
     })
     summary = _funding_summary(rows["funding_rate_pct"])
     summary["variant"] = variant
@@ -166,46 +163,46 @@ def _run_perp_funding(config, quotes, variant, band, interval_hours, interest_ra
 
 def _run_perp_basis(config, quotes, window):
     rows = perps.basis_rows(quotes)
-    rates = [r["implied_rate"] for r in rows]
+    rates = rows["implied_rate"]
     out = core.Columns({
-        "time": [t for t, _, _, _ in quotes],
-        "perp": [perp for _, perp, _, _ in quotes],
-        "future": [future for _, _, future, _ in quotes],
-        "basis": [r["basis"] for r in rows],
-        "tenor_years": [r["tenor_years"] for r in rows],
-        "implied_rate_pct": [100.0 * rate for rate in rates],
-        "rolling_rate_pct": [100.0 * smooth for smooth in optrates.rolling_average(rates, window)],
+        "time": quotes["timestamp"],
+        "perp": quotes["perp"],
+        "future": quotes["future"],
+        "basis": rows["basis"],
+        "tenor_years": rows["tenor_years"],
+        "implied_rate_pct": 100.0 * rates,
+        "rolling_rate_pct": 100.0 * optrates.rolling_average(rates, window),
     })
     summary = {
         "rows": len(out),
         "window": window,
-        "mean_basis": math.fsum(out["basis"]) / len(out),
-        "mean_rate_pct": math.fsum(out["implied_rate_pct"]) / len(out),
+        "mean_basis": math.fsum(out["basis"].tolist()) / len(out),
+        "mean_rate_pct": math.fsum(out["implied_rate_pct"].tolist()) / len(out),
     }
     return summary, {"basis": out}, None
 
 
 def _run_implied_rate(config, chain, window):
     points, excluded = optrates.chain_points(chain)
-    if not points:
+    if not len(points):
         raise EmptyCohortError("no valid implied-rate points in the chain")
     daily = optrates.daily_series(points)
-    rolling = optrates.rolling_average([rate for _, rate, _ in daily], window)
-    days = [d.isoformat() for d, _, _ in daily]
+    means = daily["mean_rate"]
+    days = [d.isoformat() for d in daily["day"]]
     daily_rows = core.Columns({
         "day": days,
-        "mean_rate": [rate for _, rate, _ in daily],
-        "mean_rate_pct": [100.0 * rate for _, rate, _ in daily],
-        "points": [count for _, _, count in daily],
+        "mean_rate": means,
+        "mean_rate_pct": 100.0 * means,
+        "points": daily["points"],
     })
-    rolling_rows = core.Columns({"day": days, "rolling_rate_pct": [100.0 * smooth for smooth in rolling]})
+    rolling_rows = core.Columns({"day": days, "rolling_rate_pct": 100.0 * optrates.rolling_average(means, window)})
     summary = {
         "quotes": len(chain),
         "valid_points": len(points),
         "excluded_points": excluded,
         "days": len(daily),
         "window": window,
-        "mean_rate_pct": math.fsum(daily_rows["mean_rate_pct"]) / len(daily_rows),
+        "mean_rate_pct": math.fsum(daily_rows["mean_rate_pct"].tolist()) / len(daily_rows),
     }
     return summary, {"daily": daily_rows, "rolling": rolling_rows}, None
 
@@ -481,9 +478,14 @@ def _config_from_args(args) -> tuple:
     return _given(values, config), args.out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use: parsing leaves it as it was, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command in ("run", "validate"):
             raw = _load_json(args.config)

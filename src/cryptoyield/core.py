@@ -54,19 +54,46 @@ class RateConvention:
         """Convert a duration in seconds to years under this convention."""
         return seconds / (SECONDS_PER_DAY * self.days_per_year)
 
-    def rate_from_simple_return(self, net_return: float, tenor_years: float) -> float:
-        """Annualized rate from a net return over ``tenor_years``.
+    def rate_from_simple_return(self, net_return, tenor_years):
+        """Annualized rate from a net return over ``tenor_years``, of floats or per element of arrays.
 
         Uses log1p so tiny returns keep their sign instead of underflowing
         through 1 + net_return.
         """
-        if tenor_years <= 0:
-            raise DomainError(f"tenor must be > 0, got {tenor_years}")
-        if net_return <= -1.0:
-            raise DomainError(f"net return must exceed -1, got {net_return}")
+        refuse_first(
+            (tenor_years, tenor_years <= 0, "tenor must be > 0, got {}"),
+            (net_return, net_return <= -1.0, "net return must exceed -1, got {}"),
+        )
         if self.compounding == "continuous":
-            return math.log1p(net_return) / tenor_years
+            return each(math.log1p, net_return) / tenor_years
         return net_return / tenor_years
+
+
+def each(fn, values):
+    """`fn` (a `math` function of one float) of a float, or of each element of a float array.
+
+    The reports take their logarithms from `math` one element at a time
+    because numpy's own log ufuncs round differently on different CPUs.
+    """
+    if np.ndim(values) == 0:
+        return fn(values)
+    return np.fromiter(map(fn, values.tolist()), float, len(values))
+
+
+def refuse_first(*rules):
+    """Raise a DomainError for the first element that a rule refuses, of floats and arrays alike.
+
+    Each rule is (values, refused, message): `refused` marks elements of
+    `values`, and the error is `message` formatted with the first refused
+    element's value. Within one element the rules are tried in the order
+    given, as a scalar check would try them.
+    """
+    shape = np.broadcast_shapes(*(np.shape(values) for values, _, _ in rules))
+    masks = [np.broadcast_to(refused, shape).ravel() for _, refused, _ in rules]
+    broken = first_broken(list(zip(masks, rules)))
+    if broken:
+        row, (values, _, message) = broken
+        raise DomainError(message.format(np.broadcast_to(values, shape).ravel()[row].item()))
 
 
 @dataclass(frozen=True)
@@ -149,8 +176,37 @@ def percentile(values, p: float) -> float:
 _BLOCK_CHARS = 1 << 16
 
 
+class Coded:
+    """A text column held as its distinct texts and each row's index among them.
+
+    `texts` is a list of str and `codes` an int array with one entry per
+    row. A table renders and compares it as the list of its rows' texts,
+    without holding that list.
+    """
+
+    __slots__ = ("texts", "codes")
+
+    def __init__(self, texts, codes):
+        self.texts, self.codes = texts, codes
+
+    @classmethod
+    def of(cls, texts):
+        """The coded form of a list of texts: distinct texts in order of first appearance."""
+        rank = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+        return cls(list(rank), np.fromiter(map(rank.__getitem__, texts), np.intp, len(texts)))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows):
+        return Coded(self.texts, self.codes[rows])
+
+    def tolist(self) -> list:
+        return list(map(self.texts.__getitem__, self.codes.tolist()))
+
+
 class Columns:
-    """A table of named, equal-length columns, each a list or a 1-D numpy array.
+    """A table of named, equal-length columns, each a list, a 1-D numpy array or a `Coded` text column.
 
     Its length is the row count. A table read from a CSV also keeps the file
     line of each row in `lines`, an int array, or a range when the lines run
@@ -175,11 +231,16 @@ class Columns:
         """Equal names in the same order, equal cells and equal lines."""
         if not isinstance(other, Columns):
             return NotImplemented
-        return list(self.columns) == list(other.columns) and self.lines == other.lines and self.rows() == other.rows()
+        return (
+            list(self.columns) == list(other.columns)
+            and self.lines == other.lines
+            and all(_cells(a) == _cells(b) for a, b in zip(self.columns.values(), other.columns.values()))
+        )
 
-    def rows(self) -> list:
-        """Each row as a tuple of its cells' Python values, in column order."""
-        return list(zip(*(cells if isinstance(cells, list) else cells.tolist() for cells in self.columns.values())))
+
+def _cells(column) -> list:
+    """A column's cells as Python values."""
+    return column if isinstance(column, list) else column.tolist()
 
 
 def read_csv_rows(path, schema, check=None) -> Columns:

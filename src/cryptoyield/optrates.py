@@ -9,129 +9,105 @@ smoothed with trailing windows.
 
 Quotes violating B > 0 (stale or arbitrage-crossed) are excluded and
 counted, never clamped.
+
+A chain is a `core.Columns` table, as `load_chain_csv` reads it, and every
+step works on whole columns: each closed form is written once, as numpy
+arithmetic that rounds every element as the same Python float expression
+would, so a one-quote table gives the bits of the scalar formula. The
+logarithm is `math.log` applied element by element, because numpy's log
+ufunc rounds differently on different CPUs. A point's day is the UTC date
+of its quote time, taken once per distinct time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, count, repeat
+
+import numpy as np
 
 from . import core
 from .errors import DomainError, EmptyDayError
 
 
-@dataclass(frozen=True)
-class OptionQuote:
-    """One (call, put) pair: strike, expiry and the underlying perpetual price."""
+def implied_discount_factor(quotes):
+    """B = (S - C + P) / K per quote; non-positive values mark an unusable quote.
 
-    quote_time: float
-    expiry: float
-    strike: float
-    call: float
-    put: float
-    underlying: float
-
-    def __post_init__(self):
-        if self.strike <= 0 or self.underlying <= 0:
-            raise DomainError("strike and underlying must be > 0")
-        if self.call < 0 or self.put < 0:
-            raise DomainError("option prices must be >= 0")
-        if self.expiry <= self.quote_time:
-            raise DomainError("expiry must be after the quote time")
-
-    @property
-    def day(self):
-        return datetime.fromtimestamp(self.quote_time, tz=timezone.utc).date()
-
-
-@dataclass(frozen=True)
-class ImpliedRatePoint:
-    quote_time: float
-    expiry: float
-    strike: float
-    discount_factor: float
-    rate: float
-
-    @property
-    def day(self):
-        return datetime.fromtimestamp(self.quote_time, tz=timezone.utc).date()
-
-
-def implied_discount_factor(quote: OptionQuote) -> float:
-    """B = (S - C + P) / K; non-positive values mark an unusable quote."""
-    return (quote.underlying - quote.call + quote.put) / quote.strike
+    `quotes` is a chain table, or any mapping of the quote fields to floats.
+    """
+    return (quotes["underlying"] - quotes["call"] + quotes["put"]) / quotes["strike"]
 
 
 def implied_rate(
-    discount_factor: float,
-    quote_time: float,
-    expiry: float,
+    discount_factor,
+    quote_time,
+    expiry,
     convention: core.RateConvention = core.RateConvention(),
-) -> float:
-    """r = -ln(B) / (T - t), annualized; B > 1 gives a negative rate."""
-    if discount_factor <= 0:
-        raise DomainError(f"discount factor must be > 0, got {discount_factor}")
-    if expiry <= quote_time:
-        raise DomainError("expiry must be after the quote time")
-    tenor = convention.year_fraction(expiry - quote_time)
-    return -math.log(discount_factor) / tenor
-
-
-def point_from_quote(
-    quote: OptionQuote, convention: core.RateConvention = core.RateConvention()
 ):
-    """Implied-rate point for one quote, or None when parity is violated."""
-    b = implied_discount_factor(quote)
-    if b <= 0:
-        return None
-    return ImpliedRatePoint(
-        quote_time=quote.quote_time,
-        expiry=quote.expiry,
-        strike=quote.strike,
-        discount_factor=b,
-        rate=implied_rate(b, quote.quote_time, quote.expiry, convention),
+    """r = -ln(B) / (T - t), annualized, of floats or per element; B > 1 gives a negative rate."""
+    core.refuse_first(
+        (discount_factor, discount_factor <= 0, "discount factor must be > 0, got {}"),
+        (expiry, expiry <= quote_time, "expiry must be after the quote time"),
     )
+    tenor = convention.year_fraction(expiry - quote_time)
+    return -core.each(math.log, discount_factor) / tenor
 
 
-def chain_points(quotes, convention: core.RateConvention = core.RateConvention()):
-    """Convert a chain to rate points; returns (points, excluded_count)."""
-    points, excluded = [], 0
-    for quote in quotes:
-        point = point_from_quote(quote, convention)
-        if point is None:
-            excluded += 1
-        else:
-            points.append(point)
-    return points, excluded
+def chain_points(chain, convention: core.RateConvention = core.RateConvention()):
+    """Rate points of a chain table; returns (points, excluded_count).
+
+    `points` is a table of the quotes with B > 0: quote_time, expiry,
+    strike, discount_factor and rate.
+    """
+    b = implied_discount_factor(chain)
+    kept = ~(b <= 0)
+    points = core.Columns({name: chain[name][kept] for name in ("quote_time", "expiry", "strike")})
+    points.columns["discount_factor"] = b[kept]
+    points.columns["rate"] = implied_rate(b[kept], points["quote_time"], points["expiry"], convention)
+    return points, len(b) - len(points)
+
+
+def daily_series(points):
+    """Mean rate and point count per day over all days present, as a table sorted by day.
+
+    Its columns are day (`datetime.date`), mean_rate and points.
+    """
+    times, which = np.unique(points["quote_time"], return_inverse=True)
+    dates = [datetime.fromtimestamp(t, tz=timezone.utc).date() for t in times.tolist()]
+    # Distinct times sort, so their dates run in order: a day starts wherever the date changes.
+    new_day = np.array([a != b for a, b in zip([None, *dates], dates)], dtype=bool)
+    day = (np.cumsum(new_day) - 1)[which]
+    order = np.argsort(day, kind="stable")
+    bounds = np.append(np.flatnonzero(np.diff(day[order], prepend=-1)), len(day)).tolist()
+    rates = points["rate"][order].tolist()
+    # fsum rounds exactly once, so a day's mean does not depend on point order.
+    means = [math.fsum(rates[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    return core.Columns({
+        "day": [d for d, new in zip(dates, new_day.tolist()) if new],
+        "mean_rate": np.array(means, dtype=float),
+        "points": np.diff(bounds).astype(np.int64),
+    })
 
 
 def aggregate_daily(points, day) -> float:
     """Unweighted mean rate over all valid (expiry, strike) points of a day."""
-    rates = [p.rate for p in points if p.day == day]
-    if not rates:
-        raise EmptyDayError(f"no valid implied-rate points on {day}")
-    return math.fsum(rates) / len(rates)
-
-
-def daily_series(points):
-    """Sorted (day, mean_rate, point_count) rows over all days present."""
-    by_day = {}
-    for p in points:
-        by_day.setdefault(p.day, []).append(p.rate)
-    # fsum rounds exactly once, so a day's mean does not depend on point order.
-    return [(d, math.fsum(rates) / len(rates), len(rates)) for d, rates in sorted(by_day.items())]
+    daily = daily_series(points)
+    for d, mean in zip(daily["day"], daily["mean_rate"].tolist()):
+        if d == day:
+            return mean
+    raise EmptyDayError(f"no valid implied-rate points on {day}")
 
 
 def rolling_average(values, window: int):
-    """Trailing mean over the last `window` entries; partial at the start."""
+    """Trailing mean over the last `window` entries; partial at the start. A float array."""
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
-    out = []
-    for i in range(len(values)):
-        chunk = values[max(0, i - window + 1) : i + 1]
-        out.append(math.fsum(chunk) / len(chunk))
-    return out
+    values = np.asarray(values, dtype=float).tolist()
+    ends = range(1, len(values) + 1)
+    # Entry i sums values[max(0, i - window + 1) : i + 1], exactly rounded once by fsum.
+    sums = [math.fsum(values[a:b]) for a, b in zip(chain(repeat(0, window - 1), count()), ends)]
+    return np.array(sums, dtype=float) / np.minimum(ends, window)
 
 
 CHAIN_CSV = {
@@ -145,7 +121,7 @@ CHAIN_CSV = {
 
 
 def _quote_rules(c):
-    """OptionQuote's own checks, in its order, over whole columns."""
+    """A quote's rules, in order, over whole columns."""
     return core.first_broken([
         ((c["strike"] <= 0) | (c["underlying"] <= 0), "strike and underlying must be > 0"),
         ((c["call"] < 0) | (c["put"] < 0), "option prices must be >= 0"),
@@ -154,8 +130,8 @@ def _quote_rules(c):
 
 
 def load_chain_csv(path):
-    """Read `quote_time,expiry,strike,call,put,underlying` option-chain CSV.
+    """Read `quote_time,expiry,strike,call,put,underlying` option-chain CSV as a table of those columns.
 
-    The first row that OptionQuote would refuse is named by its line.
+    The first row that breaks a quote rule is named by its line.
     """
-    return [OptionQuote(*row) for row in core.read_csv_rows(path, CHAIN_CSV, _quote_rules).rows()]
+    return core.read_csv_rows(path, CHAIN_CSV, _quote_rules)

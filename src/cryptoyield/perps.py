@@ -14,10 +14,19 @@ funding rates:
 
 Sign convention: positive funding means longs pay shorts (prevailing venue
 practice). Funding accrues as rate * (elapsed time / interval).
+
+Quotes are `core.Columns` tables, as the loaders read them, and funding
+events and basis rows are tables too. Each closed form is written once, as
+numpy arithmetic that rounds every element as the same Python float
+expression would, so it serves a float and a whole column alike; the
+clamps pick with `np.where` what Python's `max`, `min` and conditional
+pick. The basis rate's log1p is `math.log1p` applied element by element,
+because numpy's log ufuncs round differently on different CPUs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,38 +58,6 @@ class FundingSpec:
             raise DomainError(f"band must be >= 0, got {self.band}")
 
 
-@dataclass(frozen=True)
-class MarkIndexPair:
-    mark_price: float
-    index_price: float
-
-    def __post_init__(self):
-        if self.mark_price <= 0 or self.index_price <= 0:
-            raise DomainError("mark and index prices must be > 0")
-
-
-@dataclass(frozen=True)
-class FundingEvent:
-    """One settlement: per-interval rate and the time fraction it covers."""
-
-    time: float
-    funding_rate: float
-    time_fraction: float = 1.0
-
-    @property
-    def payer(self):
-        if self.funding_rate > 0:
-            return "long"
-        if self.funding_rate < 0:
-            return "short"
-        return None
-
-    @property
-    def cash_flow_per_notional(self) -> float:
-        """Amount paid by longs per unit notional (negative: shorts pay)."""
-        return self.funding_rate * self.time_fraction
-
-
 def shiller_anchor(dividend: float, riskless_rate: float, prev_settlement: float) -> float:
     """Extra settlement term d_t - r_t * F_{t-1} anchoring a perpetual to its index."""
     if prev_settlement <= 0:
@@ -88,17 +65,17 @@ def shiller_anchor(dividend: float, riskless_rate: float, prev_settlement: float
     return dividend - riskless_rate * prev_settlement
 
 
-def premium_rate(pair: MarkIndexPair) -> float:
+def premium_rate(mark, index):
     """(mark - index) / index as a fraction."""
-    return (pair.mark_price - pair.index_price) / pair.index_price
+    return (mark - index) / index
 
 
-def deribit_funding(premium: float, band: float = DEFAULT_BAND) -> float:
+def deribit_funding(premium, band: float = DEFAULT_BAND):
     """max(band, p) + min(-band, p); exactly zero inside the deadband."""
-    return max(band, premium) + min(-band, premium)
+    return (np.where(premium > band, premium, band) + np.where(premium < -band, premium, -band))[()]
 
 
-def bitmex_funding(premium_index: float, interest_rate: float, band: float = DEFAULT_BAND) -> float:
+def bitmex_funding(premium_index, interest_rate, band: float = DEFAULT_BAND):
     """P + clamp(I - P, -band, +band).
 
     When the clamp is not binding the sum telescopes to I; that branch is
@@ -106,64 +83,83 @@ def bitmex_funding(premium_index: float, interest_rate: float, band: float = DEF
     """
     if band < 0:
         raise DomainError(f"band must be >= 0, got {band}")
-    if abs(interest_rate - premium_index) <= band:
-        return interest_rate
-    return premium_index + (band if interest_rate > premium_index else -band)
+    clamped = premium_index + np.where(interest_rate > premium_index, band, -band)
+    return np.where(abs(interest_rate - premium_index) <= band, interest_rate, clamped)[()]
 
 
-def funding_rate(spec: FundingSpec, premium: float) -> float:
-    """Per-interval funding rate for a premium observation under the spec."""
+def funding_rate(spec: FundingSpec, premium):
+    """Per-interval funding rate for premium observations under the spec."""
     if spec.variant == "deribit_deadband":
         return deribit_funding(premium, spec.band)
     return bitmex_funding(premium, spec.interest_rate, spec.band)
 
 
-def funding_accrual(position_notional: float, events) -> float:
-    """Cumulative amount paid by longs: sum of notional * rate * time fraction.
+def cash_flow_per_notional(events):
+    """Amount paid by longs per unit notional for each event (negative: shorts pay)."""
+    return events["funding_rate"] * events["time_fraction"]
 
-    Events must be time-ordered; a negative result means shorts paid.
+
+def payer(funding_rates):
+    """Who pays at each rate, as a coded text column: "long" above zero, "short" below, else ""."""
+    return core.Coded(["", "long", "short"], (funding_rates > 0) + 2 * (funding_rates < 0))
+
+
+def funding_accrual(position_notional: float, events) -> float:
+    """Cumulative amount paid by longs: the sum of notional * rate * time fraction.
+
+    `events` is a table of time, funding_rate and time_fraction, as
+    `events_from_quotes` returns it; times must increase, and a negative
+    result means shorts paid.
     """
-    total = 0.0
-    last_time = None
-    for event in events:
-        if last_time is not None and event.time <= last_time:
-            raise DomainError(f"funding events out of order at t={event.time}")
-        last_time = event.time
-        total += position_notional * event.cash_flow_per_notional
-    return total
+    t = events["time"]
+    late = np.flatnonzero(t[1:] <= t[:-1])
+    if late.size:
+        raise DomainError(f"funding events out of order at t={t[late[0] + 1].item()}")
+    return math.fsum((position_notional * cash_flow_per_notional(events)).tolist())
 
 
 def events_from_quotes(quotes, spec: FundingSpec):
-    """Build funding events from (time, mark, index) settlement observations.
+    """Funding events of a table of settlement observations (timestamp, mark, index).
 
     Each row is one settlement; its time fraction is the elapsed time over
-    the interval length (1.0 for the first row).
+    the interval length (1.0 for the first row). Returns a table of time,
+    premium, funding_rate and time_fraction.
     """
-    interval_seconds = spec.interval_hours * 3600.0
-    events = []
-    prev_time = None
-    for t, mark, index in quotes:
-        p = premium_rate(MarkIndexPair(mark, index))
-        fraction = 1.0 if prev_time is None else (t - prev_time) / interval_seconds
-        if fraction <= 0:
-            raise DomainError(f"quotes out of order at t={t}")
-        events.append(FundingEvent(time=t, funding_rate=funding_rate(spec, p), time_fraction=fraction))
-        prev_time = t
-    return events
+    t = quotes["timestamp"]
+    fraction = np.append(1.0, (t[1:] - t[:-1]) / (spec.interval_hours * 3600.0))
+    late = np.flatnonzero(fraction <= 0)
+    if late.size:
+        raise DomainError(f"quotes out of order at t={t[late[0]].item()}")
+    premium = premium_rate(quotes["mark"], quotes["index"])
+    return core.Columns(
+        {"time": t, "premium": premium, "funding_rate": funding_rate(spec, premium), "time_fraction": fraction}
+    )
 
 
-def futures_basis(future_price: float, perp_price: float) -> float:
+def futures_basis(future_price, perp_price):
     """(F - perp) / perp; positive in contango."""
-    if perp_price <= 0:
-        raise DomainError(f"perpetual price must be > 0, got {perp_price}")
+    core.refuse_first((perp_price, perp_price <= 0, "perpetual price must be > 0, got {}"))
     return (future_price - perp_price) / perp_price
 
 
-def implied_rate_from_basis(
-    basis: float, tenor_years: float, convention: core.RateConvention = core.RateConvention()
-) -> float:
+def implied_rate_from_basis(basis, tenor_years, convention: core.RateConvention = core.RateConvention()):
     """Annualized rate implied by a basis over a tenor (continuous by default)."""
     return convention.rate_from_simple_return(basis, tenor_years)
+
+
+def basis_rows(quotes, convention: core.RateConvention = core.RateConvention()):
+    """Basis and implied annualized rate per quote of a (timestamp, perp, future, expiry) table.
+
+    Returns a table of time, basis, tenor_years and implied_rate.
+    """
+    basis = futures_basis(quotes["future"], quotes["perp"])
+    tenor = convention.year_fraction(quotes["expiry"] - quotes["timestamp"])
+    return core.Columns({
+        "time": quotes["timestamp"],
+        "basis": basis,
+        "tenor_years": tenor,
+        "implied_rate": implied_rate_from_basis(basis, tenor, convention),
+    })
 
 
 # -- CSV ingestion -----------------------------------------------------------
@@ -174,47 +170,42 @@ BASIS_CSV = {"timestamp": core.TIMESTAMP, "perp": core.NUMBER, "future": core.NU
 
 
 def _later_quotes(columns):
+    """Each quote after the one before it, at positive prices."""
     t = columns["timestamp"]
-    late = np.flatnonzero(t[1:] <= t[:-1])
-    if late.size:
-        prev, now = t[late[0] : late[0] + 2].tolist()
-        return int(late[0]) + 1, f"quote time {now} is not after the previous quote's {prev}"
+    early = np.zeros(len(t), dtype=bool)
+    early[1:] = t[1:] <= t[:-1]
+    broken = core.first_broken([
+        (early, "quote time {now} is not after the previous quote's {prev}"),
+        ((columns["mark"] <= 0) | (columns["index"] <= 0), "mark and index prices must be > 0"),
+    ])
+    if broken:
+        row, message = broken
+        return row, message.format(now=t[row].item(), prev=t[row - 1].item())
     return None
 
 
 def load_mark_index_csv(path):
-    """Read `timestamp,mark,index` rows into (time, mark, index) tuples.
+    """Read `timestamp,mark,index` CSV as a table of those columns.
 
-    Each row is one settlement, so timestamps must strictly increase; the
-    first row that does not is named by its line.
+    Each row is one settlement, so timestamps must strictly increase, and
+    both prices must be positive; the first row that breaks a rule is named
+    by its line.
     """
-    return core.read_csv_rows(path, MARK_INDEX_CSV, _later_quotes).rows()
+    return core.read_csv_rows(path, MARK_INDEX_CSV, _later_quotes)
 
 
 def _expiry_after_quote(columns):
-    return core.first_broken([(columns["expiry"] <= columns["timestamp"], "expiry must be after the quote time")])
+    """Each expiry after its quote, at positive prices."""
+    return core.first_broken([
+        (columns["expiry"] <= columns["timestamp"], "expiry must be after the quote time"),
+        ((columns["perp"] <= 0) | (columns["future"] <= 0), "perp and future prices must be > 0"),
+    ])
 
 
 def load_basis_csv(path):
-    """Read `timestamp,perp,future,expiry` rows into tuples with epoch times.
+    """Read `timestamp,perp,future,expiry` CSV as a table of those columns, times in epoch seconds.
 
-    The first row whose expiry is not after its quote time is named by its line.
+    The first row whose expiry is not after its quote time, or whose price
+    is not positive, is named by its line.
     """
-    return core.read_csv_rows(path, BASIS_CSV, _expiry_after_quote).rows()
-
-
-def basis_rows(quotes, convention: core.RateConvention = core.RateConvention()):
-    """Per-quote basis and implied annualized rate for (t, perp, future, expiry) rows."""
-    out = []
-    for t, perp, future, expiry in quotes:
-        b = futures_basis(future, perp)
-        tenor = convention.year_fraction(expiry - t)
-        out.append(
-            {
-                "time": t,
-                "basis": b,
-                "tenor_years": tenor,
-                "implied_rate": implied_rate_from_basis(b, tenor, convention),
-            }
-        )
-    return out
+    return core.read_csv_rows(path, BASIS_CSV, _expiry_after_quote)

@@ -30,7 +30,9 @@ written with the padding deleted, so no Python object is made per cell of
 a number column. The float columns of a chunk render together through
 `shortest.float_cells`, each distinct bit pattern once; an int64 array
 renders each distinct value once through `shortest.int_cells`; text cells
-are quoted by csv.writer, once per distinct text. A list of floats renders
+are quoted by csv.writer, once per distinct text, and gathered by code (a
+`core.Coded` column holds its texts and codes; a list of texts is coded
+first). A list of floats renders
 as a float64 array, and a list of mixed cells renders numpy scalars as the
 Python values they hold, None as "", booleans as "true" and "false", floats
 through the same kernel and anything else by str. The bytes are those of
@@ -53,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, shortest
+from .core import Coded
 from .errors import CryptoYieldError, InputError
 
 # Rows and cells of a series rendered and written at a time. The float
@@ -211,8 +214,10 @@ def _write_series(fh, series):
 def _column(values):
     """(cells, first non-finite row or None) of a chunk of a column.
 
-    The cells are a float64 or int64 array, or the cells' texts.
+    The cells are a float64 or int64 array, a `Coded` text column, or the cells' texts.
     """
+    if isinstance(values, Coded):
+        return values, None
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64:
             finite = np.isfinite(values)
@@ -249,19 +254,17 @@ def _is_float(values):
 def _cells(values, lone):
     """The cells of a chunk of an int64 or text column as rows of UTF-8 bytes, padded with shortest.PAD.
 
-    Each distinct integer renders once; each distinct text is quoted by
-    csv.writer once.
+    Each distinct integer renders once; each text of a `Coded` column (a
+    list of texts is coded first) is quoted by csv.writer once.
     """
     if isinstance(values, np.ndarray):
         distinct, where = np.unique(values, return_inverse=True)
         return shortest.int_cells(distinct)[where]
-    codes = dict.fromkeys(values)
-    for code, text in enumerate(codes):
-        codes[text] = code
-    encoded = [(_quoted(text) if _NEEDS_QUOTES(text) or (lone and not text) else text).encode() for text in codes]
+    coded = values if isinstance(values, Coded) else Coded.of(values)
+    encoded = [(_quoted(text) if _NEEDS_QUOTES(text) or (lone and not text) else text).encode() for text in coded.texts]
     width = max(map(len, encoded), default=0)
     table = np.frombuffer(b"".join(text.ljust(width, _PAD) for text in encoded), dtype=np.uint8)
-    return table.reshape(len(encoded), width)[np.fromiter(map(codes.__getitem__, values), np.intp, len(values))]
+    return table.reshape(len(encoded), width)[coded.codes]
 
 
 def _quoted(text):

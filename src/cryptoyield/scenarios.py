@@ -67,7 +67,7 @@ from itertools import chain
 import numpy as np
 
 from .amm import SHARES_EXCEED_SUPPLY, LpPosition, claim_pnl, create_pool, genesis_position
-from .core import Columns, Key, _boolean, _check_keys, _one_of, _rational, _text
+from .core import Coded, Columns, Key, _boolean, _check_keys, _one_of, _rational, _text
 from .errors import CryptoYieldError, DomainError, InputError
 from .xccy import ALPHA, BETA, PARTIES, Leg, SwapAgreement, to_fraction
 
@@ -191,7 +191,8 @@ def run_pool_scenario(config) -> dict:
 
     `pool_rows` and `position_rows` are `core.Columns`: one pool row per
     event (the create step is event 0), and one position row per open
-    position after each event, in name order.
+    position after each event, in name order; the position names are a
+    `core.Coded` column.
     """
     values = _check(POOL_SCENARIO, config, "pool")[0]
     spec = values["pool"]
@@ -329,17 +330,17 @@ def _pool_tables(actions, states, recorded, holders, conv):
     event = np.repeat(np.arange(len(states)), counts)
     first = (np.cumsum(sizes) - sizes)[snapshot] - (np.cumsum(counts) - counts)  # snapshot start less row start
     flat = [holder for snapshot_holders in holders for holder in snapshot_holders]
-    flat_names = np.array([name for name, _ in flat], dtype=object)
+    flat_names = Coded.of([name for name, _ in flat])
     held = np.fromiter(chain.from_iterable((p.shares, *p.entry_reserves) for _, p in flat), states.dtype, 3 * len(flat))
     held = held.reshape(len(flat), 3)
     state = [states[:, _POOL_STATE.index(c)] for c in ("reserve_x", "reserve_y", "total_shares", "price_x")]
-    names, shares, pnl = np.empty(len(event), object), np.empty(len(event)), np.empty(len(event))
+    names, shares, pnl = np.empty(len(event), np.intp), np.empty(len(event)), np.empty(len(event))
     with np.errstate(all="ignore"):  # inf and nan stay in the cells, for the writer to refuse
         for start in range(0, len(event), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             rows = event[block]
             take = np.arange(start, start + len(rows)) + first[rows]
-            names[block] = flat_names[take]
+            names[block] = flat_names.codes[take]
             held_shares, entry_x, entry_y = (held[take, i] for i in range(3))
             reserve_x, reserve_y, total_shares, price_x = (column[rows] for column in state)
             # A withdrawn pool leaves no claim, so its rows value a claim of nothing.
@@ -348,7 +349,7 @@ def _pool_tables(actions, states, recorded, holders, conv):
             claimed = np.where(dead, conv(0), held_shares)
             pnl[block] = claim_pnl(reserve_x, reserve_y, total_shares, claimed, entry_x, entry_y, price_x, 1)
             shares[block] = held_shares
-    position_rows = Columns({"event": event, "position": names, "shares": shares, "pnl": pnl})
+    position_rows = Columns({"event": event, "position": Coded(flat_names.texts, names), "shares": shares, "pnl": pnl})
     return pool_rows, position_rows
 
 

@@ -6,16 +6,21 @@ The annualized staking return between two daily balance snapshots (taken at
 the 32 token minimum on any available snapshot in the window; missing state
 coverage counts as ineligible, not Active.
 
-`window_returns` is the one place these rules live. It takes a validator's
-snapshots, which `ValidatorRecord` keeps as one read-only array, and judges
-every requested window in one pass: binary search for the snapshots inside
-each window, a prefix count of sub-minimum snapshots, and one coverage mask
-per Active interval. `daily_return` asks it about one window; `daily_bands`
-asks it about every day for every validator, sorts the resulting validators
-x days matrix of rates once (ineligible cells are NaN and sort last), and
-evaluates numpy's `linear` percentile for every day at once, with the bits
-of one `np.percentile` call per day. A year of bands costs one pass per
-validator and one sort rather than one scan per validator-day.
+A `Cohort` holds validators as columns: every snapshot in one table sorted
+by validator and then by time, and every declared state interval in
+another. `load_validators` reads one from a CSV, and `cohort` builds one
+from `ValidatorRecord`s. `_windows` is the one place the rules live. It
+judges every validator's window ending at every requested midnight in one
+pass over the snapshot table: each (validator, time) pair is a complex
+number, which numpy orders by validator and then by time, so one binary
+search finds the snapshots inside every validator's every window, a prefix
+count over the table finds the sub-minimum ones, and a difference array
+over the windows in time order finds the Active coverage. `window_returns`,
+`daily_return` and `percentile_bands` ask it about one validator or one
+day. `daily_bands` sorts its validators x days matrix of rates once
+(ineligible cells are NaN and sort last) and evaluates numpy's `linear`
+percentile for every day at once, with the bits of one `np.percentile`
+call per day.
 
 Coordinated failure is penalized jointly: slashing costs 3x the failing
 network percentage, so a third of the network can lose everything.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,12 +69,9 @@ class ValidatorRecord:
 
     def __post_init__(self):
         obs = np.array(self.balances, dtype=float).reshape(len(self.balances), 2)
-        t, b = obs.T
-        bad = np.flatnonzero((b < 0) | np.concatenate(([False], ~(t[1:] > t[:-1]))))
-        if bad.size:
-            i = int(bad[0])
-            problem = f"balance at index {i} is negative" if b[i] < 0 else "timestamps must be strictly increasing"
-            raise DomainError(f"validator {self.id}: {problem}")
+        broken = _refused_snapshot(np.zeros(len(obs), dtype=np.intp), *obs.T)
+        if broken:
+            raise DomainError(f"validator {self.id}: {broken[1]}")
         obs.flags.writeable = False
         object.__setattr__(self, "balances", obs)
         object.__setattr__(
@@ -93,6 +96,62 @@ class ValidatorRecord:
         return hash((self.id, self.balances.shape, self.state_intervals))
 
 
+def _refused_snapshot(validator, t, b):
+    """(validator, problem) for the first snapshot in table order that breaks a rule, else None.
+
+    A balance must not be negative, and each time must be after the one
+    before it of the same validator.
+    """
+    unordered = np.zeros(len(t), dtype=bool)
+    unordered[1:] = (validator[1:] == validator[:-1]) & ~(t[1:] > t[:-1])
+    bad = np.flatnonzero((b < 0) | unordered)
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    if b[row] < 0:
+        return validator[row], f"balance at index {row - np.searchsorted(validator, validator[row])} is negative"
+    return validator[row], "timestamps must be strictly increasing"
+
+
+class Cohort(NamedTuple):
+    """Validators as columns; cohorts compare by value.
+
+    `snapshots` is a table of validator (an index into `ids`), timestamp and
+    balance, sorted by validator and then by time; `intervals` is a table of
+    validator, start, end and state (a `core.Coded` column), one row per
+    declared state interval.
+    """
+
+    ids: list
+    snapshots: core.Columns
+    intervals: core.Columns
+
+
+def cohort(records) -> Cohort:
+    """The cohort of ValidatorRecords, in the order given."""
+    records = list(records)
+    snapshots = np.concatenate([r.balances for r in records] or [np.empty((0, 2))])
+    intervals = [(k, iv) for k, r in enumerate(records) for iv in r.state_intervals]
+    return Cohort(
+        [r.id for r in records],
+        core.Columns({
+            "validator": np.repeat(np.arange(len(records)), [len(r.balances) for r in records]),
+            "timestamp": snapshots[:, 0],
+            "balance": snapshots[:, 1],
+        }),
+        core.Columns({
+            "validator": np.array([k for k, _ in intervals], dtype=np.intp),
+            "start": np.array([iv.start for _, iv in intervals], dtype=float),
+            "end": np.array([iv.end for _, iv in intervals], dtype=float),
+            "state": core.Coded.of([iv.state for _, iv in intervals]),
+        }),
+    )
+
+
+def _as_cohort(validators) -> Cohort:
+    return validators if isinstance(validators, Cohort) else cohort(validators)
+
+
 @dataclass(frozen=True)
 class StakingReturn:
     """Annualized return earned over the 24h window ending on `day`."""
@@ -110,8 +169,37 @@ def midnight_utc(day: date) -> float:
 ELIGIBLE, NOT_ACTIVE, BELOW_MINIMUM, MISSING_SNAPSHOT = range(4)
 
 
-def window_returns(validator: ValidatorRecord, t1s):
-    """(reasons, rates) for the 24h windows ending at each midnight in `t1s`.
+def _pairs(validator, times):
+    """(validator, time) pairs as complex numbers, which numpy compares, sorts and searches by validator, then time."""
+    pairs = np.empty(np.broadcast_shapes(np.shape(validator), np.shape(times)), dtype=complex)
+    pairs.real, pairs.imag = validator, times
+    return pairs
+
+
+def _active(cohort, t0, t1):
+    """Per validator (rows) and window (columns), whether one Active interval covers all of [t0, t1].
+
+    In time order, the windows an interval covers run on from the first
+    whose t0 is not before its start to the last whose t1 is not after its
+    end, so each interval adds one run to a difference array.
+    """
+    iv = cohort.intervals
+    state, start, end = iv["state"], iv["start"], iv["end"]
+    order = np.argsort(t1, kind="stable")
+    first = np.searchsorted(t0[order], start, "left")
+    stop = np.searchsorted(t1[order], end, "right")
+    # NaN bounds cover nothing; t0 < t1, so neither does an interval with end < start.
+    on = np.array([text == "Active" for text in state.texts], dtype=bool)[state.codes] & (start <= end) & (first < stop)
+    runs = np.zeros((len(cohort.ids), len(t1) + 1), dtype=np.intp)
+    np.add.at(runs, (iv["validator"][on], first[on]), 1)
+    np.add.at(runs, (iv["validator"][on], stop[on]), -1)
+    active = np.empty((len(cohort.ids), len(t1)), dtype=bool)
+    active[:, order] = np.cumsum(runs[:, :-1], axis=1) > 0
+    return active
+
+
+def _windows(cohort, t1s):
+    """(reasons, rates), validators x windows, for the 24h windows ending at each midnight in `t1s`.
 
     A window [t0, t1] is NOT_ACTIVE unless one Active interval covers all of
     it, BELOW_MINIMUM if any snapshot inside it is under the 32 token
@@ -120,25 +208,31 @@ def window_returns(validator: ValidatorRecord, t1s):
     """
     t1 = np.asarray(t1s, dtype=float)
     t0 = t1 - SECONDS_PER_DAY
-    active = np.zeros(t1.shape, dtype=bool)
-    for iv in validator.state_intervals:
-        if iv.state == "Active":
-            active |= (iv.start <= t0) & (t1 <= iv.end)
-    # A NaN sentinel past the last snapshot matches no midnight, so an index
-    # one past the end (or -1) reads as a missing snapshot.
-    times, balances = np.vstack((validator.balances, (np.nan, np.nan))).T
-    first = np.searchsorted(times[:-1], t0, "left")  # first snapshot at or after t0
-    last = np.searchsorted(times[:-1], t1, "right") - 1  # last snapshot at or before t1
-    below = np.concatenate(([0], np.cumsum(balances[:-1] < MIN_VALIDATOR_BALANCE)))
+    snapshots = cohort.snapshots
+    balances = snapshots["balance"]
+    # A NaN sentinel past the last snapshot matches no window bound, so an
+    # index one past the end (or -1) reads as a missing snapshot.
+    keys = np.append(_pairs(snapshots["validator"], snapshots["timestamp"]), np.nan)
+    validators = np.arange(len(cohort.ids))[:, None]
+    lower, upper = _pairs(validators, t0), _pairs(validators, t1)
+    first = np.searchsorted(keys[:-1], lower, "left")  # a validator's first snapshot at or after t0
+    last = np.searchsorted(keys[:-1], upper, "right") - 1  # its last snapshot at or before t1
+    below = np.concatenate(([0], np.cumsum(balances < MIN_VALIDATOR_BALANCE)))
     reasons = np.select(
-        [~active, below[last + 1] > below[first], (times[first] != t0) | (times[last] != t1)],
+        [~_active(cohort, t0, t1), below[last + 1] > below[first], (keys[first] != lower) | (keys[last] != upper)],
         [NOT_ACTIVE, BELOW_MINIMUM, MISSING_SNAPSHOT],
         ELIGIBLE,
     )
-    rates = np.full(t1.shape, np.nan)
+    rates = np.full(reasons.shape, np.nan)
     ok = reasons == ELIGIBLE
     rates[ok] = core.RateConvention().days_per_year * (balances[last[ok]] / balances[first[ok]] - 1.0)
     return reasons, rates
+
+
+def window_returns(validator: ValidatorRecord, t1s):
+    """(reasons, rates) for one validator's 24h windows ending at each midnight in `t1s` (see `_windows`)."""
+    reasons, rates = _windows(cohort([validator]), t1s)
+    return reasons[0], rates[0]
 
 
 def daily_return(validator: ValidatorRecord, day: date) -> StakingReturn:
@@ -170,33 +264,29 @@ def slash_cost(network_fraction_pct: float) -> float:
     return min(3.0 * network_fraction_pct, 100.0)
 
 
-def daily_bands(validators, days, percentiles) -> list:
-    """Per-day {percentile: annualized return} across each day's eligible cohort.
+def daily_bands(validators, days, percentiles):
+    """(eligible validators per day, bands): each day's percentile levels across its eligible cohort.
 
-    One entry per day in `days`: None when no validator is eligible that day.
+    `validators` is a Cohort or ValidatorRecords. `bands` holds one row per
+    day in `days` and one column per level, NaN on a day without a cohort.
     A percentile level outside [0, 100] is a DomainError, whether or not any
-    day has a cohort. Each level is numpy's `linear` percentile of the day's eligible
-    rates, with the bits of calling `np.percentile` on them.
+    day has a cohort. Each level is numpy's `linear` percentile of the day's
+    eligible rates, with the bits of calling `np.percentile` on them.
     """
     bad = [p for p in percentiles if not 0.0 <= p <= 100.0]
     if bad:
         raise DomainError(f"percentile level must be in [0, 100], got {bad[0]}")
-    validators = list(validators)
-    t1s = [midnight_utc(d) for d in days]
-    rates = np.empty((len(validators), len(t1s)))
-    cohort = np.zeros(len(t1s), dtype=np.intp)
-    for row, validator in enumerate(validators):
-        reasons, rates[row] = window_returns(validator, t1s)
-        cohort += reasons == ELIGIBLE
-    bands = [None] * len(t1s)
-    cols = np.flatnonzero(cohort)
+    reasons, rates = _windows(_as_cohort(validators), [midnight_utc(d) for d in days])
+    sizes = np.count_nonzero(reasons == ELIGIBLE, axis=0)
+    bands = np.full((len(days), len(percentiles)), np.nan)
+    cols = np.flatnonzero(sizes)
     if not cols.size:
-        return bands
+        return sizes, bands
     # Ineligible rates are NaN and eligible ones never are (both balances are
     # at least the minimum), so after one sort, which puts NaN last, each
-    # day's first cohort[j] rows are its eligible rates in order.
+    # day's first sizes[j] rows are its eligible rates in order.
     rates.sort(axis=0)
-    n = cohort[cols]
+    n = sizes[cols]
     # np.percentile's `linear` method, every day at once: the same virtual
     # index, neighbours (its out-of-range index picks the same last value)
     # and the two-sided lerp of numpy's _lerp.
@@ -208,9 +298,8 @@ def daily_bands(validators, days, percentiles) -> list:
     step = above - below
     values = below + step * gamma
     np.subtract(above, step * (1 - gamma), out=values, where=gamma >= 0.5)
-    for col, levels in zip(cols.tolist(), values.T.tolist()):
-        bands[col] = dict(zip(percentiles, levels))
-    return bands
+    bands[cols] = values.T
+    return sizes, bands
 
 
 def percentile_bands(validators, day: date, percentiles) -> dict:
@@ -219,65 +308,49 @@ def percentile_bands(validators, day: date, percentiles) -> dict:
     Ineligible validators and ones with missing snapshots are skipped; an
     empty cohort is an error.
     """
-    (bands,) = daily_bands(validators, [day], percentiles)
-    if bands is None:
+    (size,), (bands,) = daily_bands(validators, [day], percentiles)
+    if not size:
         raise EmptyCohortError(f"no eligible validators on {day}")
-    return bands
+    return dict(zip(percentiles, bands.tolist()))
 
 
 def available_days(validators) -> list:
-    """Days with at least one consecutive-midnight snapshot pair."""
-    ends = [np.zeros(0)]
-    for validator in validators:
-        t = validator.balances[:, 0]
-        # t increases, so each t - 1 day sorts at or before its own row: in range.
-        prev = t - SECONDS_PER_DAY
-        ends.append(t[t[np.searchsorted(t, prev)] == prev])
+    """Days with at least one consecutive-midnight snapshot pair; `validators` as for `daily_bands`."""
+    snapshots = _as_cohort(validators).snapshots
+    v, t = snapshots["validator"], snapshots["timestamp"]
+    keys, prev = _pairs(v, t), _pairs(v, t - SECONDS_PER_DAY)
+    # Each pair a day back sorts at or before its own row: in range.
+    ends = t[keys[np.searchsorted(keys, prev)] == prev]
     # Dates of the distinct pair ends only; fromtimestamp rounds to the microsecond.
-    days = {datetime.fromtimestamp(ts, tz=timezone.utc).date() for ts in np.unique(np.concatenate(ends)).tolist()}
+    days = {datetime.fromtimestamp(ts, tz=timezone.utc).date() for ts in np.unique(ends).tolist()}
     return sorted(days)
 
 
 VALIDATOR_CSV = {"validator_id": core.TEXT, "timestamp": core.TIMESTAMP, "balance": core.NUMBER, "state": core.TEXT}
 
 
-def _codes(texts):
-    """(distinct texts in order of first appearance, each text's index among them)."""
-    rank = {text: k for k, text in enumerate(dict.fromkeys(texts))}
-    return list(rank), np.fromiter(map(rank.__getitem__, texts), np.intp, len(texts))
+def load_validators(path) -> Cohort:
+    """Read `validator_id,timestamp,balance,state` daily-snapshot CSV as a Cohort.
 
-
-def load_validators(path) -> dict:
-    """Read `validator_id,timestamp,balance,state` daily-snapshot CSV.
-
-    Rows group per validator in order of first appearance and sort by time,
-    ties in file order. Consecutive snapshots with the same state merge into
-    one state interval. Returns {validator_id: ValidatorRecord}; the first
-    validator that ValidatorRecord refuses is named.
+    Validators are in order of first appearance, and each one's snapshots
+    sort by time, ties in file order. Consecutive snapshots with the same
+    state merge into one state interval. The first validator with a
+    negative balance or a repeated time is named.
     """
     columns = core.read_csv_rows(path, VALIDATOR_CSV)
-    ids, vid = _codes(columns["validator_id"])
-    states, state = _codes(columns["state"])
-    order = np.lexsort((columns["timestamp"], vid))
-    vid, state = vid[order], state[order]
-    snapshots = np.column_stack((columns["timestamp"], columns["balance"]))[order]
-    t = snapshots[:, 0]
-    first = np.diff(vid, prepend=-1) != 0  # each validator's first row
-    # Row where each validator, and each of its state runs, starts; then the end.
-    starts = np.append(np.flatnonzero(first), len(t))
-    runs = np.append(np.flatnonzero(first | (np.diff(state, prepend=-1) != 0)), len(t))
-    intervals = list(map(StateInterval, t[runs[:-1]].tolist(), t[runs[1:] - 1].tolist(),
-                         [states[k] for k in state[runs[:-1]].tolist()]))
-    run_starts = np.searchsorted(runs, starts).tolist()
-    starts = starts.tolist()
-    records = {}
-    for k, name in enumerate(ids):
-        try:
-            records[name] = ValidatorRecord(
-                id=name,
-                balances=snapshots[starts[k] : starts[k + 1]],
-                state_intervals=tuple(intervals[run_starts[k] : run_starts[k + 1]]),
-            )
-        except DomainError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    return records
+    ids, states = core.Coded.of(columns["validator_id"]), core.Coded.of(columns["state"])
+    order = np.lexsort((columns["timestamp"], ids.codes))
+    vid, state = ids.codes[order], states.codes[order]
+    t, b = columns["timestamp"][order], columns["balance"][order]
+    broken = _refused_snapshot(vid, t, b)
+    if broken:
+        raise InputError(f"{path}: validator {ids.texts[broken[0]]}: {broken[1]}")
+    # Row where each state run starts (a validator's first row starts one), then the end.
+    runs = np.append(np.flatnonzero((np.diff(vid, prepend=-1) != 0) | (np.diff(state, prepend=-1) != 0)), len(t))
+    starts = runs[:-1]
+    return Cohort(
+        ids.texts,
+        core.Columns({"validator": vid, "timestamp": t, "balance": b}),
+        core.Columns({"validator": vid[starts], "start": t[starts], "end": t[runs[1:] - 1],
+                      "state": core.Coded(states.texts, state[starts])}),
+    )

@@ -21,7 +21,7 @@ from cryptoyield.optrates import aggregate_daily, chain_points
 from cryptoyield.xccy import max_leverage
 from tests import amm_fuzz, xccy_fuzz
 from tests.test_cli import DEMO
-from tests.test_optrates import parity_quote
+from tests.test_optrates import as_chain, parity_quote
 
 
 def report_line(number, message):
@@ -195,11 +195,11 @@ def test_criterion_07_implied_rate_round_trip():
             for tenor in (1 / 52, 0.1, 0.25, 0.5, 1.0)
             for strike in np.linspace(30_000, 52_000, 10)
         ]
-        points, excluded = chain_points(quotes)
+        points, excluded = chain_points(as_chain(quotes))
         assert excluded == 0
-        for point in points:
-            assert abs(point.rate - rate) < 1e-9
-        day_mean = aggregate_daily(points, points[0].day)
+        for point_rate in points["rate"].tolist():
+            assert abs(point_rate - rate) < 1e-9
+        day_mean = aggregate_daily(points, date(1970, 1, 1))  # every quote is at t = 0
         assert abs(day_mean - rate) < 1e-9
     report_line(7, "implied rate recovered to 1e-9 at every strike/expiry for 4 rates")
 

@@ -18,6 +18,7 @@ from cryptoyield.amm import (
 from cryptoyield.errors import DomainError, LifecycleError, RatioError
 from cryptoyield.scenarios import run_pool_scenario
 from tests.amm_fuzz import run_fuzz
+from tests.oracles import rows as table_rows
 
 # Worked swap on (1000, 1000) at 0.3% fee, dx = 100: exact value is
 # 1000 - 10^6/1099.7 = 997000/10997, frozen from Fraction arithmetic.
@@ -337,7 +338,7 @@ class TestAbsolutePnl:
         }
         result = run_pool_scenario(scenario)
         rows, pool_rows = (
-            [dict(zip(table.columns, row)) for row in table.rows()]
+            [dict(zip(table.columns, row)) for row in table_rows(table)]
             for table in (result["position_rows"], result["pool_rows"])
         )
         alice = [r for r in rows if r["position"] == "alice"]

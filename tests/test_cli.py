@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import pathlib
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+from cryptoyield import cli
 from cryptoyield.cli import main as cli_main
 
 from tests import cli_fuzz
@@ -642,6 +645,106 @@ def test_out_of_order_funding_quotes_exit_2(verb, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "funding_quotes.csv:3: quote time" in captured.out + captured.err
     assert not out.exists()
+
+
+# One-row CSVs with a price that is zero or negative: a loader rule, so run and
+# validate both exit 2 naming the row, where the run used to fail at the model.
+NON_POSITIVE_PRICES = {
+    "basis-perp-zero": ("perp-basis", "timestamp,perp,future,expiry\n0,0,51000,7884000\n",
+                        "perp and future prices must be > 0"),
+    "basis-future-negative": ("perp-basis", "timestamp,perp,future,expiry\n0,50000,-5,7884000\n",
+                              "perp and future prices must be > 0"),
+    "funding-mark-zero": ("perp-funding", "timestamp,mark,index\n0,0,40000\n", "mark and index prices must be > 0"),
+    "funding-index-negative": ("perp-funding", "timestamp,mark,index\n0,40000,-1\n",
+                               "mark and index prices must be > 0"),
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("case", sorted(NON_POSITIVE_PRICES))
+def test_non_positive_price_exit_2_naming_its_line(case, verb, tmp_path, capsys):
+    command, text, rule = NON_POSITIVE_PRICES[case]
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "quotes": str(quotes)}))
+    out = tmp_path / "r"
+    assert cli_main([verb, "--config", str(cfg)] + (["--out", str(out)] if verb == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert f"quotes.csv:2: {rule}" in captured.out + captured.err
+    assert not out.exists()
+
+
+# Calls that parse, that fail in argparse, and that print help, in an order where
+# each follows a different command.
+PARSER_CALLS = [
+    ["stake", "--balances", "b.csv", "--day", "2021-06-02", "--out", "r"],
+    ["perp", "funding", "--quotes", "q.csv", "--variant", "bitmex", "--band", "0.001", "--out", "r"],
+    ["perp", "funding", "--quotes", "q.csv", "--out", "r"],
+    ["oracle", "price", "--naive", "--paths", "10", "--out", "r"],
+    ["oracle", "price", "--out", "r"],
+    ["stake", "--out", "r"],
+    ["perp", "basis", "--quotes", "q.csv", "--window", "3", "--bogus", "--out", "r"],
+    ["perp"],
+    ["run", "--config", "c.json"],
+    ["validate"],
+    ["kelly", "--means", "0.1", "--cov", "0.04", "--out", "r"],
+    ["perp", "funding", "--help"],
+    ["stake", "--balances", "b.csv", "--out", "r"],
+]
+
+
+def parse(parser, argv):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_parses_like_a_fresh_one():
+    shared = cli._parser()
+    assert cli._parser() is shared
+    for _ in range(2):
+        for argv in PARSER_CALLS:
+            assert parse(shared, argv) == parse(cli.build_parser(), argv), argv
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["validate", "--config", str(DEMO / "kelly.json")], ["kelly", "--means", "x", "--out", "r"]):
+            cli_main(argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_successive_main_calls_behave_like_fresh_processes(tmp_path, capsys):
+    # The same calls in one process, each after a different command, exit and print as in a new process.
+    calls = [
+        ["perp", "funding", "--quotes", str(DEMO / "funding_quotes.csv"), "--variant", "bitmex",
+         "--out", str(tmp_path / "a")],
+        ["stake", "--balances", str(DEMO / "validators.csv"), "--percentiles", "5,50", "--out", str(tmp_path / "b")],
+        ["perp", "funding", "--quotes", str(DEMO / "funding_quotes.csv"), "--out", str(tmp_path / "c")],
+        ["stake", "--bogus"],
+        ["validate", "--config", str(DEMO / "stake.json")],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    for argv in calls:
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "cryptoyield.cli", *argv], env=env, cwd=tmp_path,
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/report"], ids=["a-file", "under-a-file"])

@@ -34,6 +34,7 @@ from cryptoyield.errors import (
     UndefinedRatioError,
 )
 from cryptoyield.staking import VALIDATOR_CSV
+from tests.oracles import rows as table_rows
 
 DAY = 86_400.0
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "demo"
@@ -219,7 +220,7 @@ class TestCsvRowSemantics:
 
     def test_iso_and_epoch_timestamps_read_as_epoch_seconds(self, tmp_path):
         columns = self.load(tmp_path, "timestamp,price\n2021-06-01T00:00:00Z,100\n1622592000,110\n")
-        assert columns.rows() == [(1622505600.0, 100.0), (1622592000.0, 110.0)]
+        assert table_rows(columns) == [(1622505600.0, 100.0), (1622592000.0, 110.0)]
 
     def test_missing_column_is_named(self, tmp_path):
         with pytest.raises(InputError, match="timestamp"):
@@ -241,7 +242,7 @@ class TestCsvRowSemantics:
 
     def test_extra_trailing_field_is_ignored(self, tmp_path):
         columns = self.load(tmp_path, "timestamp,price\n0,100,extra\n86400,110,1,2\n")
-        assert columns.rows() == [(0.0, 100.0), (86400.0, 110.0)]
+        assert table_rows(columns) == [(0.0, 100.0), (86400.0, 110.0)]
 
     def test_short_row_is_an_empty_value(self, tmp_path):
         with pytest.raises(InputError, match=r"p\.csv:3: empty value for column\(s\) price$"):

@@ -3,11 +3,13 @@
 The reference functions below are the `csv.DictReader` loaders as they stood
 before `core.read_csv_rows` read columns: one dict per row, a per-row scan for
 empty cells, then a per-cell parse that stops at the first bad cell, with
-`ValidatorRecord`'s per-snapshot checks as they stood. Every
-loader must return what its reference returns, or raise an `InputError` with
-the same message, on the demo CSVs, on mutated demo CSVs drawn by
-`cli_fuzz.csv_files()`, and on one benchmark-sized generated market year,
-both at the reader's default block size and at blocks of a few characters.
+`ValidatorRecord`'s per-snapshot checks as they stood, plus the positive-price
+rules of the funding and basis quotes. The loaders now return tables; read
+back as rows (a cohort as its records), every loader must give what its
+reference returns, or raise an `InputError` with the same message, on the
+demo CSVs, on mutated demo CSVs drawn by `cli_fuzz.csv_files()`, and on one
+benchmark-sized generated market year, both at the reader's default block
+size and at blocks of a few characters.
 """
 
 import csv
@@ -23,9 +25,10 @@ from hypothesis import given, settings
 from cryptoyield import core, optrates, perps, staking
 from cryptoyield.core import cell_number, parse_timestamp
 from cryptoyield.errors import DomainError, InputError
-from cryptoyield.optrates import OptionQuote
 from cryptoyield.staking import StateInterval, ValidatorRecord
 from tests import cli_fuzz
+from tests.oracles import OptionQuote, records_of
+from tests.oracles import rows as table_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scenarios" / "demo"
@@ -137,6 +140,8 @@ def reference_load_mark_index_csv(path):
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         if len(out) > 1 and t <= out[-2][0]:
             raise InputError(f"{path}:{lineno}: quote time {t} is not after the previous quote's {out[-2][0]}")
+        if out[-1][1] <= 0 or out[-1][2] <= 0:
+            raise InputError(f"{path}:{lineno}: mark and index prices must be > 0")
     return out
 
 
@@ -152,15 +157,18 @@ def reference_load_basis_csv(path):
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         if expiry <= t:
             raise InputError(f"{path}:{lineno}: expiry must be after the quote time")
+        if out[-1][1] <= 0 or out[-1][2] <= 0:
+            raise InputError(f"{path}:{lineno}: perp and future prices must be > 0")
     return out
 
 
-# command -> (loader, its reference)
+# command -> (loader read back in its reference's shape, its reference)
 LOADERS = {
-    "stake": (staking.load_validators, reference_load_validators),
-    "implied-rate": (optrates.load_chain_csv, reference_load_chain_csv),
-    "perp-funding": (perps.load_mark_index_csv, reference_load_mark_index_csv),
-    "perp-basis": (perps.load_basis_csv, reference_load_basis_csv),
+    "stake": (lambda path: records_of(staking.load_validators(path)), reference_load_validators),
+    "implied-rate": (lambda path: [OptionQuote(*row) for row in table_rows(optrates.load_chain_csv(path))],
+                     reference_load_chain_csv),
+    "perp-funding": (lambda path: table_rows(perps.load_mark_index_csv(path)), reference_load_mark_index_csv),
+    "perp-basis": (lambda path: table_rows(perps.load_basis_csv(path)), reference_load_basis_csv),
 }
 
 
@@ -187,6 +195,7 @@ def assert_loads_like_reference(command, path):
         assert got == want, f"blocks of {block_chars} characters"
         if command == "stake" and got[0] == "ok":
             assert staking.available_days(got[1].values()) == reference_available_days(want[1].values())
+            assert staking.available_days(staking.load_validators(path)) == reference_available_days(want[1].values())
     return got[0]
 
 
@@ -244,6 +253,14 @@ EDGE_CASES = {
     "state-runs": ("stake", BALANCES + "v1,30,40,Active\nv1,10,40,Active\nv1,20,40,Exited\nv2,0,40,Pending\n"),
     "negative-zero-time": ("stake", BALANCES + "v1,-0.0,40,Active\nv1,0,40,Active\n"),
     "day-edge-rounding": ("stake", BALANCES + "v1,86399.9999999,40,Active\nv1,172799.9999999,40,Active\n"),
+    "mark-not-positive": ("perp-funding", MARKS + "10,1,1\n20,0,1\n"),
+    "index-not-positive": ("perp-funding", MARKS + "10,1,1\n20,1,-5\n"),
+    "order-before-price-in-a-row": ("perp-funding", MARKS + "10,1,1\n5,0,1\n"),
+    "price-before-later-order": ("perp-funding", MARKS + "10,1,1\n20,-1,1\n15,1,1\n"),
+    "future-not-positive": ("perp-basis", BASIS + "0,1,1,100\n5,1,0,100\n"),
+    "perp-underflows-to-zero": ("perp-basis", BASIS + "0,1e-999,1,100\n"),
+    "expiry-before-price-in-a-row": ("perp-basis", BASIS + "0,0,1,-5\n"),
+    "price-row-before-bad-cell": ("perp-basis", BASIS + "0,-1,1,100\n5,x,1,100\n"),
 }
 
 

@@ -27,6 +27,7 @@ from cryptoyield.errors import CryptoYieldError, DomainError, InputError
 from cryptoyield.scenarios import POOL_SCENARIO, _check, run_pool_scenario
 from cryptoyield.xccy import to_fraction
 from tests import cli_fuzz
+from tests.oracles import rows as table_rows
 
 DEMO = cli_fuzz.BASES["amm"]
 
@@ -158,7 +159,7 @@ def outcome(scenario):
     for key in ("pool_rows", "position_rows"):
         table = result[key]
         columns = tuple(table.columns) if len(table) else ()
-        tables[key] = columns, [tuple(map(repr, row)) for row in table.rows()]
+        tables[key] = columns, [tuple(map(repr, row)) for row in table_rows(table)]
     return tables, repr(result["summary"])
 
 
@@ -381,14 +382,14 @@ def test_edge_scenarios_reach_their_paths():
     assert outcome(created) == (DomainError, "pool: integer division result too large for a float")
     result = run_pool_scenario(pool(WITHDRAWN))  # exact shares keep alice's dust in the supply
     assert result["pool_rows"]["total_shares"][-1] == 0.0
-    assert result["position_rows"].rows()[-1][:2] == (2, "alice")
+    assert table_rows(result["position_rows"])[-1][:2] == (2, "alice")
 
 
 def test_withdrawn_pool_pnl_is_positive_zero():
     # 0 * price - (0 * price + 0) is 0.0; a plain negation of the held value would write -0.0.
     scenario = pool([{"action": "add", "dx": 0.0, "dy": 0.0, "position": "a"},
                      {"action": "remove", "position": "genesis", "shares": "all"}])
-    last = run_pool_scenario(scenario)["position_rows"].rows()[-1]
+    last = table_rows(run_pool_scenario(scenario)["position_rows"])[-1]
     assert last[:2] == (2, "a") and repr(last[3]) == "0.0"
     assert_same_outcome(scenario)
 

@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptoyield import reporting
-from cryptoyield.core import Columns
+from cryptoyield.core import Coded, Columns
 from cryptoyield.errors import CryptoYieldError
 from cryptoyield.reporting import Report, Series, config_hash
+from tests.oracles import rows as table_rows
 
 
 def render_value(value):
@@ -241,7 +242,7 @@ class TestColumnarSeries:
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
         arrays = self.arrays(600)
         lists = Columns({name: column.tolist() for name, column in arrays.columns.items()})
-        rows = [dict(zip(arrays.columns, row)) for row in lists.rows()]
+        rows = [dict(zip(arrays.columns, row)) for row in table_rows(lists)]
         for name, table in (("arrays", arrays), ("lists", lists)):
             Report(command="demo", summary={}, series=[Series("s", table)]).write(tmp_path / name)
             assert (tmp_path / name / "s.csv").read_bytes() == reference_csv(tuple(table.columns), rows)
@@ -312,11 +313,28 @@ def tables(draw):
 @example((7, Columns({"text": ["", "a,b", 'say "hi"', "x", "two\nlines"] * 4})))  # text alone, so a lone empty cell
 def test_rendered_bytes_equal_csv_writer_with_render_value(case):
     chunk, table = case
-    rows = [dict(zip(table.columns, row)) for row in table.rows()]
+    rows = [dict(zip(table.columns, row)) for row in table_rows(table)]
     with mock.patch.object(reporting, "_CHUNK_ROWS", chunk), tempfile.TemporaryDirectory() as out:
         Report(command="demo", summary={}, series=[Series("s", table)]).write(out)
         with open(os.path.join(out, "s.csv"), "rb") as fh:
             assert fh.read() == reference_csv(tuple(table.columns), rows)
+
+
+@pytest.mark.parametrize("chunk_rows", sorted({1, 7, 256, reporting._CHUNK_ROWS}))
+@pytest.mark.parametrize("lone", [False, True], ids=["beside-numbers", "alone"])
+def test_coded_text_column_writes_like_its_texts(tmp_path, monkeypatch, chunk_rows, lone):
+    # More texts than rows in small chunks, unused texts, quote-needing and empty ones, a repeated text.
+    texts = ["plain", "a,b", 'say "hi"', "", "two\nlines", "unused", "plain", "Jos\u00e9"]
+    codes = np.random.default_rng(5).choice([0, 1, 2, 3, 4, 6, 7], 600)
+    coded = Coded(texts, codes)
+    assert coded.tolist() == [texts[k] for k in codes.tolist()] and len(coded) == 600
+    columns = {"name": coded} if lone else {"i": np.arange(600), "name": coded, "x": np.linspace(0.0, 1.0, 600)}
+    plain = Columns({name: column.tolist() for name, column in columns.items()})
+    rows = [dict(zip(plain.columns, row)) for row in table_rows(plain)]
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
+    Report(command="demo", summary={}, series=[Series("s", Columns(columns))]).write(tmp_path / "coded")
+    assert (tmp_path / "coded" / "s.csv").read_bytes() == reference_csv(tuple(columns), rows)
+    assert Columns(columns) == plain
 
 
 # The error names the earliest row holding a non-finite cell, then the first

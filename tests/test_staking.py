@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cryptoyield import staking
 from cryptoyield.errors import (
     DomainError,
     EligibilityError,
@@ -30,6 +31,9 @@ from cryptoyield.staking import (
     slash_cost,
     window_returns,
 )
+from tests import oracles
+from tests.oracles import records_of
+
 
 DAY = 86_400.0
 D0 = date(2021, 6, 1)
@@ -231,6 +235,11 @@ def reference_percentile_bands(validators, day, percentiles):
     return {p: float(np.percentile(np.asarray(rates), p)) for p in percentiles}
 
 
+def band_dicts(levels, sizes, bands):
+    """daily_bands' matrix as one {level: value} per day, or None for a day without a cohort."""
+    return [dict(zip(levels, row)) if size else None for size, row in zip(sizes.tolist(), bands.tolist())]
+
+
 ERRORS = {NOT_ACTIVE: EligibilityError, BELOW_MINIMUM: EligibilityError, MISSING_SNAPSHOT: MissingDataError}
 
 
@@ -305,11 +314,33 @@ class TestEngineAgainstScans:
         reasons, rates = window_returns(v, [T1, T1 + DAY])
         assert reasons.tolist() == [MISSING_SNAPSHOT] * 2 and np.isnan(rates).all()
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_pass_matches_per_validator_search(self, seed):
+        cohort = random_cohort(seed, 50)
+        t1s = [midnight_utc(d) for d in ORACLE_DAYS]
+        reasons, rates = staking._windows(staking.cohort(cohort), t1s)
+        for row, v in enumerate(cohort):
+            want_reasons, want_rates = oracles.window_returns(v, t1s)
+            assert reasons[row].tolist() == want_reasons.tolist()
+            assert repr(rates[row].tolist()) == repr(want_rates.tolist())
+
+    def test_nan_and_reversed_intervals_cover_nothing(self):
+        nan = float("nan")
+        balances = [(T0, 40.0), (T1, 40.1)]
+        cohort = [
+            validator(balances, states=states, vid=f"v{i}")
+            for i, states in enumerate([[(T0, nan, "Active")], [(nan, T1, "Active")], [(T1, T0, "Active")],
+                                        [(T0, T1, "Active")]])
+        ]
+        reasons, _ = staking._windows(staking.cohort(cohort), [T1])
+        assert reasons.ravel().tolist() == [NOT_ACTIVE] * 3 + [ELIGIBLE]
+        assert [oracles.window_returns(v, [T1])[0].tolist() for v in cohort] == reasons.tolist()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_daily_bands_match_per_day_bands(self, seed):
         cohort = random_cohort(100 + seed, 60)
         levels = [0, 1, 5, 25, 50, 50, 75, 95, 99, 100, 33.3]
-        bands = daily_bands(cohort, ORACLE_DAYS, levels)
+        bands = band_dicts(levels, *daily_bands(cohort, ORACLE_DAYS, levels))
         assert len(bands) == len(ORACLE_DAYS)
         assert any(b is None for b in bands) and any(b is not None for b in bands)
         for day, got in zip(ORACLE_DAYS, bands):
@@ -344,13 +375,14 @@ class TestEngineAgainstScans:
         levels = [0, 100, 33.3, 50, 50, 12.5, 99.9, 66.7, 80.1]
         sizes = [sum(reference_daily_return(v, day)[0] == ELIGIBLE for v in cohort) for day in days]
         assert sizes == [10, 1, 2, 240]
-        for day, got in zip(days, daily_bands(cohort, days, levels)):
+        for day, got in zip(days, band_dicts(levels, *daily_bands(cohort, days, levels))):
             assert got == reference_percentile_bands(cohort, day, levels)
 
     def test_bad_level_without_cohort_is_domain_error(self):
         # The level is checked before any window is judged: no day here has a cohort.
         below = [validator([(T0, 31.0), (T1, 31.5)])]
-        assert daily_bands(below, [D1], [50]) == [None]
+        sizes, bands = daily_bands(below, [D1], [50])
+        assert sizes.tolist() == [0] and np.isnan(bands).all() and bands.shape == (1, 1)
         with pytest.raises(DomainError, match="percentile level must be in \\[0, 100\\], got 150"):
             daily_bands(below, [D1], [50, 150])
         with pytest.raises(DomainError, match="percentile level"):
@@ -372,7 +404,7 @@ class TestCsvLoading:
     def test_load_and_compute(self, tmp_path):
         f = tmp_path / "validators.csv"
         f.write_text(self.CSV)
-        records = load_validators(f)
+        records = records_of(load_validators(f))
         assert set(records) == {"v1", "v2"}
         r = daily_return(records["v1"], D1)
         assert_allclose(r.annualized_return, KNOWN_DAILY_RETURN, rtol=1e-12)
@@ -380,7 +412,7 @@ class TestCsvLoading:
     def test_state_runs_merge_into_intervals(self, tmp_path):
         f = tmp_path / "validators.csv"
         f.write_text(self.CSV)
-        v1 = load_validators(f)["v1"]
+        v1 = records_of(load_validators(f))["v1"]
         assert v1.state_intervals == (
             StateInterval(T0, T1, "Active"),
             StateInterval(T1 + DAY, T1 + DAY, "Exited"),
@@ -392,7 +424,7 @@ class TestCsvLoading:
     def test_available_days(self, tmp_path):
         f = tmp_path / "validators.csv"
         f.write_text(self.CSV)
-        days = available_days(load_validators(f).values())
+        days = available_days(load_validators(f))
         assert days == [D1, D1 + timedelta(days=1)]
 
     def test_bad_header(self, tmp_path):

@@ -24,6 +24,7 @@ from cryptoyield.core import Columns
 from cryptoyield.errors import DomainError, StaleTickError
 from cryptoyield.scenarios import _PRIORITY, SWAP_SCENARIO, _check, run_swap_scenario
 from cryptoyield.xccy import ALPHA, BETA, Leg, OracleTick, SwapAgreement, to_fraction
+from tests.oracles import rows as table_rows
 
 
 # -- the exact replay, kept as the oracle ------------------------------------------
@@ -140,7 +141,7 @@ def outcome(run, scenario):
         result = run(copy.deepcopy(scenario))
     except Exception as exc:
         return type(exc), str(exc)
-    return [tuple(map(repr, row)) for row in result["audit_rows"].rows()], repr(result["final_state"])
+    return [tuple(map(repr, row)) for row in table_rows(result["audit_rows"])], repr(result["final_state"])
 
 
 def assert_same_outcome(scenario):
