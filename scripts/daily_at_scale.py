@@ -10,14 +10,18 @@ only: 1000 validators, and 5 tenors x 20 strikes, which is 100 option quotes a
 day. It writes one market year of `daily-reports` inputs into a temporary
 directory, runs each job (`stake`, `implied-rate`, `perp funding`,
 `perp basis`) through `cryptoyield.cli.main` `--repeats` times, and prints
-one line per command with the minimum and median wall seconds and the rows
-of its input CSV. The package is imported from this checkout's `src/`.
+one line per command with the minimum and median wall seconds, the rows of
+its input CSV and the sha256 of each CSV file it wrote, so that two checkouts
+can be compared for byte identity at these sizes (`report.json` is left out:
+it names the temporary input paths). The package is imported from this
+checkout's `src/`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -62,6 +66,15 @@ def time_job(config, out, repeats):
     return walls
 
 
+def csv_digests(out):
+    """`name sha256 <hex>` of each CSV file in the report directory `out`, in name order."""
+    digests = []
+    for name in sorted(n for n in os.listdir(out) if n.endswith(".csv")):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests.append(f"{name} sha256 {hashlib.sha256(fh.read()).hexdigest()}")
+    return ", ".join(digests)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -76,9 +89,10 @@ def main(argv=None):
                 table = next(value for key, value in json.load(fh).items() if str(value).endswith(".csv"))
             with open(os.path.join(inputs, table)) as fh:
                 rows = sum(1 for _ in fh) - 1
-            walls = time_job(config, os.path.join(work, "out", name), args.repeats)
+            out = os.path.join(work, "out", name)
+            walls = time_job(config, out, args.repeats)
             print(f"{name}: min {min(walls):.4f} s, median {statistics.median(walls):.4f} s "
-                  f"over {len(walls)} runs; {rows} input rows")
+                  f"over {len(walls)} runs; {rows} input rows; {csv_digests(out)}")
     return 0
 
 

@@ -16,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -255,14 +255,16 @@ def read_csv_rows(path, schema, check=None) -> Columns:
 
     A clean file is read once and parsed as columns, in blocks of lines (see
     `_clean_columns`), so that its peak memory is the text, one block and
-    the columns; each distinct cell of a TEXT column is one shared `str`.
-    Any other file is read again row by row, and its first problem in file
-    order raises an InputError naming the file and line: the header, then an
-    empty cell in any row, then per row the first bad cell (timestamp columns
-    first, then the others, each in schema order) or the row `check` names,
-    whichever comes first. Rows follow `csv.DictReader`: a blank line is
-    skipped, extra fields are ignored, a repeated header name means its last
-    column, and a row's line is the last physical line of its record.
+    the columns; each distinct cell of a TEXT column is one shared `str`, a
+    line longer than `csv.field_size_limit()` makes a file unclean, and the
+    rows' lines are one `range` unless a line is blank. Any other file is
+    read again row by row, and its first problem in file order raises an
+    InputError naming the file and line: the header, then an empty cell in
+    any row, then per row the first bad cell (timestamp columns first, then
+    the others, each in schema order) or the row `check` names, whichever
+    comes first. Rows follow `csv.DictReader`: a blank line is skipped,
+    extra fields are ignored, a repeated header name means its last column,
+    and a row's line is the last physical line of its record.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -280,45 +282,68 @@ def _clean_columns(text, schema):
 
     Clean means no quote and no NUL, so every record is one line and
     splitting it at commas is what `csv.reader` does; every row has the same
-    number of fields; no cell is empty and every number is finite. The text
-    is parsed in blocks of about `_BLOCK_CHARS` characters, each cut after a
-    newline, so that only one block's lines and cells are alive at a time
-    beside the columns. Each distinct cell of a TEXT column is one shared
-    `str`.
+    number of fields; no line is longer than `csv.field_size_limit()`; no
+    cell is empty and every number is finite. The text is parsed in blocks
+    of about `_BLOCK_CHARS` characters, each cut after a newline, so that
+    only one block's lines and cells are alive at a time beside the columns.
+
+    After the first row has set the width, a block no longer than the
+    field-size limit whose commas and newlines fall as rows of that width
+    with no blank line (`_aligned_rows`) is split into cells once, at its
+    newlines and commas together. Any other block is split into lines: its
+    blank lines are dropped and counted, its line lengths are scanned only
+    when the block is longer than the limit (no line is longer than its
+    block), each row's commas are counted, and its rows are split at commas.
+    The rows' lines are one range when no line is blank, else an int array.
+    Each distinct cell of a TEXT column is one shared `str`.
     """
     if '"' in text or "\0" in text:
         return None
     index = width = None
-    lines, line = array("q"), 1  # the line numbers of the rows kept, and of the last line read
+    line, blank = 1, False  # the last line read, and whether a blank line was skipped
+    parts = []  # each block's line numbers: a range, or a list where a line was blank
+    limit = csv.field_size_limit()
     columns = {name: [] for name in schema}  # a TEXT column's cells, else its blocks of floats
     memos = {name: {} for name in schema if schema[name] is TEXT}
     start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        block = text[start:end].replace("\r\n", "\n").replace("\r", "\n")  # line ends as `csv.reader` sees them
-        body = block.split("\n")
+        block = text[start:end]
         start = end
-        if not body[-1]:
-            body.pop()  # the newline that ends the block's last record
+        if "\r" in block:  # line ends as `csv.reader` sees them
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
         if index is None:  # the header; a repeated name keeps its last column
-            index = {name: i for i, name in enumerate(body.pop(0).split(","))}
-        numbers = range(line + 1, line + 1 + len(body))
-        line += len(body)
-        if "" in body:  # a blank line is skipped but counted
-            numbers = [n for n, row in zip(numbers, body) if row]
-            body = list(filter(None, body))
-        if not body:
-            continue
-        if max(map(len, body)) > csv.field_size_limit():
-            return None
-        if width is None:
-            width = body[0].count(",") + 1
-            if not all(index.get(c, width) < width for c in schema):  # wide enough for every column
+            header, _, block = block.partition("\n")
+            index = {name: i for i, name in enumerate(header.split(","))}
+        rows = _aligned_rows(block, width) if width and width > 1 and len(block) <= limit else 0
+        if rows:  # no blank line, and every row as wide as the first
+            parts.append(range(line + 1, line + 1 + rows))
+            line += rows
+            cells = block.replace("\n", ",").split(",")
+            if block.endswith("\n"):
+                cells.pop()  # the empty cell after the newline that ends the block
+        else:
+            body = block.split("\n")
+            if not body[-1]:
+                body.pop()  # the newline that ends the block's last record
+            numbers = range(line + 1, line + 1 + len(body))
+            line += len(body)
+            if "" in body:  # a blank line is skipped but counted
+                blank = True
+                numbers = [n for n, row in zip(numbers, body) if row]
+                body = list(filter(None, body))
+            parts.append(numbers)
+            if not body:
+                continue
+            if len(block) > limit and max(map(len, body)) > limit:
                 return None
-        if set(map(str.count, body, repeat(","))) != {width - 1}:  # every row as wide as the first
-            return None
-        lines.extend(numbers)
-        cells = ",".join(body).split(",")
+            if width is None:
+                width = body[0].count(",") + 1
+                if not all(index.get(c, width) < width for c in schema):  # wide enough for every column
+                    return None
+            if set(map(str.count, body, repeat(","))) != {width - 1}:  # every row as wide as the first
+                return None
+            cells = ",".join(body).split(",")
         for name, kind in schema.items():
             column = cells[index[name] :: width]
             if "" in column:
@@ -335,7 +360,25 @@ def _clean_columns(text, schema):
     for name, kind in schema.items():
         if kind is not TEXT:
             columns[name] = np.concatenate(columns[name])
-    return Columns(columns, lines)
+    return Columns(columns, array("q", chain.from_iterable(parts)) if blank else range(2, line + 1))
+
+
+def _aligned_rows(block, width):
+    """The number of lines in `block` if each has `width` - 1 commas and none is blank, else 0.
+
+    For `width` > 1 the commas and newlines of such a block run as `width` - 1
+    commas and a newline, line after line, with the last newline optional; a
+    blank line puts a newline where a comma belongs. The check runs on the
+    UTF-8 bytes, where no other character holds a comma or newline byte.
+    """
+    seps = np.frombuffer(block.encode(), np.uint8)
+    seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
+    if not block.endswith("\n"):
+        seps = np.append(seps, ord("\n"))
+    if len(seps) % width:
+        return 0
+    grid = seps.reshape(-1, width)
+    return len(grid) if (grid[:, -1] == ord("\n")).all() and (grid[:, :-1] == ord(",")).all() else 0
 
 
 def _scanned_columns(path, schema, check):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timezone
-from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -105,9 +104,12 @@ def rolling_average(values, window: int):
         raise DomainError(f"window must be >= 1, got {window}")
     values = np.asarray(values, dtype=float).tolist()
     ends = range(1, len(values) + 1)
-    # Entry i sums values[max(0, i - window + 1) : i + 1], exactly rounded once by fsum.
-    sums = [math.fsum(values[a:b]) for a, b in zip(chain(repeat(0, window - 1), count()), ends)]
-    return np.array(sums, dtype=float) / np.minimum(ends, window)
+    # Entry i sums values[max(0, i - window + 1) : i + 1], exactly rounded once by fsum: the
+    # first window - 1 entries from a head slice, then each full window as one tuple of a zip.
+    full = max(len(values) - window + 1, 0)
+    heads = [math.fsum(values[:b]) for b in ends[: window - 1]]
+    windows = zip(*(values[i : i + full] for i in range(window)))
+    return np.array([*heads, *map(math.fsum, windows)], dtype=float) / np.minimum(ends, window)
 
 
 CHAIN_CSV = {

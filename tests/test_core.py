@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import pathlib
@@ -35,6 +36,7 @@ from cryptoyield.errors import (
 )
 from cryptoyield.staking import VALIDATOR_CSV
 from tests.oracles import rows as table_rows
+from tests.test_loaders import BLOCK_CHARS
 
 DAY = 86_400.0
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "demo"
@@ -199,15 +201,130 @@ def test_csv_behind_byte_order_mark_reads_like_plain(tmp_path):
         assert np.array_equal(got[name], want[name])
 
 
-@pytest.mark.parametrize("text, lines", [("0,1\n86400,2\n", [2, 3]), ("0,1\n\n86400,2\n", [2, 4])],
-                         ids=["consecutive", "blank-line"])
-def test_clean_and_scanned_reads_hold_equal_lines(tmp_path, monkeypatch, text, lines):
+def read_outcome(path, schema=PRICES):
+    """("ok", columns) or ("error", InputError message) of `read_csv_rows`."""
+    try:
+        return "ok", read_csv_rows(path, schema)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def scanned_outcome(path, schema=PRICES):
+    """`read_outcome` with the clean path turned off, so that every file is read row by row."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_clean_columns", lambda text, schema: None)
+        return read_outcome(path, schema)
+
+
+def read_clean(text, schema=PRICES):
+    """Whether `_clean_columns` reads `text` as columns (a parse error sends it to the row scan)."""
+    try:
+        return core._clean_columns(text, schema) is not None
+    except ValueError:
+        return False
+
+
+def clean_outcomes(path, text, schema=PRICES):
+    """`read_outcome` and `read_clean`, at each of BLOCK_CHARS and the default block size."""
+    for block_chars in (core._BLOCK_CHARS, *BLOCK_CHARS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_BLOCK_CHARS", block_chars)
+            yield block_chars, read_outcome(path, schema), read_clean(text, schema)
+
+
+# Rows of a two-column CSV after its header, "" for a blank line: blank lines
+# right after the header, between rows, in runs and at the end, and (in the
+# sweeps) before every row, so that at each block size some fall at a block's
+# start and some at its end.
+SWEEP = [f"{86_400 * k},{k}.{'5' * k}" for k in range(12)]
+LINE_CASES = {
+    "consecutive": ["0,1", "86400,2"],
+    "blank-line": ["0,1", "", "86400,2"],
+    "after-header": ["", "", "0,1", "86400,2"],
+    "runs": ["0,1", "", "", "86400,2", "", "", "", "172800,3"],
+    "trailing": ["0,1", "86400,2", "", "", ""],
+    "no-rows": ["", ""],
+    "bad-cell-after-blanks": ["0,1", "", "", "x,2", "172800,3"],
+    "non-ascii-digits": ["0,\u0661", "", "86400,\u0662.\u0665", "172800,3"],
+    **{f"blank-at-{k}": [*SWEEP[:k], "", *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
+    **{f"run-at-{k}": [*SWEEP[:k], "", "", "", *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
+}
+
+
+@pytest.mark.parametrize("rows", LINE_CASES.values(), ids=LINE_CASES.keys())
+def test_clean_and_scanned_reads_hold_equal_lines(tmp_path, rows):
     path = tmp_path / "p.csv"
-    path.write_text("timestamp,price\n" + text)
-    clean = read_csv_rows(path, PRICES)
-    monkeypatch.setattr(core, "_clean_columns", lambda text, schema: None)
-    scanned = read_csv_rows(path, PRICES)
-    assert clean == scanned and list(clean.lines) == lines
+    for newline, ending in (("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")):
+        text = newline.join(["timestamp,price", *rows]) + ending
+        path.write_bytes(text.encode())
+        scanned = scanned_outcome(path)
+        for block_chars, got, clean in clean_outcomes(path, text):
+            assert got == scanned, f"blocks of {block_chars} characters"
+            assert clean == (got[0] == "ok"), f"blocks of {block_chars} characters"
+        if scanned[0] == "ok":
+            assert list(scanned[1].lines) == [n for n, row in enumerate(rows, 2) if row]
+
+
+# A row one field short, one field long or twice as long at each position of
+# the sweep: the clean path leaves the file to the row scan, which names the
+# short row's empty cell and ignores the long rows' extra fields.
+RAGGED_CASES = {
+    **{f"short-at-{k}": [*SWEEP[:k], "259200", *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
+    **{f"long-at-{k}": [*SWEEP[:k], "259200,1,2", *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
+    **{f"double-at-{k}": [*SWEEP[:k], "259200,1,345600,2", *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
+}
+
+
+@pytest.mark.parametrize("rows", RAGGED_CASES.values(), ids=RAGGED_CASES.keys())
+def test_ragged_rows_leave_the_clean_path(tmp_path, rows):
+    path = tmp_path / "p.csv"
+    text = "\n".join(["timestamp,price", *rows, ""])
+    path.write_text(text)
+    scanned = scanned_outcome(path)
+    for block_chars, got, clean in clean_outcomes(path, text):
+        assert (got, clean) == (scanned, False), f"blocks of {block_chars} characters"
+
+
+@pytest.mark.parametrize("rows", [["1", "2", "3"], ["", "1", "", "", "2", "3", ""]], ids=["consecutive", "blank-lines"])
+def test_one_column_file_reads_like_the_row_scan(tmp_path, rows):
+    # A one-field row has no comma, so only its line tells a blank line from a row.
+    schema = {"price": NUMBER}
+    path = tmp_path / "p.csv"
+    text = "\n".join(["price", *rows])
+    path.write_text(text)
+    scanned = scanned_outcome(path, schema)
+    for block_chars, got, clean in clean_outcomes(path, text, schema):
+        assert (got, clean) == (scanned, True), f"blocks of {block_chars} characters"
+    assert list(scanned[1].lines) == [n for n, row in enumerate(rows, 2) if row]
+
+
+# A field-size limit below some lines of the files that follow, each beside
+# whether the clean path reads it. Each is read in blocks shorter than the limit
+# (one or two lines) and in blocks longer than it.
+FIELD_LIMIT = 24
+LIMIT_CASES = {
+    "lines-within-limit": (["0,1", "86400,2.5", "", "172800,1" + "0" * 14, "259200,4"], True),
+    "line-over-limit": (["0,1", "86400," + "1" * 20, "172800,3"], False),
+    "field-over-limit": (["0,1", "86400," + "1" * 30, "172800,3"], False),
+}
+
+
+@pytest.fixture
+def lowered_field_limit():
+    old = csv.field_size_limit(FIELD_LIMIT)
+    yield
+    csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("rows, clean", LIMIT_CASES.values(), ids=LIMIT_CASES.keys())
+def test_clean_and_scanned_reads_agree_under_a_lowered_field_limit(tmp_path, lowered_field_limit, rows, clean):
+    path = tmp_path / "p.csv"
+    text = "\n".join(["timestamp,price", *rows, ""])
+    path.write_text(text)
+    assert max(map(len, text.split("\n"))) > FIELD_LIMIT or clean
+    scanned = scanned_outcome(path)
+    for block_chars, got, took_clean_path in clean_outcomes(path, text):
+        assert (got, took_clean_path) == (scanned, clean), f"blocks of {block_chars} characters"
 
 
 class TestCsvRowSemantics:
