@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timezone
+from itertools import islice
 
 import numpy as np
 
@@ -105,10 +106,10 @@ def rolling_average(values, window: int):
     values = np.asarray(values, dtype=float).tolist()
     ends = range(1, len(values) + 1)
     # Entry i sums values[max(0, i - window + 1) : i + 1], exactly rounded once by fsum: the
-    # first window - 1 entries from a head slice, then each full window as one tuple of a zip.
-    full = max(len(values) - window + 1, 0)
+    # first window - 1 entries from a head slice, then each full window as one tuple of a zip
+    # over `window` staggered iterators, which stops at the shortest.
     heads = [math.fsum(values[:b]) for b in ends[: window - 1]]
-    windows = zip(*(values[i : i + full] for i in range(window)))
+    windows = zip(*(islice(values, i, None) for i in range(window)))
     return np.array([*heads, *map(math.fsum, windows)], dtype=float) / np.minimum(ends, window)
 
 

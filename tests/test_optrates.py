@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -19,6 +20,7 @@ from cryptoyield.optrates import (
     load_chain_csv,
     rolling_average,
 )
+from tests import oracles
 from tests.oracles import rows as table_rows
 
 YEAR_SECONDS = 365 * 86_400.0
@@ -203,6 +205,24 @@ class TestRollingAverage:
     def test_bad_window(self):
         with pytest.raises(DomainError):
             rolling_average([1.0], 0)
+
+    @pytest.mark.parametrize("window", [2, 7, 999, 2000, 3999, 4000, 4001, 6000])
+    def test_equals_the_per_row_oracle_bit_for_bit(self, window):
+        values = np.random.default_rng(window).lognormal(size=4000).tolist()
+        assert rolling_average(values, window).tolist() == oracles.rolling_average(values, window)
+
+    def test_a_wide_window_holds_one_window_at_a_time(self):
+        # The full windows come from `window` staggered iterators, not `window`
+        # copies of the series: 2000 copies of 2001 floats would take ~32 MB.
+        values = np.random.default_rng(3).lognormal(size=4000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rolling_average(values, len(values) // 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestCsv:
