@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     except CryptoYieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an input too large for this machine, such as --paths 2000000000
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -208,14 +208,11 @@ class Columns:
     """A table of named, equal-length columns, each a list, a 1-D numpy array or a `Coded` text column.
 
     Its length is the row count. A table read from a CSV also keeps the file
-    line of each row in `lines`, an int array, or a range when the lines run
-    on without a gap (so equal lines compare equal); any other table has
-    `lines` None.
+    line of each row in `lines`, a sequence of ints (see `read_csv_rows`);
+    any other table has `lines` None.
     """
 
     def __init__(self, columns, lines=None):
-        if lines and lines[-1] - lines[0] == len(lines) - 1:  # increasing, so consecutive
-            lines = range(lines[0], lines[-1] + 1)
         self.columns, self.lines = columns, lines
 
     def __len__(self) -> int:
@@ -232,7 +229,7 @@ class Columns:
             return NotImplemented
         return (
             list(self.columns) == list(other.columns)
-            and self.lines == other.lines
+            and list(self.lines or ()) == list(other.lines or ())
             and all(_cells(a) == _cells(b) for a, b in zip(self.columns.values(), other.columns.values()))
         )
 
@@ -256,14 +253,15 @@ def read_csv_rows(path, schema, check=None) -> Columns:
     `_clean_columns`), so that its peak memory is the text, one block and
     the columns; each distinct cell of a TEXT column is one shared `str`, a
     line longer than `csv.field_size_limit()` makes a file unclean, and the
-    rows' lines are one `range` unless a line is blank. Any other file is
-    read again row by row, and its first problem in file order raises an
-    InputError naming the file and line: the header, then an empty cell in
-    any row, then per row the first bad cell (timestamp columns first, then
-    the others, each in schema order) or the row `check` names, whichever
-    comes first. Rows follow `csv.DictReader`: a blank line is skipped,
-    extra fields are ignored, a repeated header name means its last column,
-    and a row's line is the last physical line of its record.
+    rows' lines are one `range` unless a line is blank, then an int array.
+    Any other file is read again row by row, its rows' lines kept in an int
+    array, and its first problem in file order raises an InputError naming
+    the file and line: the header, then an empty cell in any row, then per
+    row the first bad cell (timestamp columns first, then the others, each
+    in schema order) or the row `check` names, whichever comes first. Rows
+    follow `csv.DictReader`: a blank line is skipped, extra fields are
+    ignored, a repeated header name means its last column, and a row's line
+    is the last physical line of its record.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -312,7 +310,8 @@ def _clean_columns(text, schema):
         if index is None:  # the header; a repeated name keeps its last column
             header, _, block = block.partition("\n")
             index = {name: i for i, name in enumerate(header.split(","))}
-        blank = _holds_blank_line(block)
+        data = block.encode()  # the UTF-8 bytes both scans read
+        blank = _holds_blank_line(data)
         if blank:  # a blank line is skipped but counted
             body = block.split("\n")
             if not body[-1]:
@@ -322,6 +321,7 @@ def _clean_columns(text, schema):
             lines.extend(n for n, row in enumerate(body, line + 1) if row)
             line += len(body)
             block = "\n".join(filter(None, body))
+            data = block.encode()
         if not block:
             continue
         if len(block) > limit and max(map(len, block.split("\n"))) > limit:
@@ -330,7 +330,7 @@ def _clean_columns(text, schema):
             width = block.partition("\n")[0].count(",") + 1
             if not all(index.get(c, width) < width for c in schema):  # wide enough for every column
                 return None
-        rows = _aligned_rows(block, width)
+        rows = _aligned_rows(data, width)
         if not rows:  # some row is not as wide as the first
             return None
         if not blank:
@@ -359,27 +359,27 @@ def _clean_columns(text, schema):
     return Columns(columns, range(2, line + 1) if lines is None else lines)
 
 
-def _holds_blank_line(block) -> bool:
-    """Whether a block of whole lines starts with a newline or holds two in a row.
+def _holds_blank_line(data) -> bool:
+    """Whether the UTF-8 bytes of a block of whole lines start with a newline or hold two in a row.
 
-    The scan runs on the UTF-8 bytes with numpy: a substring search for two
-    newlines takes ~7x as long, as newlines are frequent.
+    The scan runs with numpy: a substring search for two newlines takes ~7x
+    as long, as newlines are frequent.
     """
-    newlines = np.frombuffer(block.encode(), np.uint8) == ord("\n")
+    newlines = np.frombuffer(data, np.uint8) == ord("\n")
     return bool(newlines[:1].any() or (newlines[1:] & newlines[:-1]).any())
 
 
-def _aligned_rows(block, width):
-    """The number of lines in `block`, which holds no blank line, if each has `width` - 1 commas, else 0.
+def _aligned_rows(data, width):
+    """The number of lines in a block, which holds no blank line, if each has `width` - 1 commas, else 0.
 
     The commas and newlines of such a block run as `width` - 1 commas and a
     newline, line after line, with the last newline optional. The check runs
-    on the UTF-8 bytes, where no other character holds a comma or newline
-    byte.
+    on the block's UTF-8 bytes `data`, where no other character holds a
+    comma or newline byte.
     """
-    seps = np.frombuffer(block.encode(), np.uint8)
+    seps = np.frombuffer(data, np.uint8)
     seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
-    if not block.endswith("\n"):
+    if not data.endswith(b"\n"):
         seps = np.append(seps, ord("\n"))
     if len(seps) % width:
         return 0

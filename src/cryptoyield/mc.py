@@ -11,13 +11,14 @@ combine in block order, so estimates are bit-identical for a given spec and
 seed no matter how blocks would be scheduled across workers. numpy pins the
 Philox bit stream across releases.
 
-The first-passage oracle draws each block in row chunks from the block's one
-generator, which yields the same bits as drawing the block at once. One
-helper thread draws the next chunk into a second buffer while the kernel
-walks the current one, so drawing and stepping overlap on two cores; values
-still combine in block and row order. The kernel evaluates the bridge
-exponentials without numpy's slow path for tiny results (``_exp_nonpositive``)
-and returns the same bits as ``np.exp``.
+Both oracles draw each block in row chunks from the block's one generator,
+which yields the same bits as drawing the block at once; a terminal-value
+chunk is its whole block. One helper thread draws the next chunk into a
+second buffer while the caller works on the current one, so drawing and
+computing overlap on two cores; values still combine in block and row order.
+The first-passage kernel evaluates the bridge exponentials without numpy's
+slow path for tiny results (``_exp_nonpositive``) and returns the same bits
+as ``np.exp``.
 
 Both oracles write each block's values (pair means with antithetic
 sampling) into one preallocated array, and the standard error repeats
@@ -28,8 +29,10 @@ blocks, holding one double per pair beside the current block.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -42,9 +45,9 @@ _PATH_BLOCK_BUDGET = 1 << 21
 # Longest path: one row of normals fits half the block budget, so the two
 # draw buffers never exceed one block plus one row.
 MAX_STEPS = 1 << 20
-# Most doubles in one row chunk of normals (1024 rows of 512 steps). The
-# first-passage oracle holds two chunks, the one the kernel walks and the
-# one being drawn, in place of a whole block.
+# Most doubles in one row chunk of normals (1024 rows of 512 steps). An
+# oracle holds two chunks, the one it works on and the one being drawn, in
+# place of a whole block; a terminal-value block (2 x 2**16) fits one chunk.
 _DRAW_DOUBLES = 1 << 19
 # Most doubles in one (steps x live paths) matrix of the first-passage
 # kernel. A chunk of normals is path-major, so the kernel copies each live
@@ -125,6 +128,62 @@ def _pair_blocks(total_pairs: int, block_pairs: int):
         block += 1
 
 
+def _row_chunks(seed: int, total: int, block_pairs: int, rows: int):
+    """(block generator, row count) of every row chunk, in block and row order."""
+    for block, m in _pair_blocks(total, block_pairs):
+        generator = _block_generator(seed, block)
+        for start in range(0, m, rows):
+            yield generator, min(rows, m - start)
+
+
+def _normal_chunks(seed: int, total: int, block_pairs: int, width: int):
+    """Yield every block's normals as (rows, width) chunks, in block and row order.
+
+    A block's chunks come from the block's one generator, so together they
+    hold the bits of drawing the block at once. A chunk is a view of one of
+    two buffers and is valid until the next one is asked for: while the
+    caller works on it, one helper thread draws the next chunk into the
+    other buffer. The helper allocates nothing, a failed draw is raised
+    here, and closing the generator waits for the helper to end.
+    """
+    rows = min(block_pairs, max(1, _DRAW_DOUBLES // width))
+    buffers = (np.empty((rows, width)), np.empty((rows, width)))
+    with ThreadPoolExecutor(1) as helper:
+        drawn = None
+        for k, (generator, r) in enumerate(_row_chunks(seed, total, block_pairs, rows)):
+            drawing = helper.submit(generator.standard_normal, out=buffers[k % 2][:r])
+            if drawn is not None:
+                yield drawn.result()
+            drawn = drawing
+        yield drawn.result()
+
+
+def _pairs(spec: GbmSpec) -> int:
+    """The number of path pairs, or of paths without antithetic sampling."""
+    return spec.paths // 2 if spec.antithetic else spec.paths
+
+
+def _values(spec: GbmSpec, block_pairs: int, width: int, legs):
+    """Per-pair values of the spec's paths, one chunk of normals at a time.
+
+    ``legs(z)`` gives the values of the paths whose normals are the rows of
+    the chunk ``z``, then with antithetic sampling those of their mirrors;
+    a pair's value is the mean of its two paths'.
+    """
+    values = np.empty(_pairs(spec))
+    start = 0
+    with closing(_normal_chunks(spec.seed, values.size, block_pairs, width)) as chunks:
+        for z in chunks:
+            out = values[start : start + z.shape[0]]
+            start += z.shape[0]
+            plain, *mirrored = legs(z)
+            out[...] = plain
+            if mirrored:
+                out += mirrored[0]
+                out *= 0.5
+    return values
+
+
 def _terminal_from_normals(spec: GbmSpec, z: np.ndarray):
     """Exact lognormal terminal values from (m, 2) standard normals, each leg computed in place."""
     t = spec.T
@@ -141,14 +200,14 @@ def _terminal_from_normals(spec: GbmSpec, z: np.ndarray):
     return a, b
 
 
-def _terminal_batches(spec: GbmSpec):
-    """Yield (a, b) terminal arrays per RNG block; with antithetic sampling the block's mirrored paths follow."""
-    total = spec.paths // 2 if spec.antithetic else spec.paths
-    for block, m in _pair_blocks(total, _TERMINAL_BLOCK):
-        z = _block_generator(spec.seed, block).standard_normal((m, 2))
-        yield _terminal_from_normals(spec, z)
-        if spec.antithetic:
-            yield _terminal_from_normals(spec, np.negative(z, out=z))
+def _terminal_legs(spec: GbmSpec, z: np.ndarray):
+    """Yield the (a, b) terminal values of the paths with normals ``z``, then with antithetic sampling those of their mirrors.
+
+    The mirrored legs come from ``z`` negated in place.
+    """
+    yield _terminal_from_normals(spec, z)
+    if spec.antithetic:
+        yield _terminal_from_normals(spec, np.negative(z, out=z))
 
 
 def simulate_terminal(spec: GbmSpec):
@@ -157,11 +216,12 @@ def simulate_terminal(spec: GbmSpec):
     With antithetic sampling each block lays out the mirrored paths after the
     plain ones; the layout is deterministic given the spec.
     """
-    parts_a, parts_b = [], []
-    for a, b in _terminal_batches(spec):
-        parts_a.append(a)
-        parts_b.append(b)
-    return np.concatenate(parts_a), np.concatenate(parts_b)
+    legs = []
+    with closing(_normal_chunks(spec.seed, _pairs(spec), _TERMINAL_BLOCK, 2)) as chunks:
+        for z in chunks:
+            legs.extend(_terminal_legs(spec, z))
+    a, b = zip(*legs)
+    return np.concatenate(a), np.concatenate(b)
 
 
 def _estimate_from_values(v: np.ndarray, discount: float, paths: int) -> McEstimate:
@@ -188,19 +248,8 @@ def price_payoff(spec: GbmSpec, payoff, discount_rate: float = 0.0) -> McEstimat
     the sampled support. With antithetic sampling the standard error is
     computed over pair means, never over raw paths.
     """
-    discount = math.exp(-discount_rate * spec.T)
-    values = np.empty(spec.paths // 2 if spec.antithetic else spec.paths)
-    batches = _terminal_batches(spec)
-    start = 0
-    for a, b in batches:
-        out = values[start : start + a.size]
-        start += a.size
-        out[...] = payoff(a, b)
-        if spec.antithetic:  # the pair mean (p + q) / 2, q over the mirrored paths
-            del a, b  # free the plain legs before the mirrored ones are made
-            out += payoff(*next(batches))
-            out *= 0.5
-    return _estimate_from_values(values, discount, spec.paths)
+    values = _values(spec, _TERMINAL_BLOCK, 2, lambda z: starmap(payoff, _terminal_legs(spec, z)))
+    return _estimate_from_values(values, math.exp(-discount_rate * spec.T), spec.paths)
 
 
 def _exp_nonpositive(e):
@@ -318,62 +367,6 @@ def _hit_contributions(spec: GbmSpec, barrier: float, discount_rate: float, brid
     return contrib
 
 
-def _fill(generator, out, failures):
-    """Draw normals into ``out``; the helper thread's target, so it records a failure."""
-    try:
-        generator.standard_normal(out=out)
-    except Exception as exc:  # re-raised on the main thread
-        failures.append(exc)
-
-
-def _row_chunks(seed: int, total: int, block_pairs: int, rows: int):
-    """(block generator, row count) of every row chunk, in block and row order."""
-    for block, m in _pair_blocks(total, block_pairs):
-        generator = _block_generator(seed, block)
-        for start in range(0, m, rows):
-            yield generator, min(rows, m - start)
-
-
-def _normal_chunks(seed: int, total: int, block_pairs: int, steps: int):
-    """Yield every block's normals as (rows, steps) chunks, in block and row order.
-
-    A block's chunks come from the block's one generator, so together they
-    hold the bits of drawing the block at once. A chunk is a view of one of
-    two buffers and is valid until the next one is asked for: while the
-    caller works on it, one helper thread draws the next chunk into the
-    other buffer. The helper allocates nothing; closing the generator waits
-    for it.
-    """
-    rows = min(block_pairs, max(1, _DRAW_DOUBLES // steps))
-    buffers = (np.empty((rows, steps)), np.empty((rows, steps)))
-    draws = _row_chunks(seed, total, block_pairs, rows)
-    failures = []
-    generator, r = next(draws)
-    _fill(generator, buffers[0][:r], failures)
-    helper = None
-    k = 0
-    try:
-        while True:
-            if failures:
-                raise failures[0]
-            chunk = buffers[k % 2][:r]
-            k += 1
-            following = next(draws, None)
-            if following is not None:
-                generator, r = following
-                thread = threading.Thread(target=_fill, args=(generator, buffers[k % 2][:r], failures))
-                thread.start()
-                helper = thread
-            yield chunk
-            if helper is None:
-                return
-            helper.join()
-            helper = None
-    finally:
-        if helper is not None:
-            helper.join()
-
-
 def first_passage_value(
     spec: GbmSpec,
     barrier: float,
@@ -391,22 +384,10 @@ def first_passage_value(
     if spec.s0_a <= barrier:
         return McEstimate(mean=payout, std_error=0.0, paths=spec.paths)
 
-    block_pairs = max(1, _PATH_BLOCK_BUDGET // spec.steps)
-    total = spec.paths // 2 if spec.antithetic else spec.paths
-    values = np.empty(total)
-    start = 0
-    chunks = _normal_chunks(spec.seed, total, block_pairs, spec.steps)
-    try:
-        for z in chunks:
-            c = _hit_contributions(spec, barrier, discount_rate, bridge, z)
-            m = z.shape[0]
-            out = values[start : start + m]
-            start += m
-            out[...] = c[:m]
-            if spec.antithetic:  # the pair mean, the mirrored paths' weights being c[m:]
-                out += c[m:]
-                out *= 0.5
-    finally:
-        chunks.close()
+    def legs(z):  # the kernel walks the mirrored paths after the plain ones
+        c = _hit_contributions(spec, barrier, discount_rate, bridge, z)
+        return np.split(c, 2) if spec.antithetic else (c,)
+
+    values = _values(spec, max(1, _PATH_BLOCK_BUDGET // spec.steps), spec.steps, legs)
     est = _estimate_from_values(values, 1.0, spec.paths)
     return McEstimate(mean=payout * est.mean, std_error=abs(payout) * est.std_error, paths=spec.paths)

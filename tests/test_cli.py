@@ -843,3 +843,19 @@ def test_csv_fuzz_keeps_the_cli_contract(case):
     command, text = case
     with tempfile.TemporaryDirectory() as workdir:
         cli_fuzz.check_csv(command, text, workdir)
+
+
+@pytest.mark.parametrize("payoff, oracle", [("exchange", "price_payoff"), ("one_touch", "first_passage_value")])
+def test_out_of_memory_exit_3(payoff, oracle, tmp_path, capsys, monkeypatch):
+    # As a path count too large for the machine fails, without allocating it here.
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64")
+
+    monkeypatch.setattr(cli.mc, oracle, allocate)
+    out = tmp_path / "r"
+    argv = ["oracle", "price", "--payoff", payoff, "--barrier", "1.2", "--s0-a", "1.5",
+            "--paths", "2000000000", "--out", str(out)]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64\n"
+    assert not out.exists()

@@ -341,24 +341,56 @@ def test_kernel_failure_on_second_chunk_propagates_and_stops_the_helper(monkeypa
     assert calls == [(1024, 512), (1024, 512)]
 
 
-def test_draw_failure_in_the_helper_is_raised_on_the_main_thread(monkeypatch):
-    make = mc._block_generator
+def fail_second_draw(monkeypatch):
+    """Make the second draw fail: the helper draws it while the caller works on the first chunk."""
+    make, draws = mc._block_generator, []
 
     class Failing:
         def __init__(self, seed, block):
-            self.inner, self.draws = make(seed, block), 0
+            self.inner = make(seed, block)
 
         def standard_normal(self, out):
-            self.draws += 1
-            if self.draws == 2:  # the first chunk is drawn in place, the second by the helper
+            draws.append(out.shape)
+            if len(draws) == 2:
                 raise MemoryError("draw failed")
             return self.inner.standard_normal(out=out)
 
     monkeypatch.setattr(mc, "_block_generator", Failing)
+
+
+def test_draw_failure_in_the_helper_is_raised_on_the_main_thread(monkeypatch):
+    fail_second_draw(monkeypatch)  # the draw of the second 1024-row chunk
     threads = threading.active_count()
     spec = GbmSpec(s0_a=1.5, sigma_a=0.8, steps=512, paths=2 * 3000, seed=3)
     with pytest.raises(MemoryError, match="draw failed"):
         first_passage_value(spec, 1.2, 0.08)
+    assert threading.active_count() == threads
+
+
+def test_payoff_failure_on_second_block_propagates_and_stops_the_helper():
+    # Three blocks, each one chunk of normals; the plain leg of the second block fails.
+    spec = GbmSpec(s0_a=1.1, s0_b=0.9, sigma_a=0.7, sigma_b=0.3, paths=2 * 3 * mc._TERMINAL_BLOCK, seed=3)
+    calls = []
+
+    def fail_second_block(a, b):
+        calls.append(a.shape)
+        if len(calls) == 3:
+            raise RuntimeError("payoff failed")
+        return exchange_payoff(a, b)
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="payoff failed"):
+        price_payoff(spec, fail_second_block)
+    assert threading.active_count() == threads
+    assert calls == [(mc._TERMINAL_BLOCK,)] * 3
+
+
+def test_exchange_draw_failure_in_the_helper_is_raised_on_the_main_thread(monkeypatch):
+    fail_second_draw(monkeypatch)  # the draw of the second block
+    threads = threading.active_count()
+    spec = GbmSpec(s0_a=1.1, s0_b=0.9, sigma_a=0.7, sigma_b=0.3, paths=2 * 3 * mc._TERMINAL_BLOCK, seed=3)
+    with pytest.raises(MemoryError, match="draw failed"):
+        price_payoff(spec, exchange_payoff)
     assert threading.active_count() == threads
 
 
