@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -207,30 +206,24 @@ class Coded:
 class Columns:
     """A table of named, equal-length columns, each a list, a 1-D numpy array or a `Coded` text column.
 
-    Its length is the row count. A table read from a CSV also keeps the file
-    line of each row in `lines`, a sequence of ints (see `read_csv_rows`);
-    any other table has `lines` None.
+    Its length is the row count.
     """
 
-    def __init__(self, columns, lines=None):
-        self.columns, self.lines = columns, lines
+    def __init__(self, columns):
+        self.columns = columns
 
     def __len__(self) -> int:
-        if self.lines is not None:
-            return len(self.lines)
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
     def __getitem__(self, name):
         return self.columns[name]
 
     def __eq__(self, other):
-        """Equal names in the same order, equal cells and equal lines."""
+        """Equal names in the same order and equal cells."""
         if not isinstance(other, Columns):
             return NotImplemented
-        return (
-            list(self.columns) == list(other.columns)
-            and list(self.lines or ()) == list(other.lines or ())
-            and all(_cells(a) == _cells(b) for a, b in zip(self.columns.values(), other.columns.values()))
+        return list(self.columns) == list(other.columns) and all(
+            _cells(a) == _cells(b) for a, b in zip(self.columns.values(), other.columns.values())
         )
 
 
@@ -251,26 +244,25 @@ def read_csv_rows(path, schema, check=None) -> Columns:
 
     A clean file is read once and parsed as columns, in blocks of lines (see
     `_clean_columns`), so that its peak memory is the text, one block and
-    the columns; each distinct cell of a TEXT column is one shared `str`, a
-    line longer than `csv.field_size_limit()` makes a file unclean, and the
-    rows' lines are one `range` unless a line is blank, then an int array.
-    Any other file is read again row by row, its rows' lines kept in an int
-    array, and its first problem in file order raises an InputError naming
-    the file and line: the header, then an empty cell in any row, then per
-    row the first bad cell (timestamp columns first, then the others, each
-    in schema order) or the row `check` names, whichever comes first. Rows
-    follow `csv.DictReader`: a blank line is skipped, extra fields are
-    ignored, a repeated header name means its last column, and a row's line
-    is the last physical line of its record.
+    the columns; each distinct cell of a TEXT column is one shared `str`, and
+    a line longer than `csv.field_size_limit()` makes a file unclean. Any
+    other file, and a clean one whose row `check` refuses, is read again row
+    by row (`_scanned_columns`), the one reader that knows each row's line.
+    Its first problem in file order raises an InputError naming the file and
+    line: the header, then an empty cell in any row, then per row the first
+    bad cell (timestamp columns first, then the others, each in schema
+    order) or the row `check` names, whichever comes first. Rows follow
+    `csv.DictReader`: a blank line is skipped, extra fields are ignored, a
+    repeated header name means its last column, and a row's line is the
+    last physical line of its record.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             columns = _clean_columns(fh.read(), schema)
     except (OSError, ValueError):  # a decoding error too: the row scan names the problem
         columns = None
-    if columns is None:
+    if columns is None or check and check(columns):
         columns = _scanned_columns(path, schema, check)
-    _refuse_broken_row(path, columns, check)
     return columns
 
 
@@ -284,19 +276,17 @@ def _clean_columns(text, schema):
     of about `_BLOCK_CHARS` characters, each cut after a newline, so that
     only one block's lines and cells are alive at a time beside the columns.
 
-    Each block drops its blank lines and counts them (`_holds_blank_line`
-    tells whether it has any). Its line lengths are scanned only when it is
-    longer than the field-size limit, as no line is longer than its block.
-    The first row sets the width; every block's commas and newlines must
-    fall as rows of that width (`_aligned_rows`), and the block is split
-    into cells once, at its newlines and commas together. The rows' lines
-    are one range until a line is blank, then an int array.
-    Each distinct cell of a TEXT column is one shared `str`.
+    Each block drops its blank lines (`_holds_blank_line` tells whether it
+    has any). Its line lengths are scanned only when it is longer than the
+    field-size limit, as no line is longer than its block. The first row
+    sets the width; every block's commas and newlines must fall as rows of
+    that width (`_aligned_rows`), and the block is split into cells once, at
+    its newlines and commas together. Each distinct cell of a TEXT column is
+    one shared `str`.
     """
     if '"' in text or "\0" in text:
         return None
-    index = width = lines = None  # lines: None while every line so far is a row, then the rows' lines
-    line = 1  # the last line read
+    index = width = None
     limit = csv.field_size_limit()
     columns = {name: [] for name in schema}  # a TEXT column's cells, else its blocks of floats
     memos = {name: {} for name in schema if schema[name] is TEXT}
@@ -311,16 +301,8 @@ def _clean_columns(text, schema):
             header, _, block = block.partition("\n")
             index = {name: i for i, name in enumerate(header.split(","))}
         data = block.encode()  # the UTF-8 bytes both scans read
-        blank = _holds_blank_line(data)
-        if blank:  # a blank line is skipped but counted
-            body = block.split("\n")
-            if not body[-1]:
-                body.pop()  # the newline that ends the block's last record
-            if lines is None:
-                lines = array("q", range(2, line + 1))
-            lines.extend(n for n, row in enumerate(body, line + 1) if row)
-            line += len(body)
-            block = "\n".join(filter(None, body))
+        if _holds_blank_line(data):  # a blank line is skipped
+            block = "\n".join(filter(None, block.split("\n")))
             data = block.encode()
         if not block:
             continue
@@ -330,13 +312,8 @@ def _clean_columns(text, schema):
             width = block.partition("\n")[0].count(",") + 1
             if not all(index.get(c, width) < width for c in schema):  # wide enough for every column
                 return None
-        rows = _aligned_rows(data, width)
-        if not rows:  # some row is not as wide as the first
+        if not _aligned_rows(data, width):  # some row is not as wide as the first
             return None
-        if not blank:
-            if lines is not None:
-                lines.extend(range(line + 1, line + 1 + rows))
-            line += rows
         cells = block.replace("\n", ",").split(",")
         if block.endswith("\n"):
             cells.pop()  # the empty cell after the newline that ends the block
@@ -356,7 +333,7 @@ def _clean_columns(text, schema):
     for name, kind in schema.items():
         if kind is not TEXT:
             columns[name] = np.concatenate(columns[name])
-    return Columns(columns, range(2, line + 1) if lines is None else lines)
+    return Columns(columns)
 
 
 def _holds_blank_line(data) -> bool:
@@ -369,8 +346,8 @@ def _holds_blank_line(data) -> bool:
     return bool(newlines[:1].any() or (newlines[1:] & newlines[:-1]).any())
 
 
-def _aligned_rows(data, width):
-    """The number of lines in a block, which holds no blank line, if each has `width` - 1 commas, else 0.
+def _aligned_rows(data, width) -> bool:
+    """Whether each line of a block, which holds no blank line, has `width` - 1 commas.
 
     The commas and newlines of such a block run as `width` - 1 commas and a
     newline, line after line, with the last newline optional. The check runs
@@ -382,13 +359,13 @@ def _aligned_rows(data, width):
     if not data.endswith(b"\n"):
         seps = np.append(seps, ord("\n"))
     if len(seps) % width:
-        return 0
+        return False
     grid = seps.reshape(-1, width)
-    return len(grid) if (grid[:, -1] == ord("\n")).all() and (grid[:, :-1] == ord(",")).all() else 0
+    return bool((grid[:, -1] == ord("\n")).all() and (grid[:, :-1] == ord(",")).all())
 
 
 def _scanned_columns(path, schema, check):
-    """The columns of a CSV read row by row; raises its first problem."""
+    """The columns of a CSV read row by row; raises its first problem, `check`'s too, at its line."""
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -402,28 +379,26 @@ def _scanned_columns(path, schema, check):
     if not rows:
         raise InputError(f"{path}: no data rows")
     order = sorted(schema, key=lambda name: schema[name] is not TIMESTAMP)
-    lines, parsed = array("q"), {name: [] for name in schema}
+    lines, parsed = [], {name: [] for name in schema}
     for lineno, row in rows:
         try:
             cells = [cell_number(row, c) if schema[c] is NUMBER else schema[c](row[c]) for c in order]
         except ValueError as exc:
-            _refuse_broken_row(path, _columns(schema, lines, parsed), check)
+            _checked_columns(path, schema, parsed, check, lines)
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         lines.append(lineno)
         for name, cell in zip(order, cells):
             parsed[name].append(cell)
-    return _columns(schema, lines, parsed)
+    return _checked_columns(path, schema, parsed, check, lines)
 
 
-def _columns(schema, lines, parsed):
-    columns = {c: cells if schema[c] is TEXT else np.array(cells, dtype=float) for c, cells in parsed.items()}
-    return Columns(columns, lines)
-
-
-def _refuse_broken_row(path, columns, check):
+def _checked_columns(path, schema, parsed, check, lines):
+    """The columns of the rows parsed so far, at `lines`; raises the first row `check` refuses."""
+    columns = Columns({c: cells if schema[c] is TEXT else np.array(cells, float) for c, cells in parsed.items()})
     broken = check(columns) if check else None
     if broken:
-        raise InputError(f"{path}:{columns.lines[broken[0]]}: {broken[1]}")
+        raise InputError(f"{path}:{lines[broken[0]]}: {broken[1]}")
+    return columns
 
 
 def _checked_rows(path, reader, required_columns):

@@ -29,7 +29,6 @@ blocks, holding one double per pair beside the current block.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import starmap
@@ -45,6 +44,9 @@ _PATH_BLOCK_BUDGET = 1 << 21
 # Longest path: one row of normals fits half the block budget, so the two
 # draw buffers never exceed one block plus one row.
 MAX_STEPS = 1 << 20
+# Most paths: one double per pair is then 1 PiB, so no larger count could be
+# allocated, and numpy refuses a far larger one with a bare ValueError.
+MAX_PATHS = 1 << 48
 # Most doubles in one row chunk of normals (1024 rows of 512 steps). An
 # oracle holds two chunks, the one it works on and the one being drawn, in
 # place of a whole block; a terminal-value block (2 x 2**16) fits one chunk.
@@ -97,6 +99,8 @@ class GbmSpec:
             raise DomainError("steps and paths must be >= 1")
         if self.steps > MAX_STEPS:
             raise DomainError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
+        if self.paths > MAX_PATHS:
+            raise DomainError(f"paths must be <= {MAX_PATHS}, got {self.paths}")
         if self.antithetic and self.paths % 2 != 0:
             raise DomainError("antithetic sampling needs an even path count")
 
@@ -146,6 +150,8 @@ def _normal_chunks(seed: int, total: int, block_pairs: int, width: int):
     other buffer. The helper allocates nothing, a failed draw is raised
     here, and closing the generator waits for the helper to end.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, as every command imports mc and only the oracles draw
+
     rows = min(block_pairs, max(1, _DRAW_DOUBLES // width))
     buffers = (np.empty((rows, width)), np.empty((rows, width)))
     with ThreadPoolExecutor(1) as helper:

@@ -107,9 +107,9 @@ def rolling_average(values, window: int):
     ends = range(1, len(values) + 1)
     # Entry i sums values[max(0, i - window + 1) : i + 1], exactly rounded once by fsum: the
     # first window - 1 entries from a head slice, then each full window as one tuple of a zip
-    # over `window` staggered iterators, which stops at the shortest.
+    # over `window` staggered iterators, which stops at the shortest (none past the series).
     heads = [math.fsum(values[:b]) for b in ends[: window - 1]]
-    windows = zip(*(islice(values, i, None) for i in range(window)))
+    windows = zip(*(islice(values, i, None) for i in range(window))) if window <= len(values) else ()
     return np.array([*heads, *map(math.fsum, windows)], dtype=float) / np.minimum(ends, window)
 
 

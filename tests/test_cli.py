@@ -791,6 +791,14 @@ def test_reports_are_utf8_whatever_the_locale(tmp_path):
     assert "Jos\u00e9,".encode() in reports["ascii"]["positions.csv"]
 
 
+def test_cli_import_leaves_out_the_thread_pool():
+    # Only the Monte Carlo oracles draw on a helper thread; every other command starts without it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, cryptoyield.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 def test_non_finite_csv_cell_exit_3(tmp_path, capsys):
     # A 1e308 swap drives the pool's reserves past float range: pnl would be written as inf.
     scenario = {"pool": {"reserve_x": 1000, "reserve_y": 1000, "fee": 0.003},
@@ -858,4 +866,23 @@ def test_out_of_memory_exit_3(payoff, oracle, tmp_path, capsys, monkeypatch):
     assert cli_main(argv) == 3
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payoff", ["exchange", "one_touch"])
+@pytest.mark.parametrize("paths", ["flag", "config"])
+def test_path_count_beyond_any_machine_exit_3(payoff, paths, tmp_path, capsys):
+    # numpy refuses these counts with a bare ValueError rather than a MemoryError.
+    out = tmp_path / "r"
+    if paths == "flag":
+        argv = ["oracle", "price", "--payoff", payoff, "--barrier", "1.2", "--s0-a", "1.5",
+                "--paths", str(1 << 62), "--out", str(out)]
+    else:
+        config = {"command": "oracle", "payoff": payoff, "barrier": 1.2, "spec": {"s0_a": 1.5, "paths": 1e20}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "paths must be <= 281474976710656" in err
     assert not out.exists()

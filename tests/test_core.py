@@ -196,24 +196,27 @@ def test_csv_behind_byte_order_mark_reads_like_plain(tmp_path):
     marked = tmp_path / "validators.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     got, want = (read_csv_rows(path, VALIDATOR_CSV) for path in (marked, plain))
-    assert got.lines == want.lines
-    for name in VALIDATOR_CSV:
-        assert np.array_equal(got[name], want[name])
+    assert got == want
 
 
-def read_outcome(path, schema=PRICES):
+def not_negative(columns):
+    """A row rule for PRICES: the first row whose price is below zero."""
+    return core.first_broken([(columns["price"] < 0, "price must not be negative")])
+
+
+def read_outcome(path, schema=PRICES, check=None):
     """("ok", columns) or ("error", InputError message) of `read_csv_rows`."""
     try:
-        return "ok", read_csv_rows(path, schema)
+        return "ok", read_csv_rows(path, schema, check)
     except InputError as exc:
         return "error", str(exc)
 
 
-def scanned_outcome(path, schema=PRICES):
+def scanned_outcome(path, schema=PRICES, check=None):
     """`read_outcome` with the clean path turned off, so that every file is read row by row."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_clean_columns", lambda text, schema: None)
-        return read_outcome(path, schema)
+        return read_outcome(path, schema, check)
 
 
 def read_clean(text, schema=PRICES):
@@ -224,18 +227,20 @@ def read_clean(text, schema=PRICES):
         return False
 
 
-def clean_outcomes(path, text, schema=PRICES):
+def clean_outcomes(path, text, schema=PRICES, check=None):
     """`read_outcome` and `read_clean`, at each of BLOCK_CHARS and the default block size."""
     for block_chars in (core._BLOCK_CHARS, *BLOCK_CHARS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_BLOCK_CHARS", block_chars)
-            yield block_chars, read_outcome(path, schema), read_clean(text, schema)
+            yield block_chars, read_outcome(path, schema, check), read_clean(text, schema)
 
 
 # Rows of a two-column CSV after its header, "" for a blank line: blank lines
 # right after the header, between rows, in runs and at the end, and (in the
 # sweeps) before every row, so that at each block size some fall at a block's
-# start and some at its end.
+# start and some at its end. REFUSED breaks `not_negative`, after one blank
+# line and after a run of them, so that its message names the row's line.
+REFUSED = "259200,-1"
 SWEEP = [f"{86_400 * k},{k}.{'5' * k}" for k in range(12)]
 LINE_CASES = {
     "consecutive": ["0,1", "86400,2"],
@@ -248,21 +253,27 @@ LINE_CASES = {
     "non-ascii-digits": ["0,\u0661", "", "86400,\u0662.\u0665", "172800,3"],
     **{f"blank-at-{k}": [*SWEEP[:k], "", *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
     **{f"run-at-{k}": [*SWEEP[:k], "", "", "", *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
+    "refused-after-blanks": ["0,1", "", "", REFUSED, "", "-86400,-2"],
+    **{f"refused-after-blank-at-{k}": [*SWEEP[:k], "", REFUSED, *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
+    **{f"refused-after-run-at-{k}": [*SWEEP[:k], "", "", "", REFUSED, *SWEEP[k:]] for k in range(len(SWEEP) + 1)},
 }
 
 
 @pytest.mark.parametrize("rows", LINE_CASES.values(), ids=LINE_CASES.keys())
 def test_clean_and_scanned_reads_hold_equal_lines(tmp_path, rows):
     path = tmp_path / "p.csv"
+    refused = REFUSED in rows
     for newline, ending in (("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")):
         text = newline.join(["timestamp,price", *rows]) + ending
         path.write_bytes(text.encode())
-        scanned = scanned_outcome(path)
-        for block_chars, got, clean in clean_outcomes(path, text):
+        scanned = scanned_outcome(path, check=not_negative)
+        for block_chars, got, clean in clean_outcomes(path, text, check=not_negative):
             assert got == scanned, f"blocks of {block_chars} characters"
-            assert clean == (got[0] == "ok"), f"blocks of {block_chars} characters"
-        if scanned[0] == "ok":
-            assert list(scanned[1].lines) == [n for n, row in enumerate(rows, 2) if row]
+            assert clean == (got[0] == "ok" or refused), f"blocks of {block_chars} characters"
+        if refused:
+            assert scanned == ("error", f"{path}:{rows.index(REFUSED) + 2}: price must not be negative")
+        elif scanned[0] == "ok":
+            assert len(scanned[1]) == sum(map(bool, rows))
 
 
 # A row one field short, one field long or twice as long at each position of
@@ -285,17 +296,27 @@ def test_ragged_rows_leave_the_clean_path(tmp_path, rows):
         assert (got, clean) == (scanned, False), f"blocks of {block_chars} characters"
 
 
-@pytest.mark.parametrize("rows", [["1", "2", "3"], ["", "1", "", "", "2", "3", ""]], ids=["consecutive", "blank-lines"])
+ONE_COLUMN_CASES = {
+    "consecutive": ["1", "2", "3"],
+    "blank-lines": ["", "1", "", "", "2", "3", ""],
+    "refused-after-blank-lines": ["", "1", "", "", "-2", "3", ""],
+}
+
+
+@pytest.mark.parametrize("rows", ONE_COLUMN_CASES.values(), ids=ONE_COLUMN_CASES.keys())
 def test_one_column_file_reads_like_the_row_scan(tmp_path, rows):
     # A one-field row has no comma, so only its line tells a blank line from a row.
     schema = {"price": NUMBER}
     path = tmp_path / "p.csv"
     text = "\n".join(["price", *rows])
     path.write_text(text)
-    scanned = scanned_outcome(path, schema)
-    for block_chars, got, clean in clean_outcomes(path, text, schema):
+    scanned = scanned_outcome(path, schema, not_negative)
+    for block_chars, got, clean in clean_outcomes(path, text, schema, not_negative):
         assert (got, clean) == (scanned, True), f"blocks of {block_chars} characters"
-    assert list(scanned[1].lines) == [n for n, row in enumerate(rows, 2) if row]
+    if scanned[0] == "ok":
+        assert len(scanned[1]) == sum(map(bool, rows))
+    else:
+        assert scanned[1] == f"{path}:6: price must not be negative"
 
 
 # A field-size limit below some lines of the files that follow, each beside

@@ -16,7 +16,6 @@ import csv
 import gc
 import importlib.util
 import pathlib
-import sys
 import tracemalloc
 
 import pytest
@@ -337,7 +336,7 @@ def test_benchmark_validators_read_within_five_times_the_file(market_year):
         tracemalloc.stop()
     assert len(columns) > 10_000
     assert peak <= 5 * path.stat().st_size
-    assert sys.getsizeof(columns.lines) < 100  # a range, as no line is blank; a list of ints took 36 bytes a row
+    assert not hasattr(columns, "lines")  # only the row scan, on an error, maps rows to lines
     for name, kind in staking.VALIDATOR_CSV.items():
         if kind is core.TEXT:  # one shared str per distinct cell
             assert len(set(map(id, columns[name]))) == len(set(columns[name]))
